@@ -18,11 +18,12 @@ import numpy as np
 from . import matrices
 from .codivergence import chi2_codiv, hellinger_codiv, phi_alpha, r_alpha, v_alpha
 from .errors import CodivError, DegeneratePhiError, OracleFailureError
-from .families import family_from_json_dict, r_alpha_closed
+from .families import (family_from_json_dict, family_problems, family_set_problems,
+                       r_alpha_closed)
 from .local import expansion_check, hellinger_off_support_check
-from .matrices import (DivMatrix, MarkovKernel, divergence_matrix, dpi_check,
+from .matrices import (DivMatrix, MarkovKernel, divergence_matrix, dpi_check, kernel_problems,
                        rank_with_identity)
-from .measures import DiscreteMeasure, SignedMeasure
+from .measures import DiscreteMeasure, SignedMeasure, measure_problems, support_problems
 from .oracles import OracleConfig, oracle_r_alpha
 from .serialize import dumps_canonical, matrix_to_csv
 
@@ -33,17 +34,23 @@ EXIT_PROPERTY = 4
 
 COMMANDS = ("codiv", "matrix", "rank", "dpi", "expand", "oracle-check")
 
-_FAMILY_KIND_PARAMS = {
-    "gaussian_iso": (("mean", "vector"), ("sigma", "positive-scalar")),
-    "poisson_product": (("lambda", "positive-vector"),),
-    "bernoulli_product": (("theta", "open-unit-vector"),),
-    "exponential_product": (("beta", "positive-vector"),),
-    "gamma_product": (("shape", "positive-vector"), ("rate", "positive-vector")),
+# Options whose values are counts or scales: name -> (test, what the value must be).
+_OPTION_SCHEMA = {
+    name: (lambda x: type(x) is int and x > 0, "a positive integer")
+    for name in ("trials", "support", "count", "output_support", "levels", "grid_n")
 }
+_OPTION_SCHEMA["grid_scale"] = (lambda x: type(x) in (int, float) and 0 < x < math.inf,
+                                "a positive finite number")
+
+_INPUT_COUNTS = {"codiv": "codiv needs exactly 3 inputs",
+                 "expand": "expand needs [reference, direction, direction]",
+                 "oracle-check": "oracle-check needs exactly 3 families"}
 
 
 def parse_kind(text: str) -> tuple[str, float | None]:
     """Split a kind/phi option into (base kind, alpha)."""
+    if not isinstance(text, str):
+        raise CodivError("kind option is required", "/options/kind")
     if text == "chi2":
         return "chi2", 1.0
     if text == "hellinger":
@@ -53,239 +60,98 @@ def parse_kind(text: str) -> tuple[str, float | None]:
             try:
                 value = float(text[len(prefix):])
             except ValueError:
-                raise CodivError(f"malformed alpha in kind {text!r}")
+                raise CodivError(f"malformed alpha in kind {text!r}", "/options/kind")
             if not value > 0:
-                raise CodivError("alpha must be positive")
+                raise CodivError("alpha must be positive", "/options/kind")
             return base, value
-    raise CodivError(f"unknown kind {text!r}")
+    raise CodivError(f"unknown kind {text!r}", "/options/kind")
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+def _kind_option(options: dict, problems: list) -> None:
+    try:
+        parse_kind(options.get("kind"))
+    except CodivError as exc:
+        problems.append(exc)
 
 
-def _validate_mass(doc, path: str, findings: list, signed: bool, probability: bool) -> None:
-    mass = doc.get("mass")
-    if not isinstance(mass, list) or not mass:
-        findings.append({"path": f"{path}/mass", "message": "mass must be a non-empty list"})
-        return
-    for i, x in enumerate(mass):
-        if not _is_number(x):
-            findings.append({"path": f"{path}/mass/{i}", "message": "mass entry must be a finite number"})
-            return
-        if not signed and x < 0:
-            findings.append({"path": f"{path}/mass/{i}", "message": "mass entry must be nonnegative"})
-    if probability and all(_is_number(x) for x in mass):
-        total = math.fsum(mass)
-        if abs(total - 1.0) > 1e-12:
-            findings.append({"path": f"{path}/mass",
-                             "message": f"mass must sum to 1 within 1e-12, got {total!r}"})
-    if signed and all(_is_number(x) for x in mass):
-        total = math.fsum(mass)
-        if abs(total) > 1e-12:
-            findings.append({"path": f"{path}/mass",
-                             "message": f"signed direction must have zero total mass, got {total!r}"})
-
-
-def _validate_family(doc, path: str, findings: list) -> None:
-    kind = doc.get("kind")
-    if kind not in _FAMILY_KIND_PARAMS:
-        findings.append({"path": f"{path}/kind", "message": f"unknown family kind {kind!r}"})
-        return
-    params = doc.get("params")
-    if not isinstance(params, dict):
-        findings.append({"path": f"{path}/params", "message": "params object is required"})
-        return
-    for name, constraint in _FAMILY_KIND_PARAMS[kind]:
-        if name not in params:
-            findings.append({"path": f"{path}/params/{name}", "message": "required parameter missing"})
-            continue
-        value = params[name]
-        if constraint == "positive-scalar":
-            if not _is_number(value) or value <= 0:
-                findings.append({"path": f"{path}/params/{name}",
-                                 "message": "must be a positive number"})
-            continue
-        if not isinstance(value, list) or not value:
-            findings.append({"path": f"{path}/params/{name}", "message": "must be a non-empty list"})
-            continue
-        for i, x in enumerate(value):
-            if not _is_number(x):
-                findings.append({"path": f"{path}/params/{name}/{i}",
-                                 "message": "must be a finite number"})
-            elif constraint == "positive-vector" and x <= 0:
-                findings.append({"path": f"{path}/params/{name}/{i}",
-                                 "message": "must be strictly positive"})
-            elif constraint == "open-unit-vector" and not (0.0 < x < 1.0):
-                findings.append({"path": f"{path}/params/{name}/{i}",
-                                 "message": "open-interval violation: must lie in (0, 1)"})
-
-
-def _validate_kernel(doc, path: str, findings: list) -> None:
-    matrix = doc.get("matrix") if isinstance(doc, dict) else None
-    if not isinstance(matrix, list) or not matrix:
-        findings.append({"path": f"{path}/matrix", "message": "kernel matrix is required"})
-        return
-    width = None
-    for r, row in enumerate(matrix):
-        if not isinstance(row, list) or not row or not all(_is_number(x) for x in row):
-            findings.append({"path": f"{path}/matrix/{r}", "message": "row must be a list of numbers"})
-            return
-        width = len(row) if width is None else width
-        if len(row) != width:
-            findings.append({"path": f"{path}/matrix/{r}", "message": "ragged kernel matrix"})
-            return
-        if any(x < 0 for x in row):
-            findings.append({"path": f"{path}/matrix/{r}", "message": "kernel entries must be nonnegative"})
-        total = math.fsum(row)
-        if abs(total - 1.0) > 1e-12:
-            findings.append({"path": f"{path}/matrix/{r}",
-                             "message": f"not row-stochastic: row sums to {total!r}"})
-
-
-def _check_equal_supports(inputs, findings, kernel=None) -> None:
-    sizes = set()
-    for doc in inputs:
-        mass = doc.get("mass") if isinstance(doc, dict) else None
-        if isinstance(mass, list):
-            sizes.add(len(mass))
-    if len(sizes) > 1:
-        findings.append({"path": "/inputs",
-                         "message": f"support sizes differ across inputs: {sorted(sizes)}"})
-    if kernel is not None and len(sizes) == 1:
-        matrix = kernel.get("matrix") if isinstance(kernel, dict) else None
-        if isinstance(matrix, list) and matrix and len(matrix) != sizes.pop():
-            findings.append({"path": "/options/kernel/matrix",
-                             "message": "kernel input size does not match the measures"})
-
-
-def _check_family_structure(inputs, findings) -> None:
-    dims = set()
-    sigmas = set()
-    for doc in inputs:
-        params = doc.get("params", {}) if isinstance(doc, dict) else {}
-        for key in ("mean", "lambda", "theta", "beta", "shape"):
-            if isinstance(params.get(key), list):
-                dims.add(len(params[key]))
-                break
-        if doc.get("kind") == "gaussian_iso" and _is_number(params.get("sigma")):
-            sigmas.add(params["sigma"])
-    if len({doc.get("kind") for doc in inputs if isinstance(doc, dict)}) > 1:
-        findings.append({"path": "/inputs", "message": "family kinds differ across inputs"})
-    if len(dims) > 1:
-        findings.append({"path": "/inputs", "message": "family dimensions differ across inputs"})
-    if len(sigmas) > 1:
-        findings.append({"path": "/inputs", "message": "isotropic Gaussian inputs must share sigma"})
+def _masses(inputs, problems: list, directions=()) -> list:
+    """Check each input as a probability measure, or as a direction at the indices in
+    ``directions``; returns their mass arrays."""
+    masses = []
+    for i, doc in enumerate(inputs):
+        mass, found = measure_problems(doc, signed=i in directions, normalized=True,
+                                       path=f"/inputs/{i}")
+        masses.append(mass)
+        problems += found
+    return masses
 
 
 def validate(job: dict) -> list:
     """Structural validation findings; an empty list means the job can run."""
-    findings: list = []
     command = job.get("command")
     if command not in COMMANDS:
-        findings.append({"path": "/command", "message": f"unknown command {command!r}"})
-        return findings
+        return [{"path": "/command", "message": f"unknown command {command!r}"}]
     inputs = job.get("inputs")
     options = job.get("options", {})
     if not isinstance(options, dict):
-        findings.append({"path": "/options", "message": "options must be an object"})
-        return findings
+        return [{"path": "/options", "message": "options must be an object"}]
     randomized = command in ("dpi", "rank") and "trials" in options
-    if not randomized:
-        if not isinstance(inputs, list) or not inputs:
-            findings.append({"path": "/inputs", "message": "inputs must be a non-empty list"})
-            return findings
+    if not randomized and not (isinstance(inputs, list) and inputs):
+        return [{"path": "/inputs", "message": "inputs must be a non-empty list"}]
+    if command in _INPUT_COUNTS and len(inputs) != 3:
+        return [{"path": "/inputs", "message": _INPUT_COUNTS[command]}]
 
-    if command == "codiv":
-        if len(inputs) != 3:
-            findings.append({"path": "/inputs", "message": "codiv needs exactly 3 inputs"})
-            return findings
-        as_families = all(isinstance(x, dict) and "kind" in x for x in inputs)
+    problems: list = []
+    if command == "oracle-check" or (
+            command == "codiv" and all(isinstance(x, dict) and "kind" in x for x in inputs)):
+        members = []
         for i, doc in enumerate(inputs):
-            if as_families:
-                _validate_family(doc, f"/inputs/{i}", findings)
-            else:
-                _validate_mass(doc, f"/inputs/{i}", findings, signed=False, probability=True)
-        _require_kind_option(options, findings)
-        if as_families:
-            _check_family_structure(inputs, findings)
-            if isinstance(options.get("kind"), str) and options["kind"].startswith("valpha:"):
-                findings.append({"path": "/options/kind",
-                                 "message": "covariance-type closed forms are not available for "
-                                            "parametric families; use alpha:<value>"})
-        else:
-            _check_equal_supports(inputs, findings)
-    elif command in ("matrix", "rank"):
-        if not randomized:
-            for i, doc in enumerate(inputs):
-                _validate_mass(doc, f"/inputs/{i}", findings, signed=False, probability=True)
-            if len(inputs) < 2:
-                findings.append({"path": "/inputs",
-                                 "message": "need the reference measure plus at least one measure"})
-            _check_equal_supports(inputs, findings)
-        _require_kind_option(options, findings)
-    elif command == "dpi":
-        if randomized:
-            if not isinstance(options.get("trials"), int) or options["trials"] <= 0:
-                findings.append({"path": "/options/trials", "message": "trials must be a positive integer"})
-        else:
-            for i, doc in enumerate(inputs):
-                _validate_mass(doc, f"/inputs/{i}", findings, signed=False, probability=True)
-            if len(inputs) < 2:
-                findings.append({"path": "/inputs",
-                                 "message": "need the reference measure plus at least one measure"})
-            if "kernel" not in options:
-                findings.append({"path": "/options/kernel", "message": "dpi needs a kernel"})
-            else:
-                _validate_kernel(options["kernel"], "/options/kernel", findings)
-                _check_equal_supports(inputs, findings, kernel=options["kernel"])
+            member, found = family_problems(doc, f"/inputs/{i}")
+            members.append(member)
+            problems += found
+        _kind_option(options, problems)
+        problems += family_set_problems(members, "/inputs")
+        if command == "codiv" and str(options.get("kind")).startswith("valpha:"):
+            problems.append(CodivError("covariance-type closed forms are not available for "
+                                       "parametric families; use alpha:<value>", "/options/kind"))
+    elif command == "codiv":
+        masses = _masses(inputs, problems)
+        _kind_option(options, problems)
+        problems += support_problems(masses)
     elif command == "expand":
-        if len(inputs) != 3:
-            findings.append({"path": "/inputs",
-                             "message": "expand needs [reference, direction, direction]"})
-            return findings
-        _validate_mass(inputs[0], "/inputs/0", findings, signed=False, probability=True)
         mode = options.get("mode", "local")
+        masses = _masses(inputs, problems, directions=(1, 2))
         if mode not in ("local", "off-support"):
-            findings.append({"path": "/options/mode", "message": f"unknown mode {mode!r}"})
-        for i in (1, 2):
-            _validate_mass(inputs[i], f"/inputs/{i}", findings, signed=True, probability=False)
-        _check_equal_supports(inputs, findings)
-        if not findings:
-            reference = inputs[0]["mass"]
+            problems.append(CodivError(f"unknown mode {mode!r}", "/options/mode"))
+        problems += support_problems(masses)
+        if not problems:
+            off = mode == "off-support"
+            message = ("direction must be nonnegative outside the reference support" if off
+                       else "direction puts mass on a reference null point")
             for i in (1, 2):
-                direction = inputs[i]["mass"]
-                bad = [j for j, (p, m) in enumerate(zip(reference, direction))
-                       if p == 0 and (m < 0 if mode == "off-support" else m != 0)]
-                if bad:
-                    message = ("direction must be nonnegative outside the reference support"
-                               if mode == "off-support"
-                               else "direction puts mass on a reference null point")
-                    findings.append({"path": f"/inputs/{i}/mass/{bad[0]}", "message": message})
+                bad = np.flatnonzero((masses[0] == 0) & (masses[i] < 0 if off else masses[i] != 0))
+                if bad.size:
+                    problems.append(CodivError(message, f"/inputs/{i}/mass/{bad[0]}"))
         if mode == "local":
-            _require_kind_option(options, findings)
-    elif command == "oracle-check":
-        if len(inputs) != 3:
-            findings.append({"path": "/inputs", "message": "oracle-check needs exactly 3 families"})
-            return findings
-        for i, doc in enumerate(inputs):
-            if not isinstance(doc, dict) or "kind" not in doc:
-                findings.append({"path": f"/inputs/{i}", "message": "family descriptor required"})
-            else:
-                _validate_family(doc, f"/inputs/{i}", findings)
-        _require_kind_option(options, findings)
-    return findings
-
-
-def _require_kind_option(options: dict, findings: list) -> None:
-    kind = options.get("kind")
-    if not isinstance(kind, str):
-        findings.append({"path": "/options/kind", "message": "kind option is required"})
-        return
-    try:
-        parse_kind(kind)
-    except CodivError as exc:
-        findings.append({"path": "/options/kind", "message": str(exc)})
+            _kind_option(options, problems)
+    elif not randomized:  # matrix, rank and dpi on explicit measures
+        masses = _masses(inputs, problems)
+        if len(inputs) < 2:
+            problems.append(CodivError("need the reference measure plus at least one measure",
+                                       "/inputs"))
+        if command != "dpi":
+            problems += support_problems(masses)
+        elif "kernel" not in options:
+            problems.append(CodivError("dpi needs a kernel", "/options/kernel"))
+        else:
+            kernel, found = kernel_problems(options["kernel"], "/options/kernel")
+            problems += found + support_problems(masses, None if kernel is None else len(kernel))
+    if command in ("matrix", "rank"):
+        _kind_option(options, problems)
+    for name, (test, what) in _OPTION_SCHEMA.items():
+        if name in options and not test(options[name]):
+            problems.append(CodivError(f"{name} must be {what}", f"/options/{name}"))
+    return [{"path": p.path, "message": str(p)} for p in problems]
 
 
 def _load_measures(inputs) -> list[DiscreteMeasure]:
@@ -313,19 +179,15 @@ def _run_codiv(job, tolerance, seed):
             value = v_alpha(p0, p1, p2, alpha)
         else:
             value = r_alpha(p0, p1, p2, alpha)
-    return {"command": "codiv", "kind": kind, "value": _finite_or_inf(value)}, EXIT_OK
-
-
-def _build_matrix(job) -> DivMatrix:
-    measures = _load_measures(job["inputs"])
-    base, alpha = parse_kind(job.get("options", {})["kind"])
-    phi = phi_alpha(alpha) if base in ("vphi", "rphi") else None
-    return divergence_matrix(measures[0], measures[1:], base, phi=phi, reference="inputs[0]")
+    return {"command": "codiv", "kind": kind, "value": _finite_or_inf(value)}
 
 
 def _run_matrix(job, tolerance, seed):
-    mat = _build_matrix(job)
-    return {"command": "matrix", "matrix": mat.to_json_dict()}, EXIT_OK
+    measures = _load_measures(job["inputs"])
+    base, alpha = parse_kind(job.get("options", {})["kind"])
+    phi = phi_alpha(alpha) if base in ("vphi", "rphi") else None
+    mat = divergence_matrix(measures[0], measures[1:], base, phi=phi, reference="inputs[0]")
+    return {"command": "matrix", "matrix": mat.to_json_dict()}
 
 
 def _run_rank(job, tolerance, seed):
@@ -342,32 +204,24 @@ def _run_rank(job, tolerance, seed):
             report = rank_with_identity(p0, ps, base, phi=phi, tol_factor=tol_factor)
             if report.matrix_rank == report.function_rank:
                 agree += 1
-        passed = agree == trials
-        doc = {"command": "rank", "kind": options["kind"], "trials": trials,
-               "seed": seed, "agreements": agree, "passed": passed}
-        return doc, EXIT_OK if passed else EXIT_PROPERTY
+        return {"command": "rank", "kind": options["kind"], "trials": trials,
+                "seed": seed, "agreements": agree, "passed": agree == trials}
     measures = _load_measures(job["inputs"])
     report = rank_with_identity(measures[0], measures[1:], base, phi=phi, tol_factor=tol_factor)
     if report.status is matrices.DiagnosticStatus.NOT_APPLICABLE:
-        return {"command": "rank", "kind": options["kind"], "status": "not-applicable"}, EXIT_OK
-    passed = report.matrix_rank == report.function_rank
-    doc = {"command": "rank", "kind": options["kind"], "status": "ok",
-           "matrix_rank": report.matrix_rank, "function_rank": report.function_rank,
-           "passed": passed}
-    return doc, EXIT_OK if passed else EXIT_PROPERTY
+        return {"command": "rank", "kind": options["kind"], "status": "not-applicable"}
+    return {"command": "rank", "kind": options["kind"], "status": "ok",
+            "matrix_rank": report.matrix_rank, "function_rank": report.function_rank,
+            "passed": report.matrix_rank == report.function_rank}
 
 
 def _random_dominated_instance(rng, options):
-    n = int(options.get("support", 6))
-    m = int(options.get("count", 3))
-    p0 = DiscreteMeasure(_random_probability(rng, n))
-    ps = [DiscreteMeasure(_random_probability(rng, n)) for _ in range(m)]
-    return p0, ps
-
-
-def _random_probability(rng, n):
-    mass = rng.random(n) + 0.05
-    return mass / math.fsum(mass)
+    """A reference and ``count`` measures on ``support`` points, all of full support."""
+    measures = []
+    for _ in range(options.get("count", 3) + 1):
+        mass = rng.random(options.get("support", 6)) + 0.05
+        measures.append(DiscreteMeasure(mass / math.fsum(mass)))
+    return measures[0], measures[1:]
 
 
 def _run_dpi(job, tolerance, seed):
@@ -378,28 +232,23 @@ def _run_dpi(job, tolerance, seed):
         trials = options["trials"]
         worst = math.inf
         for _ in range(trials):
-            n = int(options.get("support", 6))
-            n_out = int(options.get("output_support", n))
-            m = int(options.get("count", 3))
-            q0 = DiscreteMeasure(_random_probability(rng, n))
-            qs = [DiscreteMeasure(_random_probability(rng, n)) for _ in range(m)]
-            kernel_rows = rng.random((n, n_out)) + 0.02
-            kernel = MarkovKernel(kernel_rows / kernel_rows.sum(axis=1, keepdims=True))
+            q0, qs = _random_dominated_instance(rng, options)
+            n = q0.support_size
+            rows = rng.random((n, options.get("output_support", n))) + 0.02
+            kernel = MarkovKernel(rows / rows.sum(axis=1, keepdims=True))
             report = dpi_check(q0, qs, kernel)
             worst = min(worst, report.min_eig_of_difference / report.scale)
-        passed = worst >= -floor_factor
-        doc = {"command": "dpi", "trials": trials, "seed": seed,
-               "worst_scaled_min_eigenvalue": worst, "floor": -floor_factor, "passed": passed}
-        return doc, EXIT_OK if passed else EXIT_PROPERTY
+        return {"command": "dpi", "trials": trials, "seed": seed,
+                "worst_scaled_min_eigenvalue": worst, "floor": -floor_factor,
+                "passed": worst >= -floor_factor}
     measures = _load_measures(job["inputs"])
     kernel = MarkovKernel.from_json_dict(options["kernel"])
     report = dpi_check(measures[0], measures[1:], kernel)
-    passed = report.min_eig_of_difference >= -floor_factor * report.scale
-    doc = {"command": "dpi",
-           "before": report.before.to_json_dict(), "after": report.after.to_json_dict(),
-           "min_eigenvalue_of_difference": report.min_eig_of_difference,
-           "scale": report.scale, "floor": -floor_factor * report.scale, "passed": passed}
-    return doc, EXIT_OK if passed else EXIT_PROPERTY
+    return {"command": "dpi",
+            "before": report.before.to_json_dict(), "after": report.after.to_json_dict(),
+            "min_eigenvalue_of_difference": report.min_eig_of_difference,
+            "scale": report.scale, "floor": -floor_factor * report.scale,
+            "passed": report.min_eig_of_difference >= -floor_factor * report.scale}
 
 
 def _run_expand(job, tolerance, seed):
@@ -410,21 +259,15 @@ def _run_expand(job, tolerance, seed):
     mu_tilde = SignedMeasure.from_json_dict(job["inputs"][2])
     if mode == "off-support":
         rel_tol = tolerance if tolerance is not None else 0.05
-        report = hellinger_off_support_check(
-            p0, mu, mu_tilde,
-            grid_scale=float(options.get("grid_scale", 1e-3)),
-            grid_n=int(options.get("grid_n", 4)))
-        passed = (report.sqrt_rel_error <= rel_tol and report.bilinear_rel_error <= rel_tol)
-        doc = {"command": "expand", "mode": mode, "report": report.to_json_dict(),
-               "passed": passed}
-        return doc, EXIT_OK if passed else EXIT_PROPERTY
+        report = hellinger_off_support_check(p0, mu, mu_tilde,
+                                             grid_scale=float(options.get("grid_scale", 1e-3)),
+                                             grid_n=options.get("grid_n", 4))
+        return {"command": "expand", "mode": mode, "report": report.to_json_dict(),
+                "passed": report.sqrt_rel_error <= rel_tol and report.bilinear_rel_error <= rel_tol}
     _, alpha = parse_kind(options["kind"])
-    report = expansion_check(p0, mu, mu_tilde, phi_alpha(alpha),
-                             levels=int(options.get("levels", 5)))
-    passed = report.decay_ok()
-    doc = {"command": "expand", "mode": "local", "report": report.to_json_dict(),
-           "passed": passed}
-    return doc, EXIT_OK if passed else EXIT_PROPERTY
+    report = expansion_check(p0, mu, mu_tilde, phi_alpha(alpha), levels=options.get("levels", 5))
+    return {"command": "expand", "mode": "local", "report": report.to_json_dict(),
+            "passed": report.decay_ok()}
 
 
 def _run_oracle_check(job, tolerance, seed):
@@ -438,11 +281,10 @@ def _run_oracle_check(job, tolerance, seed):
         rel_err = 0.0 if closed == numeric else math.inf
     else:
         rel_err = abs(closed - numeric) / max(1.0, abs(closed), abs(numeric))
-    passed = rel_err <= rel_tol
-    doc = {"command": "oracle-check", "kind": options["kind"],
-           "closed_form": _finite_or_inf(closed), "oracle": _finite_or_inf(numeric),
-           "relative_error": _finite_or_inf(rel_err), "tolerance": rel_tol, "passed": passed}
-    return doc, EXIT_OK if passed else EXIT_PROPERTY
+    return {"command": "oracle-check", "kind": options["kind"],
+            "closed_form": _finite_or_inf(closed), "oracle": _finite_or_inf(numeric),
+            "relative_error": _finite_or_inf(rel_err), "tolerance": rel_tol,
+            "passed": rel_err <= rel_tol}
 
 
 _HANDLERS = {
@@ -455,26 +297,29 @@ _HANDLERS = {
 }
 
 
+def _error(code: str, message: str, findings: list | None = None) -> str:
+    error = {"code": code, "message": message}
+    if findings:
+        error["findings"] = findings
+    return dumps_canonical({"error": error}) + "\n"
+
+
 def run(job: dict, fmt: str = "json", tolerance: float | None = None,
         seed: int = 0) -> tuple[str, int]:
     """Validate and execute a job; returns (report text, exit status)."""
     findings = validate(job)
     if findings:
-        doc = {"error": {"code": "validation", "message": "job validation failed",
-                         "findings": findings}}
-        return dumps_canonical(doc) + "\n", EXIT_VALIDATION
+        return _error("validation", "job validation failed", findings), EXIT_VALIDATION
     if fmt == "csv" and job["command"] != "matrix":
-        doc = {"error": {"code": "validation",
-                         "message": "csv format is only available for matrix reports"}}
-        return dumps_canonical(doc) + "\n", EXIT_VALIDATION
+        return _error("validation", "csv format is only available for matrix reports"), \
+            EXIT_VALIDATION
     try:
-        doc, status = _HANDLERS[job["command"]](job, tolerance, seed)
-    except (DegeneratePhiError, OracleFailureError) as exc:
-        doc = {"error": {"code": "computation", "message": str(exc)}}
-        return dumps_canonical(doc) + "\n", EXIT_COMPUTE
+        doc = _HANDLERS[job["command"]](job, tolerance, seed)
+    except (DegeneratePhiError, OracleFailureError, OverflowError) as exc:
+        return _error("computation", str(exc)), EXIT_COMPUTE
     except CodivError as exc:
-        doc = {"error": {"code": "validation", "message": str(exc)}}
-        return dumps_canonical(doc) + "\n", EXIT_VALIDATION
+        return _error("validation", str(exc)), EXIT_VALIDATION
+    status = EXIT_OK if doc.get("passed", True) else EXIT_PROPERTY
     if fmt == "csv":
         mat = DivMatrix.from_json_dict(doc["matrix"])
         return matrix_to_csv(mat), status
@@ -497,12 +342,10 @@ def main(argv=None) -> int:
         with open(args.input, "r", encoding="utf-8") as fh:
             job = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        sys.stdout.write(dumps_canonical(
-            {"error": {"code": "validation", "message": f"cannot read job: {exc}"}}) + "\n")
+        sys.stdout.write(_error("validation", f"cannot read job: {exc}"))
         return EXIT_VALIDATION
     if not isinstance(job, dict):
-        sys.stdout.write(dumps_canonical(
-            {"error": {"code": "validation", "message": "job must be a JSON object"}}) + "\n")
+        sys.stdout.write(_error("validation", "job must be a JSON object"))
         return EXIT_VALIDATION
     if args.command:
         job = dict(job)

@@ -1,8 +1,16 @@
-"""Exception hierarchy shared by all codiv modules."""
+"""Exception hierarchy shared by all codiv modules, and the number test of the input checks.
+
+Each input rule is written once, as a checker returning its problems as errors
+that carry a JSON path; the constructors raise the first, the CLI reports all.
+"""
 
 
 class CodivError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``path`` locates the bad input."""
+
+    def __init__(self, message: str = "", path: str = ""):
+        super().__init__(message)
+        self.path = path
 
 
 class DimensionMismatchError(CodivError):
@@ -27,3 +35,31 @@ class DegeneratePhiError(CodivError):
 
 class OracleFailureError(CodivError):
     """Adaptive numerical integration failed to converge within its budget."""
+
+
+def raise_first(problems: list) -> None:
+    """Raise the first of the problems an input checker returned, if there is one."""
+    if problems:
+        raise problems[0]
+
+
+def is_number(x) -> bool:
+    """True for an int or float, numpy ones included; booleans are not numbers."""
+    if isinstance(x, (int, float)):
+        return not isinstance(x, bool)
+    return getattr(getattr(x, "dtype", None), "kind", "") in ("i", "u", "f")
+
+
+def numbers(values):
+    """``values`` with NaN for every entry that is not a number, or None unless it is a
+    non-empty list, tuple or 1-D array: the JSON type test, which the checkers follow
+    with numpy tests on the float array, where a non-number is a non-finite entry."""
+    if hasattr(values, "dtype"):
+        if values.ndim != 1 or values.size == 0:
+            return None
+        return values if values.dtype.kind in "iuf" else [float("nan")] * values.size
+    if not isinstance(values, (list, tuple)) or not values:
+        return None
+    if set(map(type, values)) <= {int, float}:
+        return values
+    return [x if is_number(x) else float("nan") for x in values]

@@ -3,140 +3,136 @@
 Every formula is evaluated in log space and exponentiated at the very end
 with ``expm1``; the Gamma family goes through log-Gamma differences so that
 ratios of Gamma functions never overflow.  Parameter combinations outside an
-exponential family's natural domain yield +inf rather than an error.
+exponential family's natural domain yield +inf rather than an error.  The
+table FAMILIES holds everything that differs from one family to another.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, KindMismatchError, PreconditionError
+from .errors import (DimensionMismatchError, KindMismatchError, PreconditionError, is_number,
+                     numbers, raise_first)
+
+# rule of a vector parameter -> (test its finite entries pass, message for one that fails)
+_VECTOR_RULES = {
+    "finite": (np.isfinite, ""),
+    "positive": (lambda a: a > 0, "must be strictly positive"),
+    "open-unit": (lambda a: (a > 0) & (a < 1), "open-interval violation: must lie in (0, 1)"),
+}
 
 
-def _param_vector(values, name: str, positive: bool = False,
-                  open_unit: bool = False) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim != 1 or arr.size == 0:
-        raise PreconditionError(f"{name} must be a non-empty vector")
-    if not np.all(np.isfinite(arr)):
-        raise PreconditionError(f"{name} must be finite")
-    if positive and not np.all(arr > 0):
-        raise PreconditionError(f"{name} must be strictly positive")
-    if open_unit and not np.all((arr > 0) & (arr < 1)):
-        raise PreconditionError(f"{name} must lie in the open interval (0, 1)")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
+class FamilySpec(NamedTuple):
+    kind: str  # the JSON kind
+    params: tuple  # (JSON name, attribute, rule) per parameter; the first gives the dimension
+    shared: str  # the parameter all members of a triple share, or ""
+    log1p: Callable  # (f0, f1, f2, alpha) -> log(R_alpha + 1) of a checked triple
+    coords: Callable | None  # family -> columns of the parameters of its coordinates
+    component: str  # the oracle's integral for one coordinate, or ""
+    natural: Callable | None  # family -> its GenericExpFam natural-parameter view
+
+
+def _param_problems(spec: FamilySpec, values: dict, path: str) -> tuple[dict, list]:
+    """Parameter values keyed by JSON name, checked and frozen, and their problems."""
+    checked, problems = {}, []
+    for name, _, rule in spec.params:
+        at = f"{path}/params/{name}"
+        value = values.get(name)
+        if name not in values:
+            problems.append(PreconditionError("required parameter missing", at))
+        elif rule == "positive-scalar":
+            finite = is_number(value) and math.isfinite(value)
+            if finite:
+                checked[name] = value
+            if not (finite and value > 0):
+                problems.append(PreconditionError("must be a positive number", at))
+        elif (entries := numbers(value)) is None:
+            problems.append(PreconditionError("must be a non-empty list", at))
+        else:
+            checked[name] = arr = np.array(entries, dtype=float)
+            arr.flags.writeable = False
+            test, message = _VECTOR_RULES[rule]
+            finite = np.isfinite(arr)
+            for i in np.flatnonzero(~(finite & test(arr))):
+                problems.append(PreconditionError(message if finite[i] else "must be a finite number",
+                                                  f"{at}/{i}"))
+    vectors = [name for name, value in checked.items() if isinstance(value, np.ndarray)]
+    if len({checked[name].size for name in vectors}) > 1:
+        problems.append(DimensionMismatchError(f"{' and '.join(vectors)} vectors differ in length",
+                                               f"{path}/params/{vectors[-1]}"))
+    return checked, problems
+
+
+class _Family:
+    """What a family class takes from its FAMILIES entry."""
+
+    def __post_init__(self):
+        spec = FAMILIES[type(self)]
+        values = {name: getattr(self, attr) for name, attr, _ in spec.params}
+        checked, problems = _param_problems(spec, values, "")
+        raise_first(problems)
+        for name, attr, _ in spec.params:
+            object.__setattr__(self, attr, checked[name])
+
+    @property
+    def kind(self) -> str:
+        return FAMILIES[type(self)].kind
+
+    @property
+    def dim(self) -> int:
+        return getattr(self, FAMILIES[type(self)].params[0][1]).size
+
+    def to_json_dict(self) -> dict:
+        params = {}
+        for name, attr, rule in FAMILIES[type(self)].params:
+            value = getattr(self, attr)
+            params[name] = float(value) if rule == "positive-scalar" else [float(x) for x in value]
+        return {"kind": self.kind, "params": params}
 
 
 @dataclass(frozen=True)
-class GaussianIso:
+class GaussianIso(_Family):
     """Multivariate normal with mean vector and isotropic variance sigma^2."""
 
     mean: np.ndarray
     sigma: float
-    kind = "gaussian_iso"
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", _param_vector(self.mean, "mean"))
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise PreconditionError("sigma must be strictly positive")
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind,
-                "params": {"mean": [float(x) for x in self.mean], "sigma": float(self.sigma)}}
 
 
 @dataclass(frozen=True)
-class PoissonProd:
+class PoissonProd(_Family):
     """Product of Poisson distributions with intensity vector."""
 
     rates: np.ndarray
-    kind = "poisson_product"
-
-    def __post_init__(self):
-        object.__setattr__(self, "rates", _param_vector(self.rates, "lambda", positive=True))
-
-    @property
-    def dim(self) -> int:
-        return self.rates.size
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "params": {"lambda": [float(x) for x in self.rates]}}
 
 
 @dataclass(frozen=True)
-class BernoulliProd:
+class BernoulliProd(_Family):
     """Product of Bernoulli distributions with success probabilities in (0, 1)."""
 
     thetas: np.ndarray
-    kind = "bernoulli_product"
-
-    def __post_init__(self):
-        object.__setattr__(self, "thetas", _param_vector(self.thetas, "theta", open_unit=True))
-
-    @property
-    def dim(self) -> int:
-        return self.thetas.size
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "params": {"theta": [float(x) for x in self.thetas]}}
 
 
 @dataclass(frozen=True)
-class ExponentialProd:
+class ExponentialProd(_Family):
     """Product of exponential distributions with rate vector."""
 
     rates: np.ndarray
-    kind = "exponential_product"
-
-    def __post_init__(self):
-        object.__setattr__(self, "rates", _param_vector(self.rates, "beta", positive=True))
-
-    @property
-    def dim(self) -> int:
-        return self.rates.size
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "params": {"beta": [float(x) for x in self.rates]}}
 
 
 @dataclass(frozen=True)
-class GammaProd:
+class GammaProd(_Family):
     """Product of Gamma distributions with shape and rate vectors."""
 
     shapes: np.ndarray
     rates: np.ndarray
-    kind = "gamma_product"
-
-    def __post_init__(self):
-        object.__setattr__(self, "shapes", _param_vector(self.shapes, "shape", positive=True))
-        object.__setattr__(self, "rates", _param_vector(self.rates, "rate", positive=True))
-        if self.shapes.size != self.rates.size:
-            raise DimensionMismatchError("shape and rate vectors differ in length")
-
-    @property
-    def dim(self) -> int:
-        return self.rates.size
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind,
-                "params": {"shape": [float(x) for x in self.shapes],
-                           "rate": [float(x) for x in self.rates]}}
 
 
 @dataclass(frozen=True)
-class GenericExpFam:
+class GenericExpFam(_Family):
     """Exponential family given by natural parameter, log-partition A and domain test.
 
     ``log_partition`` and ``in_domain`` must be pure functions of the natural
@@ -146,31 +142,57 @@ class GenericExpFam:
     theta: np.ndarray
     log_partition: Callable[[np.ndarray], float]
     in_domain: Callable[[np.ndarray], bool]
-    kind = "generic_exponential_family"
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", _param_vector(self.theta, "theta"))
-
-    @property
-    def dim(self) -> int:
-        return self.theta.size
 
 
 ParamFamily = Union[GaussianIso, PoissonProd, BernoulliProd, ExponentialProd,
                     GammaProd, GenericExpFam]
 
 
+_SET_RULES = ((KindMismatchError, "family kinds differ across inputs"),
+              (DimensionMismatchError, "family dimensions differ across inputs"),
+              (DimensionMismatchError, "isotropic Gaussian inputs must share sigma"))
+
+
+def family_set_problems(members, path: str = "") -> list:
+    """Rules across the families of a job, given as (kind, dimension, value of the shared
+    parameter) with None where unknown: each of the three takes one value."""
+    return [error(message, path) for column, (error, message) in zip(zip(*members), _SET_RULES)
+            if len(set(column) - {None}) > 1]
+
+
 def check_family_triple(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily) -> None:
-    if not (f0.kind == f1.kind == f2.kind):
-        raise KindMismatchError(f"mixed family kinds: {f0.kind}, {f1.kind}, {f2.kind}")
-    if not (f0.dim == f1.dim == f2.dim):
-        raise DimensionMismatchError("family dimensions differ")
-    if isinstance(f0, GaussianIso) and not (f0.sigma == f1.sigma == f2.sigma):
-        raise DimensionMismatchError("isotropic Gaussian triples must share sigma")
+    members = []
+    for f in (f0, f1, f2):
+        shared = FAMILIES[type(f)].shared
+        members.append((f.kind, f.dim, getattr(f, shared) if shared else None))
+    raise_first(family_set_problems(members))
 
 
-def _gamma_component_log1p(a0, b0, a1, b1, a2, b2, alpha) -> float:
-    """log(R_alpha + 1) for one Gamma coordinate, or +inf on a domain violation.
+def _gaussian_log1p(f0, f1, f2, alpha) -> float:
+    d1 = f1.mean - f0.mean
+    d2 = f2.mean - f0.mean
+    return alpha * alpha * math.fsum(d1 * d2) / (f0.sigma * f0.sigma)
+
+
+def _poisson_log1p(f0, f1, f2, alpha) -> float:
+    l0, l1, l2 = f0.rates, f1.rates, f2.rates
+    terms = l0 ** (1.0 - 2.0 * alpha) * (l1 ** alpha - l0 ** alpha) * (l2 ** alpha - l0 ** alpha)
+    return math.fsum(terms)
+
+
+def _bernoulli_log1p(f0, f1, f2, alpha) -> float:
+    total = 0.0
+    for t0, t1, t2 in zip(f0.thetas, f1.thetas, f2.thetas):
+        num = (t0 ** (1 - 2 * alpha) * t1 ** alpha * t2 ** alpha
+               + (1 - t0) ** (1 - 2 * alpha) * (1 - t1) ** alpha * (1 - t2) ** alpha)
+        r1 = t0 ** (1 - alpha) * t1 ** alpha + (1 - t0) ** (1 - alpha) * (1 - t1) ** alpha
+        r2 = t0 ** (1 - alpha) * t2 ** alpha + (1 - t0) ** (1 - alpha) * (1 - t2) ** alpha
+        total += math.log(num) - math.log(r1) - math.log(r2)
+    return total
+
+
+def _gamma_log1p(f0, f1, f2, alpha) -> float:
+    """log(R_alpha + 1) over Gamma coordinates, or +inf on a domain violation.
 
     The rate part is accumulated through log1p of relative rate shifts, which
     is exact up to rounding when the three rates are close (the regime the
@@ -181,19 +203,95 @@ def _gamma_component_log1p(a0, b0, a1, b1, a2, b2, alpha) -> float:
 
     because a01 + a02 - a0 - abar = 0, with xj = alpha*dj/b0.
     """
-    abar = a0 + alpha * (a1 + a2 - 2.0 * a0)
-    a01 = a0 + alpha * (a1 - a0)
-    a02 = a0 + alpha * (a2 - a0)
-    x1 = alpha * (b1 - b0) / b0
-    x2 = alpha * (b2 - b0) / b0
-    x12 = alpha * (b1 + b2 - 2.0 * b0) / b0
-    if min(abar, a01, a02) <= 0 or min(1.0 + x1, 1.0 + x2, 1.0 + x12) <= 0:
-        return math.inf
-    log_gamma_part = (math.lgamma(a0) + math.lgamma(abar)
-                      - math.lgamma(a01) - math.lgamma(a02))
-    log_rate_part = (a01 * math.log1p(x1) + a02 * math.log1p(x2)
-                     - abar * math.log1p(x12))
-    return log_gamma_part + log_rate_part
+    (s0, r0), (s1, r1), (s2, r2) = (FAMILIES[type(f)].coords(f) for f in (f0, f1, f2))
+    total = 0.0
+    for a0, b0, a1, b1, a2, b2 in zip(s0, r0, s1, r1, s2, r2):
+        abar = a0 + alpha * (a1 + a2 - 2.0 * a0)
+        a01 = a0 + alpha * (a1 - a0)
+        a02 = a0 + alpha * (a2 - a0)
+        x1 = alpha * (b1 - b0) / b0
+        x2 = alpha * (b2 - b0) / b0
+        x12 = alpha * (b1 + b2 - 2.0 * b0) / b0
+        if min(abar, a01, a02) <= 0 or min(1.0 + x1, 1.0 + x2, 1.0 + x12) <= 0:
+            return math.inf
+        log_gamma_part = (math.lgamma(a0) + math.lgamma(abar)
+                          - math.lgamma(a01) - math.lgamma(a02))
+        log_rate_part = (a01 * math.log1p(x1) + a02 * math.log1p(x2)
+                         - abar * math.log1p(x12))
+        total += log_gamma_part + log_rate_part
+    return total
+
+
+def _generic_log1p(f0, f1, f2, alpha) -> float:
+    t0, t1, t2 = f0.theta, f1.theta, f2.theta
+    tbar = t0 + alpha * (t1 + t2 - 2.0 * t0)
+    t01 = t0 + alpha * (t1 - t0)
+    t02 = t0 + alpha * (t2 - t0)
+    for t in (tbar, t01, t02):
+        if not f0.in_domain(t):
+            return math.inf
+    A = f0.log_partition
+    return float(A(tbar) - A(t01) - A(t02) + A(t0))
+
+
+# Natural-parameter views, which cross-check the formulas above through the
+# generic exponential-family identity.
+
+def _gaussian_natural(f: GaussianIso) -> GenericExpFam:
+    sigma2 = f.sigma * f.sigma
+    return GenericExpFam(theta=f.mean, in_domain=lambda th: True,
+                         log_partition=lambda th: float(np.dot(th, th)) / (2.0 * sigma2))
+
+
+def _poisson_natural(f: PoissonProd) -> GenericExpFam:
+    return GenericExpFam(theta=np.log(f.rates), in_domain=lambda th: True,
+                         log_partition=lambda th: float(np.sum(np.exp(th))))
+
+
+def _bernoulli_natural(f: BernoulliProd) -> GenericExpFam:
+    return GenericExpFam(theta=np.log(f.thetas / (1.0 - f.thetas)), in_domain=lambda th: True,
+                         log_partition=lambda th: float(np.sum(np.logaddexp(0.0, th))))
+
+
+def _gamma_natural(f) -> GenericExpFam:
+    # theta = (shape - 1, -rate) per Gamma coordinate, flattened.
+    def log_partition(th):
+        d = th.size // 2
+        a = th[:d] + 1.0
+        return float(math.fsum(math.lgamma(x) for x in a) - np.sum(a * np.log(-th[d:])))
+
+    def in_domain(th):
+        d = th.size // 2
+        return bool(np.all(th[:d] > -1.0) and np.all(th[d:] < 0))
+
+    shapes, rates = FAMILIES[type(f)].coords(f)
+    return GenericExpFam(theta=np.concatenate([shapes - 1.0, -rates]),
+                         log_partition=log_partition, in_domain=in_domain)
+
+
+FAMILIES = {
+    GaussianIso: FamilySpec(
+        "gaussian_iso", (("mean", "mean", "finite"), ("sigma", "sigma", "positive-scalar")),
+        "sigma", _gaussian_log1p, lambda f: (f.mean, np.full(f.dim, float(f.sigma))), "gaussian",
+        _gaussian_natural),
+    PoissonProd: FamilySpec(
+        "poisson_product", (("lambda", "rates", "positive"),),
+        "", _poisson_log1p, lambda f: (f.rates,), "poisson", _poisson_natural),
+    BernoulliProd: FamilySpec(
+        "bernoulli_product", (("theta", "thetas", "open-unit"),),
+        "", _bernoulli_log1p, lambda f: (f.thetas,), "bernoulli", _bernoulli_natural),
+    ExponentialProd: FamilySpec(  # the Gamma component with unit shapes
+        "exponential_product", (("beta", "rates", "positive"),),
+        "", _gamma_log1p, lambda f: (np.ones(f.dim), f.rates), "gamma", _gamma_natural),
+    GammaProd: FamilySpec(
+        "gamma_product", (("shape", "shapes", "positive"), ("rate", "rates", "positive")),
+        "", _gamma_log1p, lambda f: (f.shapes, f.rates), "gamma", _gamma_natural),
+    GenericExpFam: FamilySpec(
+        "generic_exponential_family", (("theta", "theta", "finite"),),
+        "", _generic_log1p, None, "", None),
+}
+# A GenericExpFam carries functions, so it has no JSON form.
+FAMILY_KINDS = {spec.kind: cls for cls, spec in FAMILIES.items() if cls is not GenericExpFam}
 
 
 def r_alpha_closed_log1p(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
@@ -202,153 +300,75 @@ def r_alpha_closed_log1p(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
     if not alpha > 0:
         raise PreconditionError("alpha must be positive")
     check_family_triple(f0, f1, f2)
-
-    if isinstance(f0, GaussianIso):
-        d1 = f1.mean - f0.mean
-        d2 = f2.mean - f0.mean
-        return alpha * alpha * math.fsum(d1 * d2) / (f0.sigma * f0.sigma)
-
-    if isinstance(f0, PoissonProd):
-        l0, l1, l2 = f0.rates, f1.rates, f2.rates
-        terms = l0 ** (1.0 - 2.0 * alpha) * (l1 ** alpha - l0 ** alpha) * (l2 ** alpha - l0 ** alpha)
-        return math.fsum(terms)
-
-    if isinstance(f0, BernoulliProd):
-        total = 0.0
-        for t0, t1, t2 in zip(f0.thetas, f1.thetas, f2.thetas):
-            num = (t0 ** (1 - 2 * alpha) * t1 ** alpha * t2 ** alpha
-                   + (1 - t0) ** (1 - 2 * alpha) * (1 - t1) ** alpha * (1 - t2) ** alpha)
-            r1 = t0 ** (1 - alpha) * t1 ** alpha + (1 - t0) ** (1 - alpha) * (1 - t1) ** alpha
-            r2 = t0 ** (1 - alpha) * t2 ** alpha + (1 - t0) ** (1 - alpha) * (1 - t2) ** alpha
-            total += math.log(num) - math.log(r1) - math.log(r2)
-        return total
-
-    if isinstance(f0, ExponentialProd):
-        # Exponential(beta) is Gamma(1, beta); all log-Gamma terms cancel.
-        total = 0.0
-        for b0, b1, b2 in zip(f0.rates, f1.rates, f2.rates):
-            term = _gamma_component_log1p(1.0, b0, 1.0, b1, 1.0, b2, alpha)
-            if math.isinf(term):
-                return math.inf
-            total += term
-        return total
-
-    if isinstance(f0, GammaProd):
-        total = 0.0
-        for a0, b0, a1, b1, a2, b2 in zip(f0.shapes, f0.rates, f1.shapes, f1.rates,
-                                          f2.shapes, f2.rates):
-            term = _gamma_component_log1p(a0, b0, a1, b1, a2, b2, alpha)
-            if math.isinf(term):
-                return math.inf
-            total += term
-        return total
-
-    if isinstance(f0, GenericExpFam):
-        t0, t1, t2 = f0.theta, f1.theta, f2.theta
-        tbar = t0 + alpha * (t1 + t2 - 2.0 * t0)
-        t01 = t0 + alpha * (t1 - t0)
-        t02 = t0 + alpha * (t2 - t0)
-        for t in (tbar, t01, t02):
-            if not f0.in_domain(t):
-                return math.inf
-        A = f0.log_partition
-        return float(A(tbar) - A(t01) - A(t02) + A(t0))
-
-    raise KindMismatchError(f"unsupported family kind {f0.kind!r}")
+    return FAMILIES[type(f0)].log1p(f0, f1, f2, alpha)
 
 
 def r_alpha_closed(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
                    alpha: float) -> float:
-    """Closed-form R_alpha codivergence for a same-kind family triple."""
+    """Closed-form R_alpha codivergence for a same-kind family triple; OverflowError,
+    naming log(R_alpha + 1), when it is finite but beyond the float range."""
     log1p_value = r_alpha_closed_log1p(f0, f1, f2, alpha)
-    return math.inf if math.isinf(log1p_value) else math.expm1(log1p_value)
+    if math.isinf(log1p_value):
+        return math.inf
+    try:
+        return math.expm1(log1p_value)
+    except OverflowError:
+        raise OverflowError(f"R_alpha exceeds the float range: log(R_alpha + 1) = "
+                            f"{float(log1p_value)!r}") from None
 
 
 def r_alpha_product(componentwise: Sequence[float]) -> float:
     """Combine per-coordinate R_alpha values: product of (value + 1) minus 1; +inf absorbs."""
     if any(math.isinf(v) for v in componentwise):
         return math.inf
-    product = 1.0
-    for v in componentwise:
-        product *= 1.0 + v
-    return product - 1.0
+    return math.prod(1.0 + v for v in componentwise) - 1.0
 
 
 def gamma_first_order(f0: GammaProd, f1: GammaProd, f2: GammaProd, alpha: float) -> float:
     """First-order approximation of the Gamma R_alpha for shared shapes.
 
     Returns expm1 of the weighted rate-shift inner product
-    alpha^2 * sum_l shape_l * (b1l-b0l)*(b2l-b0l)/b0l^2.
+    alpha^2 * sum_l shape_l * (b1l-b0l)*(b2l-b0l)/b0l^2.  Exponential
+    families count as Gamma families with unit shapes.
     """
     check_family_triple(f0, f1, f2)
-    if not isinstance(f0, GammaProd):
-        raise KindMismatchError("gamma_first_order requires GammaProd families")
-    if not (np.array_equal(f0.shapes, f1.shapes) and np.array_equal(f0.shapes, f2.shapes)):
+    spec = FAMILIES[type(f0)]
+    if spec.component != "gamma":
+        raise KindMismatchError("gamma_first_order requires Gamma families")
+    (a0, b0), (a1, b1), (a2, b2) = (spec.coords(f) for f in (f0, f1, f2))
+    if not (np.array_equal(a0, a1) and np.array_equal(a0, a2)):
         raise DimensionMismatchError("the three families must share their shape vector")
-    d1 = f1.rates - f0.rates
-    d2 = f2.rates - f0.rates
-    quad = math.fsum(f0.shapes * d1 * d2 / (f0.rates * f0.rates))
+    quad = math.fsum(a0 * (b1 - b0) * (b2 - b0) / (b0 * b0))
     return math.expm1(alpha * alpha * quad)
 
 
-# Natural-parameter views used to cross-check the specialized formulas above
-# against the generic exponential-family identity.
-
 def as_generic(f: ParamFamily) -> GenericExpFam:
     """Natural-parameter representation with its log-partition and domain test."""
-    if isinstance(f, GaussianIso):
-        sigma2 = f.sigma * f.sigma
-        return GenericExpFam(
-            theta=f.mean,
-            log_partition=lambda th: float(np.dot(th, th)) / (2.0 * sigma2),
-            in_domain=lambda th: True,
-        )
-    if isinstance(f, PoissonProd):
-        return GenericExpFam(
-            theta=np.log(f.rates),
-            log_partition=lambda th: float(np.sum(np.exp(th))),
-            in_domain=lambda th: True,
-        )
-    if isinstance(f, BernoulliProd):
-        return GenericExpFam(
-            theta=np.log(f.thetas / (1.0 - f.thetas)),
-            log_partition=lambda th: float(np.sum(np.logaddexp(0.0, th))),
-            in_domain=lambda th: True,
-        )
-    if isinstance(f, ExponentialProd):
-        return GenericExpFam(
-            theta=-f.rates,
-            log_partition=lambda th: float(-np.sum(np.log(-th))),
-            in_domain=lambda th: bool(np.all(th < 0)),
-        )
-    if isinstance(f, GammaProd):
-        # theta = (shape - 1, -rate) per coordinate, flattened.
-        theta = np.concatenate([f.shapes - 1.0, -f.rates])
+    natural = FAMILIES[type(f)].natural
+    if natural is None:
+        raise KindMismatchError(f"no natural-parameter view for kind {f.kind!r}")
+    return natural(f)
 
-        def log_partition(th):
-            d = th.size // 2
-            a = th[:d] + 1.0
-            return float(math.fsum(math.lgamma(x) for x in a) - np.sum(a * np.log(-th[d:])))
 
-        def in_domain(th):
-            d = th.size // 2
-            return bool(np.all(th[:d] > -1.0) and np.all(th[d:] < 0))
-
-        return GenericExpFam(theta=theta, log_partition=log_partition, in_domain=in_domain)
-    raise KindMismatchError(f"no natural-parameter view for kind {f.kind!r}")
+def family_problems(doc, path: str = "") -> tuple[tuple, list]:
+    """The problems of a family document {"kind", "params"}, with paths under ``path``,
+    and its (kind, dimension, shared parameter value) for family_set_problems."""
+    if not (isinstance(doc, dict) and "kind" in doc):
+        return (None, None, None), [PreconditionError("family descriptor required", path)]
+    kind = doc["kind"]
+    cls = FAMILY_KINDS.get(kind) if isinstance(kind, str) else None
+    member = (kind if isinstance(kind, str) else None, None, None)
+    if cls is None:
+        return member, [PreconditionError(f"unknown family kind {kind!r}", f"{path}/kind")]
+    spec, params = FAMILIES[cls], doc.get("params")
+    if not isinstance(params, dict):
+        return member, [PreconditionError("params object is required", f"{path}/params")]
+    checked, problems = _param_problems(spec, params, path)
+    first = checked.get(spec.params[0][0])
+    return (kind, None if first is None else first.size, checked.get(spec.shared)), problems
 
 
 def family_from_json_dict(doc: dict) -> ParamFamily:
-    kind = doc.get("kind")
-    params = doc.get("params", {})
-    if kind == "gaussian_iso":
-        return GaussianIso(mean=params["mean"], sigma=params["sigma"])
-    if kind == "poisson_product":
-        return PoissonProd(rates=params["lambda"])
-    if kind == "bernoulli_product":
-        return BernoulliProd(thetas=params["theta"])
-    if kind == "exponential_product":
-        return ExponentialProd(rates=params["beta"])
-    if kind == "gamma_product":
-        return GammaProd(shapes=params["shape"], rates=params["rate"])
-    raise PreconditionError(f"unknown or unsupported family kind {kind!r}")
+    raise_first(family_problems(doc)[1])
+    cls = FAMILY_KINDS[doc["kind"]]
+    return cls(**{attr: doc["params"][name] for name, attr, _ in FAMILIES[cls].params})

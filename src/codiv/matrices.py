@@ -20,9 +20,9 @@ import numpy as np
 
 from .codivergence import PHI_IDENTITY, PhiFunction, chi2_codiv, hellinger_codiv, r_phi, v_phi
 from .errors import (DegeneratePhiError, DimensionMismatchError, DominationError,
-                     PreconditionError)
+                     PreconditionError, numbers, raise_first)
 from .measures import (DiscreteMeasure, SignedMeasure, check_same_support,
-                       dominated_by, jordan_decompose)
+                       dominated_by, jordan_decompose, support_problems)
 
 MATRIX_KINDS = ("vphi", "rphi", "chi2", "hellinger")
 
@@ -274,6 +274,37 @@ def quadratic_form_check(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure],
     raise PreconditionError(f"quadratic form check supports chi2/hellinger, not {kind!r}")
 
 
+def kernel_problems(doc, path: str = "") -> tuple[np.ndarray | None, list]:
+    """The frozen row-stochastic matrix of a kernel document {"rows", "cols", "matrix"}
+    (None unless it has rows of numbers of one length) and its problems, under ``path``."""
+    matrix = doc.get("matrix") if isinstance(doc, dict) else None
+    at = f"{path}/matrix"
+    if not isinstance(matrix, (list, tuple, np.ndarray)) or len(matrix) == 0:
+        return None, [PreconditionError("kernel matrix is required", at)]
+    rows, problems = [], []
+    for r, entries in enumerate(matrix):
+        values = numbers(entries)
+        row = None if values is None else np.asarray(values, dtype=float)
+        if row is None or not np.all(np.isfinite(row)):
+            return None, problems + [PreconditionError("row must be a list of numbers", f"{at}/{r}")]
+        if rows and row.size != rows[0].size:
+            return None, problems + [PreconditionError("ragged kernel matrix", f"{at}/{r}")]
+        if np.any(row < 0):
+            problems.append(PreconditionError("kernel entries must be nonnegative", f"{at}/{r}"))
+        total = math.fsum(row)
+        if abs(total - 1.0) > 1e-12:
+            problems.append(PreconditionError(f"not row-stochastic: row sums to {total!r}",
+                                              f"{at}/{r}"))
+        rows.append(row)
+    matrix = np.array(rows)
+    matrix.flags.writeable = False
+    for key, what, size in (("rows", "row", matrix.shape[0]), ("cols", "column", matrix.shape[1])):
+        if doc.get(key, size) != size:
+            problems.append(PreconditionError(f"declared {what} count does not match matrix",
+                                              f"{path}/{key}"))
+    return matrix, problems
+
+
 @dataclass(frozen=True)
 class MarkovKernel:
     """Row-stochastic transition matrix from an N-point to an N'-point space."""
@@ -281,16 +312,9 @@ class MarkovKernel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.matrix, dtype=float)
-        if arr.ndim != 2 or arr.size == 0:
-            raise PreconditionError("kernel must be a 2-D matrix")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise PreconditionError("kernel entries must be finite and nonnegative")
-        sums = [math.fsum(row) for row in arr]
-        if any(abs(s - 1.0) > 1e-12 for s in sums):
-            raise PreconditionError("kernel rows must sum to 1 within 1e-12")
-        arr.flags.writeable = False
-        object.__setattr__(self, "matrix", arr)
+        matrix, problems = kernel_problems({"matrix": self.matrix})
+        raise_first(problems)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def rows(self) -> int:
@@ -310,18 +334,14 @@ class MarkovKernel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MarkovKernel":
-        k = cls(doc["matrix"])
-        if "rows" in doc and int(doc["rows"]) != k.rows:
-            raise PreconditionError("declared row count does not match matrix")
-        if "cols" in doc and int(doc["cols"]) != k.cols:
-            raise PreconditionError("declared column count does not match matrix")
-        return k
+        matrix, problems = kernel_problems(doc)
+        raise_first(problems)
+        return cls(matrix)
 
 
 def push_forward(k: MarkovKernel, p):
     """Push a (signed) measure through the kernel: out[y] = sum_x mass[x]*k[x, y]."""
-    if p.support_size != k.rows:
-        raise DimensionMismatchError("measure support does not match kernel input size")
+    raise_first(support_problems([p.mass], k.rows))
     out = np.array([math.fsum(p.mass * k.matrix[:, y]) for y in range(k.cols)])
     return type(p)(out)
 

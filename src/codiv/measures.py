@@ -17,33 +17,58 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DominationError, PreconditionError
+from .errors import (DimensionMismatchError, DominationError, PreconditionError, numbers,
+                     raise_first)
 
 PROBABILITY_TOL = 1e-12
 
 
-def _as_mass(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise PreconditionError("mass must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(arr)):
-        raise PreconditionError("mass entries must be finite")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
+def measure_problems(doc, signed: bool = False, normalized: bool = False,
+                     path: str = "") -> tuple[np.ndarray | None, list]:
+    """The frozen mass array of a measure document {"support", "mass"} (None unless a list)
+    and its problems, with paths under ``path``.  A ``normalized`` measure sums to 1, or
+    to 0 if ``signed``; an unsigned one is nonnegative."""
+    values = numbers(doc.get("mass") if isinstance(doc, dict) else None)
+    if values is None:
+        return None, [PreconditionError("mass must be a non-empty list", f"{path}/mass")]
+    mass = np.array(values, dtype=float)
+    mass.flags.writeable = False
+    bad = np.flatnonzero(~np.isfinite(mass))
+    if bad.size:
+        return mass, [PreconditionError("mass entry must be a finite number",
+                                        f"{path}/mass/{bad[0]}")]
+    problems = [] if signed else [
+        PreconditionError("mass entry must be nonnegative", f"{path}/mass/{i}")
+        for i in np.flatnonzero(mass < 0)]
+    if normalized:
+        total = math.fsum(mass.tolist())
+        if abs(total - (0.0 if signed else 1.0)) > PROBABILITY_TOL:
+            problems.append(PreconditionError(
+                f"signed direction must have zero total mass, got {total!r}" if signed
+                else f"mass must sum to 1 within 1e-12, got {total!r}", f"{path}/mass"))
+    if doc.get("support", mass.size) != mass.size:
+        problems.append(PreconditionError("declared support size does not match mass length",
+                                          f"{path}/support"))
+    return mass, problems
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    """Nonnegative finite measure on a finite support."""
+def support_problems(masses, kernel_rows: int | None = None) -> list:
+    """Rules across the mass arrays of a job (None ones skipped), with paths in the job:
+    one support size, which is also the kernel's input size when there is a kernel."""
+    distinct = sorted({mass.size for mass in masses if mass is not None})
+    if len(distinct) > 1:
+        return [DimensionMismatchError(f"support sizes differ across inputs: {distinct}",
+                                       "/inputs")]
+    if kernel_rows is not None and distinct and kernel_rows != distinct[0]:
+        return [DimensionMismatchError("kernel input size does not match the measures",
+                                       "/options/kernel/matrix")]
+    return []
 
-    mass: np.ndarray
 
-    def __post_init__(self):
-        arr = _as_mass(self.mass)
-        if np.any(arr < 0):
-            raise PreconditionError("measure mass must be nonnegative")
-        object.__setattr__(self, "mass", arr)
+class _Measure:
+    """What probability and signed measures share: a frozen mass vector."""
+
+    signed = False
 
     @property
     def support_size(self) -> int:
@@ -52,6 +77,27 @@ class DiscreteMeasure:
     @property
     def total(self) -> float:
         return math.fsum(self.mass)
+
+    def to_json_dict(self) -> dict:
+        return {"support": self.support_size, "mass": [float(x) for x in self.mass]}
+
+    @classmethod
+    def from_json_dict(cls, doc: dict):
+        mass, problems = measure_problems(doc, signed=cls.signed)
+        raise_first(problems)
+        return cls(mass)
+
+
+@dataclass(frozen=True)
+class DiscreteMeasure(_Measure):
+    """Nonnegative finite measure on a finite support."""
+
+    mass: np.ndarray
+
+    def __post_init__(self):
+        mass, problems = measure_problems({"mass": self.mass})
+        raise_first(problems)
+        object.__setattr__(self, "mass", mass)
 
     @property
     def is_probability(self) -> bool:
@@ -61,43 +107,18 @@ class DiscreteMeasure:
     def uniform(cls, n: int) -> "DiscreteMeasure":
         return cls(np.full(n, 1.0 / n))
 
-    def to_json_dict(self) -> dict:
-        return {"support": self.support_size, "mass": [float(x) for x in self.mass]}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "DiscreteMeasure":
-        m = cls(doc["mass"])
-        if "support" in doc and int(doc["support"]) != m.support_size:
-            raise PreconditionError("declared support size does not match mass length")
-        return m
-
 
 @dataclass(frozen=True)
-class SignedMeasure:
+class SignedMeasure(_Measure):
     """Finite signed measure on a finite support."""
 
     mass: np.ndarray
+    signed = True
 
     def __post_init__(self):
-        object.__setattr__(self, "mass", _as_mass(self.mass))
-
-    @property
-    def support_size(self) -> int:
-        return self.mass.size
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.mass)
-
-    def to_json_dict(self) -> dict:
-        return {"support": self.support_size, "mass": [float(x) for x in self.mass]}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SignedMeasure":
-        m = cls(doc["mass"])
-        if "support" in doc and int(doc["support"]) != m.support_size:
-            raise PreconditionError("declared support size does not match mass length")
-        return m
+        mass, problems = measure_problems({"mass": self.mass}, signed=True)
+        raise_first(problems)
+        object.__setattr__(self, "mass", mass)
 
 
 @dataclass(frozen=True)
@@ -118,7 +139,7 @@ class JordanDecomposition(NamedTuple):
 def check_same_support(*measures) -> int:
     sizes = {m.support_size for m in measures}
     if len(sizes) != 1:
-        raise DimensionMismatchError(f"support sizes differ: {sorted(sizes)}")
+        raise_first(support_problems([m.mass for m in measures]))
     return sizes.pop()
 
 

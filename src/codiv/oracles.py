@@ -17,8 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DegeneratePhiError, OracleFailureError, PreconditionError
-from .families import (BernoulliProd, ExponentialProd, GammaProd, GaussianIso,
-                       ParamFamily, PoissonProd, check_family_triple, r_alpha_product)
+from .families import FAMILIES, ParamFamily, check_family_triple, r_alpha_product
 from .measures import check_probability, check_same_support
 
 # Exponent drop (in nats) defining the integration window relative to the
@@ -33,7 +32,6 @@ class OracleConfig:
     quad_panels: int = 8
     quad_order: int = 32
     max_panels: int = 2 ** 16
-    gaussian_sigma_pad: float = 12.0
 
     def __post_init__(self):
         if not self.rel_tol > 0:
@@ -75,15 +73,15 @@ def adaptive_gauss_legendre(f, lo: float, hi: float, cfg: OracleConfig = DEFAULT
     raise OracleFailureError(f"quadrature did not converge within {cfg.max_panels} panels")
 
 
-def _log_window(log_g, y_star: float) -> tuple[float, float]:
-    """Bracket [y_lo, y_hi] where log_g has dropped _TAIL_DROP below its peak."""
+def _log_window(log_g, y_star: float, first_step: float = 1.0) -> tuple[float, float]:
+    """Bracket [y_lo, y_hi] where log_g has dropped _TAIL_DROP below its peak at y_star."""
     target = log_g(y_star) - _TAIL_DROP
-    step = 1.0
+    step = first_step
     y_lo = y_star - step
     while log_g(y_lo) > target:
         step *= 1.5
         y_lo = y_star - step
-    step = 1.0
+    step = first_step
     y_hi = y_star + step
     while log_g(y_hi) > target:
         step *= 1.5
@@ -91,27 +89,25 @@ def _log_window(log_g, y_star: float) -> tuple[float, float]:
     return y_lo, y_hi
 
 
-def _gaussian_power_integral(means, sigma: float, powers, cfg: OracleConfig) -> float:
-    """Integral of prod_j N(mean_j, sigma^2)(x)**power_j dx; powers sum to 1."""
-    means = np.asarray(means, dtype=float)
+def _gaussian_power_integral(params, powers, cfg: OracleConfig) -> float:
+    """Integral of prod_j N(mean_j, sigma^2)(x)**power_j dx over rows (mean_j, sigma); powers
+    sum to 1.  The integrand is a bump of width sigma centred at sum_j power_j * mean_j,
+    outside the means when a power is negative, so the window is bracketed around it."""
+    means, sigma = params[:, 0], params[0, 1]
     powers = np.asarray(powers, dtype=float)
     log_norm = -math.log(sigma * math.sqrt(2.0 * math.pi))  # total, since sum(powers) == 1
     inv2s2 = 1.0 / (2.0 * sigma * sigma)
 
-    def f(x):
-        le = np.full_like(x, log_norm)
-        for m, c in zip(means, powers):
-            if c != 0.0:
-                le -= c * inv2s2 * (x - m) ** 2
-        return np.exp(le)
+    def log_f(x):
+        return log_norm - inv2s2 * sum(c * (x - m) ** 2 for m, c in zip(means, powers) if c != 0.0)
 
-    lo = float(np.min(means)) - cfg.gaussian_sigma_pad * sigma
-    hi = float(np.max(means)) + cfg.gaussian_sigma_pad * sigma
-    return adaptive_gauss_legendre(f, lo, hi, cfg)
+    lo, hi = _log_window(log_f, float(np.dot(powers, means)), sigma)
+    return adaptive_gauss_legendre(lambda x: np.exp(log_f(x)), lo, hi, cfg)
 
 
-def _gamma_power_integral(shapes, rates, powers, cfg: OracleConfig) -> float | None:
-    """Integral of prod_j Gamma(shape_j, rate_j)(x)**power_j dx, or None if divergent.
+def _gamma_power_integral(params, powers, cfg: OracleConfig) -> float | None:
+    """Integral of prod_j Gamma(shape_j, rate_j)(x)**power_j dx over rows (shape_j, rate_j),
+    or None if divergent.
 
     Substituting x = e^y turns the integrand into exp(S*y - R*e^y + const)
     with S = sum(power_j * shape_j) and R = sum(power_j * rate_j): smooth on
@@ -119,8 +115,7 @@ def _gamma_power_integral(shapes, rates, powers, cfg: OracleConfig) -> float | N
     Gauss-Legendre converges fast even for shapes below 1.  The integral
     exists iff S > 0 and R > 0.
     """
-    shapes = np.asarray(shapes, dtype=float)
-    rates = np.asarray(rates, dtype=float)
+    shapes, rates = params[:, 0], params[:, 1]
     powers = np.asarray(powers, dtype=float)
     S = float(np.dot(powers, shapes))
     R = float(np.dot(powers, rates))
@@ -175,38 +170,27 @@ def _bernoulli_power_sum(thetas, powers) -> float:
     return at_one + at_zero
 
 
-def _component_r_alpha(kind: str, p0, p1, p2, alpha: float, cfg: OracleConfig) -> float:
-    """R_alpha of one scalar coordinate; p* are kind-specific parameter tuples."""
-    c12 = (1.0 - 2.0 * alpha, alpha, alpha)
-    c1 = (1.0 - alpha, alpha, 0.0)
-    c2 = (1.0 - alpha, 0.0, alpha)
-    if kind == "gaussian":
-        means, sigma = (p0[0], p1[0], p2[0]), p0[1]
-        i12 = _gaussian_power_integral(means, sigma, c12, cfg)
-        i1 = _gaussian_power_integral(means, sigma, c1, cfg)
-        i2 = _gaussian_power_integral(means, sigma, c2, cfg)
-    elif kind == "gamma":
-        shapes = (p0[0], p1[0], p2[0])
-        rates = (p0[1], p1[1], p2[1])
-        i12 = _gamma_power_integral(shapes, rates, c12, cfg)
-        if i12 is None:
+# For each oracle component of the family table: the integral, over one
+# coordinate, of prod_j p_j(x)**powers[j], where row j of ``params`` holds the
+# coordinate's parameters in family j; None marks a divergent integral.
+_COMPONENTS = {
+    "gaussian": _gaussian_power_integral,
+    "gamma": _gamma_power_integral,
+    "poisson": lambda params, powers, cfg: _poisson_power_sum(params[:, 0], powers, cfg),
+    "bernoulli": lambda params, powers, cfg: _bernoulli_power_sum(params[:, 0], powers),
+}
+
+
+def _component_r_alpha(integral, params, alpha: float, cfg: OracleConfig) -> float:
+    """R_alpha of one scalar coordinate from its three defining integrals."""
+    values = []
+    for powers in ((1.0 - 2.0 * alpha, alpha, alpha), (1.0 - alpha, alpha, 0.0),
+                   (1.0 - alpha, 0.0, alpha)):
+        value = integral(params, powers, cfg)
+        if value is None:
             return math.inf
-        i1 = _gamma_power_integral(shapes, rates, c1, cfg)
-        i2 = _gamma_power_integral(shapes, rates, c2, cfg)
-        if i1 is None or i2 is None:
-            return math.inf
-    elif kind == "poisson":
-        lams = (p0[0], p1[0], p2[0])
-        i12 = _poisson_power_sum(lams, c12, cfg)
-        i1 = _poisson_power_sum(lams, c1, cfg)
-        i2 = _poisson_power_sum(lams, c2, cfg)
-    elif kind == "bernoulli":
-        ths = (p0[0], p1[0], p2[0])
-        i12 = _bernoulli_power_sum(ths, c12)
-        i1 = _bernoulli_power_sum(ths, c1)
-        i2 = _bernoulli_power_sum(ths, c2)
-    else:
-        raise PreconditionError(f"no oracle for kind {kind!r}")
+        values.append(value)
+    i12, i1, i2 = values
     if i1 <= 0 or i2 <= 0:
         return math.inf
     return i12 / (i1 * i2) - 1.0
@@ -222,30 +206,13 @@ def oracle_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: flo
     if not alpha > 0:
         raise PreconditionError("alpha must be positive")
     check_family_triple(f0, f1, f2)
-    if isinstance(f0, GaussianIso):
-        comps = [_component_r_alpha("gaussian", (f0.mean[l], f0.sigma),
-                                    (f1.mean[l], f0.sigma), (f2.mean[l], f0.sigma), alpha, cfg)
-                 for l in range(f0.dim)]
-    elif isinstance(f0, PoissonProd):
-        comps = [_component_r_alpha("poisson", (f0.rates[l],), (f1.rates[l],),
-                                    (f2.rates[l],), alpha, cfg)
-                 for l in range(f0.dim)]
-    elif isinstance(f0, BernoulliProd):
-        comps = [_component_r_alpha("bernoulli", (f0.thetas[l],), (f1.thetas[l],),
-                                    (f2.thetas[l],), alpha, cfg)
-                 for l in range(f0.dim)]
-    elif isinstance(f0, ExponentialProd):
-        comps = [_component_r_alpha("gamma", (1.0, f0.rates[l]), (1.0, f1.rates[l]),
-                                    (1.0, f2.rates[l]), alpha, cfg)
-                 for l in range(f0.dim)]
-    elif isinstance(f0, GammaProd):
-        comps = [_component_r_alpha("gamma", (f0.shapes[l], f0.rates[l]),
-                                    (f1.shapes[l], f1.rates[l]),
-                                    (f2.shapes[l], f2.rates[l]), alpha, cfg)
-                 for l in range(f0.dim)]
-    else:
+    spec = FAMILIES[type(f0)]
+    integral = _COMPONENTS.get(spec.component)
+    if integral is None:
         raise PreconditionError("the oracle needs a density; generic families are not supported")
-    return r_alpha_product(comps)
+    # coordinate x family x component parameter
+    table = np.stack([np.column_stack(spec.coords(f)) for f in (f0, f1, f2)], axis=1)
+    return r_alpha_product([_component_r_alpha(integral, params, alpha, cfg) for params in table])
 
 
 def oracle_discrete_bruteforce(p0, p1, p2, phi) -> float:

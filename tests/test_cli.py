@@ -88,6 +88,45 @@ class TestValidate:
         assert any("kernel input size" in f["message"] for f in validate(job))
 
 
+OFF_SUPPORT = [{"support": 4, "mass": [0.6, 0.4, 0.0, 0.0]},
+               {"support": 4, "mass": [-0.10, -0.05, 0.10, 0.05]},
+               {"support": 4, "mass": [-0.02, -0.13, 0.05, 0.10]}]
+DIRECTIONS = [UNIFORM, {"support": 2, "mass": [0.25, -0.25]}, {"support": 2, "mass": [-0.25, 0.25]}]
+
+
+@pytest.mark.parametrize("command, inputs, options, name", [
+    ("rank", None, {"kind": "chi2", "trials": "x"}, "trials"),
+    ("rank", None, {"kind": "chi2", "trials": 0}, "trials"),
+    ("dpi", None, {"trials": 2, "support": "x"}, "support"),
+    ("dpi", None, {"trials": 2, "count": 0}, "count"),
+    ("dpi", None, {"trials": 2, "output_support": 2.5}, "output_support"),
+    ("expand", OFF_SUPPORT, {"mode": "off-support", "grid_n": 0}, "grid_n"),
+    ("expand", OFF_SUPPORT, {"mode": "off-support", "grid_scale": "x"}, "grid_scale"),
+    ("expand", OFF_SUPPORT, {"mode": "off-support", "grid_scale": -1e-3}, "grid_scale"),
+    ("expand", DIRECTIONS, {"kind": "chi2", "levels": "x"}, "levels"),
+    ("expand", DIRECTIONS, {"kind": "chi2", "levels": 0}, "levels"),
+])
+def test_malformed_options_are_validation_errors(command, inputs, options, name):
+    job = {"command": command, "options": options}
+    if inputs is not None:
+        job["inputs"] = inputs
+    text, status = run(job)
+    assert status == EXIT_VALIDATION
+    assert [f["path"] for f in json.loads(text)["error"]["findings"]] == [f"/options/{name}"]
+
+
+@pytest.mark.parametrize("inputs, kind", [
+    ([{"kind": "poisson_product", "params": {"lambda": [x]}} for x in (1.0, 100.0, 100.0)], "chi2"),
+    ([{"kind": "gaussian_iso", "params": {"mean": [m], "sigma": 0.1}} for m in (0.0, 1.0, 1.0)],
+     "alpha:5"),
+])
+def test_overflow_is_a_computational_error(inputs, kind):
+    text, status = run({"command": "codiv", "inputs": inputs, "options": {"kind": kind}})
+    assert status == EXIT_COMPUTE
+    error = json.loads(text)["error"]
+    assert error["code"] == "computation" and "log(R_alpha + 1)" in error["message"]
+
+
 class TestParseKind:
     def test_named_kinds(self):
         assert parse_kind("chi2") == ("chi2", 1.0)

@@ -234,6 +234,15 @@ class TestGammaFirstOrder:
                               GammaProd([1.0], [1.0]), 0.5)
 
 
+@pytest.mark.parametrize("triple, alpha, log1p_value", [
+    ([PoissonProd([x]) for x in (1.0, 100.0, 100.0)], 1.0, "9801.0"),
+    ([GaussianIso([m], 0.1) for m in (0.0, 1.0, 1.0)], 5.0, "2499.9999999999995"),
+])
+def test_overflow_names_the_log_value(triple, alpha, log1p_value):
+    with pytest.raises(OverflowError, match=log1p_value):
+        r_alpha_closed(*triple, alpha)
+
+
 def test_kind_and_dimension_mismatch():
     with pytest.raises(KindMismatchError):
         r_alpha_closed(PoissonProd([1.0]), ExponentialProd([1.0]), PoissonProd([1.0]), 1.0)

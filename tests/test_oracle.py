@@ -47,6 +47,12 @@ class TestReferenceTriples:
                                PoissonProd([3.0]), 1.0, CFG)
         assert value == pytest.approx(math.exp(2.0) - 1.0, rel=1e-9)
 
+    def test_gaussian_window_follows_the_tilted_centre(self):
+        # the c12 integrand peaks at m0 + alpha*(m1 + m2 - 2*m0) = 3, far from every mean
+        f = [GaussianIso([m], 0.3) for m in (0.0, 0.5, 0.5)]
+        value = oracle_r_alpha(*f, 3.0, CFG)
+        assert value == pytest.approx(math.expm1(25.0), rel=1e-7)
+
     def test_gamma_divergent_domain_is_infinite(self):
         value = oracle_r_alpha(GammaProd([1.0], [5.0]), GammaProd([1.0], [1.0]),
                                GammaProd([1.0], [1.0]), 1.0, CFG)
