@@ -5,8 +5,10 @@ import pytest
 
 from codiv.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, main,
                        parse_kind, run, validate)
-from codiv.errors import DegeneratePhiError
-from codiv.matrices import DivMatrix
+from codiv.errors import CodivError, DegeneratePhiError
+from codiv.families import BernoulliProd
+from codiv.matrices import DivMatrix, MarkovKernel
+from codiv.measures import DiscreteMeasure
 
 UNIFORM = {"support": 2, "mass": [0.5, 0.5]}
 TILTED = {"support": 2, "mass": [0.25, 0.75]}
@@ -125,6 +127,24 @@ def test_overflow_is_a_computational_error(inputs, kind):
     assert status == EXIT_COMPUTE
     error = json.loads(text)["error"]
     assert error["code"] == "computation" and "log(R_alpha + 1)" in error["message"]
+
+
+BERNOULLI_ONE = {"kind": "bernoulli_product", "params": {"theta": [1.0]}}
+BAD_KERNEL = [[0.4, 0.5], [0.5, 0.5]]
+
+
+@pytest.mark.parametrize("construct, job", [
+    (lambda: DiscreteMeasure([1.5, -0.5]),
+     {"command": "matrix", "inputs": [UNIFORM, {"mass": [1.5, -0.5]}], "options": {"kind": "chi2"}}),
+    (lambda: BernoulliProd([1.0]),
+     {"command": "oracle-check", "inputs": [BERNOULLI_ONE] * 3, "options": {"kind": "chi2"}}),
+    (lambda: MarkovKernel(BAD_KERNEL),
+     {"command": "dpi", "inputs": [UNIFORM, TILTED], "options": {"kernel": {"matrix": BAD_KERNEL}}}),
+])
+def test_constructors_raise_the_first_finding(construct, job):
+    with pytest.raises(CodivError) as raised:
+        construct()
+    assert str(raised.value) == validate(job)[0]["message"]
 
 
 class TestParseKind:
