@@ -183,15 +183,10 @@ _COMPONENTS = {
 
 def _component_r_alpha(integral, params, alpha: float, cfg: OracleConfig) -> float:
     """R_alpha of one scalar coordinate from its three defining integrals."""
-    values = []
-    for powers in ((1.0 - 2.0 * alpha, alpha, alpha), (1.0 - alpha, alpha, 0.0),
-                   (1.0 - alpha, 0.0, alpha)):
-        value = integral(params, powers, cfg)
-        if value is None:
-            return math.inf
-        values.append(value)
-    i12, i1, i2 = values
-    if i1 <= 0 or i2 <= 0:
+    i12 = integral(params, (1.0 - 2.0 * alpha, alpha, alpha), cfg)
+    i1 = integral(params, (1.0 - alpha, alpha, 0.0), cfg)
+    i2 = integral(params, (1.0 - alpha, 0.0, alpha), cfg)
+    if i12 is None or i1 is None or i2 is None or i1 <= 0 or i2 <= 0:
         return math.inf
     return i12 / (i1 * i2) - 1.0
 
