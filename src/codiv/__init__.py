@@ -25,9 +25,9 @@ from .local import (ExpansionReport, OffSupportReport, PerturbationPair,
                     expansion_check, fisher_gram, fisher_inner,
                     geometric_decay_ok, hellinger_off_support_check)
 from .matrices import (DiagnosticStatus, DivMatrix, DpiReport, EigenSummary,
-                       MarkovKernel, RankReport, chi2_signed,
+                       Features, MarkovKernel, RankReport, chi2_signed,
                        chi2_signed_decomposition_check, divergence_matrix,
-                       dpi_check, eigen_summary, is_psd, jacobi_eigenvalues,
+                       dpi_check, eigen_summary, features, is_psd, jacobi_eigenvalues,
                        link_identity_check, phi_normalizers, push_forward,
                        quadratic_form_check, rank_with_identity)
 from .measures import (DensityRatio, DiscreteMeasure, JordanDecomposition,
@@ -35,6 +35,7 @@ from .measures import (DensityRatio, DiscreteMeasure, JordanDecomposition,
                        is_valid_perturbation, jordan_decompose, perturb,
                        validity_radius)
 from .oracles import (OracleConfig, adaptive_gauss_legendre,
-                      oracle_discrete_bruteforce, oracle_r_alpha)
+                      oracle_discrete_bruteforce, oracle_divergence_matrix,
+                      oracle_r_alpha)
 
 __version__ = "0.1.0"

@@ -43,10 +43,20 @@ def raise_first(problems: list) -> None:
         raise problems[0]
 
 
+# The smallest int that float() rounds to infinity: 2**1024 - 2**970, halfway
+# between the largest finite float and 2**1024.
+_INT_LIMIT = 2 ** 1024 - 2 ** 970
+
+
 def is_number(x) -> bool:
-    """True for an int or float, numpy ones included; booleans are not numbers."""
-    if isinstance(x, (int, float)):
-        return not isinstance(x, bool)
+    """True for an int or float, numpy ones included; booleans are not numbers, and
+    neither is an int beyond the float range."""
+    if isinstance(x, bool):
+        return False
+    if isinstance(x, int):
+        return -_INT_LIMIT < x < _INT_LIMIT
+    if isinstance(x, float):
+        return True
     return getattr(getattr(x, "dtype", None), "kind", "") in ("i", "u", "f")
 
 
@@ -60,6 +70,7 @@ def numbers(values):
         return values if values.dtype.kind in "iuf" else [float("nan")] * values.size
     if not isinstance(values, (list, tuple)) or not values:
         return None
-    if set(map(type, values)) <= {int, float}:
+    types = set(map(type, values))
+    if types <= {float} or types <= {int, float} and all(map(is_number, values)):
         return values
     return [x if is_number(x) else float("nan") for x in values]

@@ -169,9 +169,23 @@ def check_family_triple(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily) -> No
 
 
 def _gaussian_log1p(f0, f1, f2, alpha) -> float:
-    d1 = f1.mean - f0.mean
-    d2 = f2.mean - f0.mean
-    return alpha * alpha * math.fsum(d1 * d2) / (f0.sigma * f0.sigma)
+    """alpha^2 <m1 - m0, m2 - m0> / sigma^2, with the shifts and sigma scaled by the power
+    of two that brings sigma into [0.5, 1): exact, so the value keeps its bits, and sigma^2
+    cannot underflow.  OverflowError when the value is beyond the float range."""
+    _, exponent = math.frexp(f0.sigma)
+    sigma = math.ldexp(f0.sigma, -exponent)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.ldexp(f1.mean - f0.mean, -exponent) * np.ldexp(f2.mean - f0.mean, -exponent)
+    try:
+        inner = math.fsum(terms)
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        inner = math.nan
+    if inner == 0:  # orthogonal shifts give 0 even when alpha^2 overflows
+        return 0.0
+    value = alpha * alpha * inner / (sigma * sigma)
+    if not math.isfinite(value):
+        raise OverflowError("R_alpha exceeds the float range, and so does log(R_alpha + 1)")
+    return value
 
 
 def _poisson_log1p(f0, f1, f2, alpha) -> float:

@@ -1,12 +1,20 @@
 """Divergence matrices and their structural diagnostics.
 
-The M x M matrix of pairwise codivergences around a reference measure plays
-the role of a Gram matrix: finite instances are symmetric positive
-semi-definite, their rank matches the rank of the underlying likelihood-ratio
-functions, and the chi-square matrix contracts under Markov kernels in the
-PSD order.  Everything here works on exact finite sums; eigenvalues come from
-a cyclic Jacobi sweep (no external solver), while the function-rank side uses
-SVD so the two routes of the rank identity stay independent.
+The M x M matrix of codivergences around a reference measure p0 is a Gram
+matrix, and every kind is built as one: ``features`` makes the centred feature
+matrix H, one row per measure, and the matrix is H H'.  For chi2, vphi and rphi
+row j is the centred phi(dP_j/dP0) weighted by sqrt(p0), so entry (j, k) is an
+inner product in L2(p0); for hellinger it is the centred root density.  The
+identity holds for probability measures only, which ``divergence_matrix``
+therefore requires for every kind.  Finite matrices are PSD, their rank
+matches the rank of the underlying functions, and the chi-square matrix
+contracts under Markov kernels in the PSD order.  Eigenvalues come from
+``np.linalg.eigvalsh``; the function-rank side takes an SVD of the uncentred
+functions, so the two routes of the rank identity stay independent.
+
+The checking routes stay out of the fast path: ``oracles.oracle_divergence_matrix``
+evaluates each entry pairwise with ``math.fsum`` and checks ``divergence_matrix``;
+the cyclic Jacobi sweep ``jacobi_eigenvalues`` checks ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -18,10 +26,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .codivergence import PHI_IDENTITY, PhiFunction, chi2_codiv, hellinger_codiv, r_phi, v_phi
+from .codivergence import PHI_IDENTITY, PhiFunction
 from .errors import (DegeneratePhiError, DimensionMismatchError, DominationError,
-                     PreconditionError, numbers, raise_first)
-from .measures import (DiscreteMeasure, SignedMeasure, check_same_support,
+                     OracleFailureError, PreconditionError, numbers, raise_first)
+from .measures import (DiscreteMeasure, SignedMeasure, check_probability, check_same_support,
                        dominated_by, jordan_decompose, support_problems)
 
 MATRIX_KINDS = ("vphi", "rphi", "chi2", "hellinger")
@@ -32,7 +40,9 @@ RANK_TOL_FACTOR = 1e-9
 
 
 def jacobi_eigenvalues(a: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, ascending."""
+    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, ascending: the
+    checking route for ``np.linalg.eigvalsh``.  Raises OracleFailureError when the
+    off-diagonal norm is still above 1e-15 * max(1, max |a_ij|) after ``max_sweeps``."""
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise PreconditionError("jacobi_eigenvalues needs a square matrix")
@@ -42,10 +52,12 @@ def jacobi_eigenvalues(a: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
     if n == 1:
         return a.diagonal().copy()
     scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2)))
-        if off <= 1e-15 * scale:
-            break
+    sweeps = 0
+    while (off := math.sqrt(float(np.sum(np.tril(a, -1) ** 2)))) > 1e-15 * scale:
+        if sweeps == max_sweeps:
+            raise OracleFailureError(f"Jacobi eigenvalues did not converge in {max_sweeps} "
+                                     f"sweeps: off-diagonal norm {off!r}")
+        sweeps += 1
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
@@ -130,7 +142,7 @@ class EigenSummary(NamedTuple):
 def eigen_summary(mat: DivMatrix) -> EigenSummary:
     if not mat.finite:
         return EigenSummary(DiagnosticStatus.NOT_APPLICABLE, None, None)
-    eigs = jacobi_eigenvalues(mat.entries)
+    eigs = np.linalg.eigvalsh(mat.entries)
     return EigenSummary(DiagnosticStatus.OK, float(eigs[0]), float(eigs[-1]))
 
 
@@ -142,43 +154,97 @@ def is_psd(mat: DivMatrix, floor_factor: float = RANK_TOL_FACTOR) -> bool | None
     return summary.min_eigenvalue >= -floor_factor * max(1.0, summary.max_eigenvalue)
 
 
-def divergence_matrix(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind: str,
-                      phi: PhiFunction | None = None, reference: str = "") -> DivMatrix:
-    """Matrix with (j, k) entry D(p0 | ps[j], ps[k]) for the requested kind."""
+class Features(NamedTuple):
+    """The centred feature matrix of a reference and M measures (see ``features``)."""
+
+    rows: np.ndarray  # H, M x |supp p0| (M x N for hellinger)
+    finite: np.ndarray  # row j gives finite entries: P_j << P0 (hellinger: a_j > 0)
+    normalizers: np.ndarray  # m_j (vphi, rphi), a_j (hellinger) or 1 (chi2) per row
+
+
+def features(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind: str,
+             phi: PhiFunction | None = None) -> Features:
+    """The rows H whose Gram matrix H H' is the divergence matrix of ``kind``.
+
+    With r_j = p_j / p0 on supp p0, m_j the integral of phi(r_j) against p0 and
+    a_j the Hellinger affinity of p_j with p0, row j is
+      chi2       (r_j - 1) sqrt(p0)
+      vphi       (phi(r_j) - m_j) sqrt(p0)
+      rphi       (phi(r_j) / m_j - 1) sqrt(p0)
+      hellinger  sqrt(p_j) / a_j - sqrt(p0), over the whole support.
+    The identities need totals of 1, so every measure must be a probability
+    measure.  A row whose entries are infinite stays zero; a dominated rphi row
+    with m_j <= 0 raises DegeneratePhiError.  The rows are filled one at a time
+    into one buffer, so no other M x N array is made.
+    """
     if kind not in MATRIX_KINDS:
         raise PreconditionError(f"unknown matrix kind {kind!r}")
     if kind in ("vphi", "rphi") and phi is None:
         raise PreconditionError(f"kind {kind!r} requires a PhiFunction")
     check_same_support(p0, *ps)
-    m = len(ps)
-    entries = np.zeros((m, m))
-    for j in range(m):
-        for k in range(j, m):
-            if kind == "chi2":
-                val = chi2_codiv(p0, ps[j], ps[k])
-            elif kind == "hellinger":
-                val = hellinger_codiv(p0, ps[j], ps[k])
-            elif kind == "vphi":
-                val = v_phi(p0, ps[j], ps[k], phi)
+    check_probability(p0, *ps)
+    null = p0.mass == 0
+    w = p0.mass if kind == "hellinger" else p0.mass[~null]
+    root0 = np.sqrt(w)
+    h = np.zeros((len(ps), w.size))
+    finite = np.ones(len(ps), dtype=bool)
+    normalizers = np.ones(len(ps))
+    for j, p in enumerate(ps):
+        row = h[j]
+        if kind == "hellinger":
+            np.sqrt(p.mass, out=row)
+            normalizers[j] = affinity = math.fsum(row * root0)
+            if affinity > 0:
+                row /= affinity
+                row -= root0
             else:
-                val = r_phi(p0, ps[j], ps[k], phi)
-            entries[j, k] = val
-            entries[k, j] = val
+                finite[j] = False
+                row[:] = 0.0
+            continue
+        if np.any(p.mass[null]):
+            finite[j] = False
+            continue
+        np.divide(p.mass[~null], w, out=row)
+        centre = 1.0
+        if kind != "chi2":
+            row[:] = phi.apply(row)
+            normalizers[j] = mean = math.fsum(row * w)
+            if kind == "vphi":
+                centre = mean
+            elif mean <= 0:
+                raise DegeneratePhiError("a normalizing integral of phi vanished")
+            else:
+                row /= mean
+        row -= centre
+        row *= root0
+    return Features(h, finite, normalizers)
+
+
+def _gram(h: np.ndarray) -> np.ndarray:
+    """H H', symmetric to the last bit, by numpy's own einsum loop rather than BLAS: the
+    last bits of a threaded BLAS product change with the thread count."""
+    g = np.einsum("ik,jk->ij", h, h, optimize=False)
+    return 0.5 * (g + g.T)
+
+
+def divergence_matrix(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind: str,
+                      phi: PhiFunction | None = None, reference: str = "") -> DivMatrix:
+    """Matrix with (j, k) entry D(p0 | ps[j], ps[k]) for the requested kind: the Gram
+    matrix of ``features``, with +inf in the rows and columns of the infinite rows."""
+    h, finite, _ = features(p0, ps, kind, phi)
+    entries = _gram(h)
+    entries[~finite, :] = math.inf
+    entries[:, ~finite] = math.inf
     return DivMatrix(kind=kind, entries=entries, reference=reference)
 
 
 def phi_normalizers(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure],
                     phi: PhiFunction) -> list[float]:
     """The integrals of phi(dPj/dP0) against p0, one per measure."""
-    check_same_support(p0, *ps)
-    pos = p0.mass > 0
-    w = p0.mass[pos]
-    out = []
-    for p in ps:
-        if not dominated_by(p, p0):
-            raise DominationError("normalizers need dominated measures")
-        out.append(math.fsum(phi.apply(p.mass[pos] / w) * w))
-    return out
+    rows = features(p0, ps, "vphi", phi)
+    if not rows.finite.all():
+        raise DominationError("normalizers need dominated measures")
+    return rows.normalizers.tolist()
 
 
 def link_identity_check(vmat: DivMatrix, denominators: Sequence[float]) -> DivMatrix:
@@ -239,39 +305,28 @@ def chi2_signed_decomposition_check(mu: SignedMeasure, p: DiscreteMeasure) -> tu
 
 def quadratic_form_check(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure],
                          v: Sequence[float], kind: str = "chi2") -> tuple[float, float]:
-    """Evaluate v' M v two independent ways.
+    """Evaluate v' M v two ways, for probability measures.
 
-    chi2: against the signed chi-square of the mixture sum_j v_j P_j from p0.
-    hellinger: against the integral of
+    lhs is v' M v with M = H H' from ``features``.  rhs is, for chi2, the signed
+    chi-square of the mixture sum_j v_j P_j from p0; for hellinger, the integral of
     (sum_j v_j (sqrt(p_j)/affinity_j - sqrt(p_0)))^2 over the support.
     """
-    check_same_support(p0, *ps)
+    if kind not in ("chi2", "hellinger"):
+        raise PreconditionError(f"quadratic form check supports chi2/hellinger, not {kind!r}")
     v = np.asarray(v, dtype=float)
+    h, finite, _ = features(p0, ps, kind)
     if v.size != len(ps):
         raise DimensionMismatchError("weight vector length does not match measure count")
+    if not finite.all():
+        if kind == "chi2":
+            raise DominationError("chi2 quadratic form needs dominated measures")
+        raise PreconditionError("hellinger quadratic form needs positive affinities")
+    lhs = float(v @ _gram(h) @ v)
     if kind == "chi2":
-        for p in ps:
-            if not dominated_by(p, p0):
-                raise DominationError("chi2 quadratic form needs dominated measures")
-        mat = divergence_matrix(p0, ps, "chi2")
-        lhs = float(v @ mat.entries @ v)
         mixture = SignedMeasure(np.sum(v[:, None] * np.stack([p.mass for p in ps]), axis=0))
-        rhs = chi2_signed(mixture, p0)
-        return lhs, rhs
-    if kind == "hellinger":
-        sq0 = np.sqrt(p0.mass)
-        rows = []
-        for p in ps:
-            aff = math.fsum(np.sqrt(p.mass * p0.mass))
-            if aff <= 0:
-                raise PreconditionError("hellinger quadratic form needs positive affinities")
-            rows.append(np.sqrt(p.mass) / aff - sq0)
-        mat = divergence_matrix(p0, ps, "hellinger")
-        lhs = float(v @ mat.entries @ v)
-        combo = np.sum(v[:, None] * np.stack(rows), axis=0)
-        rhs = math.fsum(combo * combo)
-        return lhs, rhs
-    raise PreconditionError(f"quadratic form check supports chi2/hellinger, not {kind!r}")
+        return lhs, chi2_signed(mixture, p0)
+    combo = v @ h
+    return lhs, math.fsum(combo * combo)
 
 
 def kernel_problems(doc, path: str = "") -> tuple[np.ndarray | None, list]:
@@ -342,8 +397,7 @@ class MarkovKernel:
 def push_forward(k: MarkovKernel, p):
     """Push a (signed) measure through the kernel: out[y] = sum_x mass[x]*k[x, y]."""
     raise_first(support_problems([p.mass], k.rows))
-    out = np.array([math.fsum(p.mass * k.matrix[:, y]) for y in range(k.cols)])
-    return type(p)(out)
+    return type(p)(p.mass @ k.matrix)
 
 
 class DpiReport(NamedTuple):
@@ -356,16 +410,16 @@ class DpiReport(NamedTuple):
 def dpi_check(q0: DiscreteMeasure, qs: Sequence[DiscreteMeasure], k: MarkovKernel) -> DpiReport:
     """Chi-square matrices before/after the kernel and the smallest eigenvalue
     of their difference (nonnegative up to the PSD floor when the inequality holds)."""
-    for q in qs:
-        if not dominated_by(q, q0):
-            raise DominationError("dpi check needs qs << q0")
     before = divergence_matrix(q0, qs, "chi2", reference="q0")
-    after = divergence_matrix(push_forward(k, q0), [push_forward(k, q) for q in qs],
-                              "chi2", reference="K(q0)")
-    diff = before.entries - after.entries
-    min_eig = float(jacobi_eigenvalues(diff)[0])
-    before_summary = eigen_summary(before)
-    scale = max(1.0, before_summary.max_eigenvalue)
+    if not before.finite:
+        raise DominationError("dpi check needs qs << q0")
+    # A kernel maps probability measures to probability measures; dividing by the
+    # total removes the drift that the 1e-12 tolerances on masses and rows allow.
+    pushed = [push_forward(k, q) for q in (q0, *qs)]
+    pushed = [DiscreteMeasure(p.mass / p.total) for p in pushed]
+    after = divergence_matrix(pushed[0], pushed[1:], "chi2", reference="K(q0)")
+    min_eig = float(np.linalg.eigvalsh(before.entries - after.entries)[0])
+    scale = max(1.0, eigen_summary(before).max_eigenvalue)
     return DpiReport(before, after, min_eig, scale)
 
 
@@ -399,8 +453,7 @@ def rank_with_identity(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind:
     mat = divergence_matrix(p0, ps, kind, phi=phi)
     if not mat.finite:
         return RankReport(DiagnosticStatus.NOT_APPLICABLE, None, None, None)
-    eigs = jacobi_eigenvalues(mat.entries)
-    matrix_rank, tol = _threshold_count(eigs, tol_factor)
+    matrix_rank, tol = _threshold_count(np.linalg.eigvalsh(mat.entries), tol_factor)
 
     if kind == "hellinger":
         rows = [np.sqrt(p0.mass)] + [np.sqrt(p.mass) for p in ps]
@@ -408,11 +461,7 @@ def rank_with_identity(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind:
         pos = p0.mass > 0
         w = p0.mass[pos]
         sqrt_w = np.sqrt(w)
-        rows = [sqrt_w]
-        for p in ps:
-            if not dominated_by(p, p0):
-                raise DominationError("function rank needs dominated measures")
-            rows.append(phi.apply(p.mass[pos] / w) * sqrt_w)
+        rows = [sqrt_w] + [phi.apply(p.mass[pos] / w) * sqrt_w for p in ps]
     svals = np.linalg.svd(np.stack(rows), compute_uv=False)
     span_dim, _ = _threshold_count(svals, tol_factor)
     return RankReport(DiagnosticStatus.OK, matrix_rank, span_dim - 1, tol)

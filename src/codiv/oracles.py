@@ -1,10 +1,11 @@
-"""Independent numerical evaluation of R_alpha for the parametric families.
+"""Independent numerical evaluation of R_alpha and of divergence matrices.
 
-These routines integrate the defining ratio of integrals directly (truncated
-series for Poisson, exact two-point sums for Bernoulli, adaptive
+The family routines integrate the defining ratio of integrals directly
+(truncated series for Poisson, exact two-point sums for Bernoulli, adaptive
 Gauss-Legendre quadrature for Gaussian/Exponential/Gamma) and exist to
 validate the closed forms in :mod:`codiv.families`.  They deliberately avoid
-every closed-form shortcut.
+every closed-form shortcut.  The discrete routines evaluate codivergences
+pair by pair, to check the Gram-matrix route of :mod:`codiv.matrices`.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .codivergence import chi2_codiv, hellinger_codiv, r_phi, v_phi
 from .errors import DegeneratePhiError, OracleFailureError, PreconditionError
 from .families import FAMILIES, ParamFamily, check_family_triple, r_alpha_product
+from .matrices import MATRIX_KINDS, DivMatrix
 from .measures import check_probability, check_same_support
 
 # Exponent drop (in nats) defining the integration window relative to the
@@ -232,3 +235,28 @@ def oracle_discrete_bruteforce(p0, p1, p2, phi) -> float:
     if m1 <= 0 or m2 <= 0:
         raise DegeneratePhiError("a normalizing integral of phi vanished")
     return cross / (m1 * m2) - 1.0
+
+
+def oracle_divergence_matrix(p0, ps, kind: str, phi=None, reference: str = "") -> DivMatrix:
+    """Reference divergence matrix: every entry D(p0 | ps[j], ps[k]) evaluated on its own
+    with ``math.fsum`` by :mod:`codiv.codivergence`, to check ``divergence_matrix``."""
+    if kind not in MATRIX_KINDS:
+        raise PreconditionError(f"unknown matrix kind {kind!r}")
+    if kind in ("vphi", "rphi") and phi is None:
+        raise PreconditionError(f"kind {kind!r} requires a PhiFunction")
+    check_same_support(p0, *ps)
+    m = len(ps)
+    entries = np.zeros((m, m))
+    for j in range(m):
+        for k in range(j, m):
+            if kind == "chi2":
+                val = chi2_codiv(p0, ps[j], ps[k])
+            elif kind == "hellinger":
+                val = hellinger_codiv(p0, ps[j], ps[k])
+            elif kind == "vphi":
+                val = v_phi(p0, ps[j], ps[k], phi)
+            else:
+                val = r_phi(p0, ps[j], ps[k], phi)
+            entries[j, k] = val
+            entries[k, j] = val
+    return DivMatrix(kind=kind, entries=entries, reference=reference)

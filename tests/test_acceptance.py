@@ -16,10 +16,10 @@ from codiv import (PHI_IDENTITY, BernoulliProd, DiscreteMeasure, ExponentialProd
                    divergence_matrix, dpi_check, eigen_summary, expansion_check,
                    fisher_inner, gamma_first_order, hellinger_codiv,
                    hellinger_off_support_check, is_valid_perturbation,
-                   jacobi_eigenvalues, link_identity_check, oracle_r_alpha,
-                   phi_alpha, phi_normalizers, quadratic_form_check, r_alpha_closed,
-                   r_alpha_closed_log1p, rank_with_identity, validity_radius,
-                   chi2_signed_decomposition_check)
+                   jacobi_eigenvalues, link_identity_check, oracle_divergence_matrix,
+                   oracle_r_alpha, phi_alpha, phi_normalizers, quadratic_form_check,
+                   r_alpha_closed, r_alpha_closed_log1p, rank_with_identity,
+                   validity_radius, chi2_signed_decomposition_check)
 from helpers import random_direction, random_dominated, random_kernel, random_probability
 
 ALPHAS = (0.25, 0.5, 1.0)
@@ -97,6 +97,17 @@ def test_criterion_01_closed_forms_match_oracle():
                ok, f"{checks} checks, worst {worst:.2e}, {elapsed:.1f}s")
 
 
+def _oracle_dpi(q0, qs, kernel):
+    """The chi2 matrices before and after the kernel, pair by pair with fsum, and the
+    smallest Jacobi eigenvalue of their difference."""
+    def push(q):
+        return DiscreteMeasure([math.fsum(q.mass * column) for column in kernel.matrix.T])
+
+    before = oracle_divergence_matrix(q0, qs, "chi2")
+    after = oracle_divergence_matrix(push(q0), [push(q) for q in qs], "chi2")
+    return before, after, float(jacobi_eigenvalues(before.entries - after.entries)[0])
+
+
 def test_criterion_02_data_processing_inequality():
     rng = np.random.default_rng(102)
     start = time.perf_counter()
@@ -111,6 +122,12 @@ def test_criterion_02_data_processing_inequality():
         report = dpi_check(q0, qs, kernel)
         worst = min(worst, report.min_eig_of_difference / report.scale)
         ok = ok and report.min_eig_of_difference >= -1e-9 * report.scale
+        # the same floor on the oracle route, which the fast route must match
+        before, after, min_eig = _oracle_dpi(q0, qs, kernel)
+        ok = ok and min_eig >= -1e-9 * report.scale
+        ok = ok and abs(report.min_eig_of_difference - min_eig) <= 1e-9 * report.scale
+        ok = ok and bool(np.all(np.abs(report.before.entries - before.entries) <= 1e-12))
+        ok = ok and bool(np.all(np.abs(report.after.entries - after.entries) <= 1e-12))
     for _ in range(50):
         n = int(rng.integers(2, 9))
         q0 = random_probability(rng, n)
@@ -138,10 +155,16 @@ def test_criterion_03_psd_floor():
         else:
             ps = [random_dominated(rng, p0, zeros=int(rng.integers(0, 2))) for _ in range(m)]
         phi = phi_alpha(rng.choice([0.25, 0.5, 1.0, 2.0])) if kind in ("vphi", "rphi") else None
-        summary = eigen_summary(divergence_matrix(p0, ps, kind, phi=phi))
+        mat = divergence_matrix(p0, ps, kind, phi=phi)
+        summary = eigen_summary(mat)
         floor = -1e-9 * max(1.0, summary.max_eigenvalue)
         worst = min(worst, summary.min_eigenvalue - floor)
         ok = ok and summary.min_eigenvalue >= floor
+        # H H' is PSD by construction: the floor must also hold on the pairwise route,
+        # with Jacobi eigenvalues, and the two routes must agree within it
+        oracle = oracle_divergence_matrix(p0, ps, kind, phi=phi).entries
+        ok = ok and float(jacobi_eigenvalues(oracle)[0]) >= floor
+        ok = ok and bool(np.all(np.abs(mat.entries - oracle) <= -floor))
     _criterion(3, "divergence matrices are PSD up to the floor",
                ok, f"500 matrices, worst margin {worst:.2e}")
 
@@ -235,7 +258,9 @@ def test_criterion_06_link_and_covariance_representation():
         denoms = phi_normalizers(p0, ps, phi)
         conjugated = link_identity_check(vmat, denoms)
         direct = divergence_matrix(p0, ps, "rphi", phi=phi)
-        link_err = float(np.max(np.abs(conjugated.entries - direct.entries)))
+        oracle_direct = oracle_divergence_matrix(p0, ps, "rphi", phi=phi)
+        link_err = max(float(np.max(np.abs(conjugated.entries - direct.entries))),
+                       float(np.max(np.abs(conjugated.entries - oracle_direct.entries))))
         worst_link = max(worst_link, link_err)
         ok = ok and link_err <= 1e-12
 
@@ -246,7 +271,9 @@ def test_criterion_06_link_and_covariance_representation():
         means = rows @ w
         centered = rows - means[:, None]
         cov = (centered * w) @ centered.T
-        cov_err = float(np.max(np.abs(vmat.entries - cov)))
+        oracle_vmat = oracle_divergence_matrix(p0, ps, "vphi", phi=phi)
+        cov_err = max(float(np.max(np.abs(vmat.entries - cov))),
+                      float(np.max(np.abs(oracle_vmat.entries - cov))))
         worst_cov = max(worst_cov, cov_err)
         ok = ok and cov_err <= 1e-12
     _criterion(6, "link identity R = D V D and covariance representation",
@@ -271,6 +298,10 @@ def test_criterion_07_signed_measure_identities():
             v = rng.uniform(-2, 2, m)
             lhs, rhs = quadratic_form_check(p0, ps, v, kind=kind)
             ok = ok and abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
+            # lhs and the hellinger rhs both come from the feature rows; so check the
+            # pairwise route too
+            oracle = float(v @ oracle_divergence_matrix(p0, ps, kind).entries @ v)
+            ok = ok and abs(oracle - rhs) <= 1e-10 * max(1.0, abs(oracle), abs(rhs))
     _criterion(7, "signed chi2 decomposition and quadratic-form identities", ok, "200 each")
 
 

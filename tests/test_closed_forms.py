@@ -243,6 +243,20 @@ def test_overflow_names_the_log_value(triple, alpha, log1p_value):
         r_alpha_closed(*triple, alpha)
 
 
+@pytest.mark.parametrize("sigma", [1e-170, 1e-160, 1e170])
+def test_gaussian_sigma_squared_neither_underflows_nor_overflows(sigma):
+    """Shifts of one sigma give e^(alpha^2) - 1 however small or large sigma is; shifts of
+    one unit with a tiny sigma put log(R_alpha + 1) itself beyond the float range."""
+    f0, f1, f2 = (GaussianIso([m * sigma], sigma) for m in (0.0, 1.0, 1.0))
+    assert r_alpha_closed(f0, f1, f2, 1.0) == pytest.approx(math.e - 1.0, rel=1e-15)
+    if sigma < 1:
+        with pytest.raises(OverflowError, match="so does log"):
+            r_alpha_closed(*(GaussianIso([m], sigma) for m in (0.0, 1.0, 1.0)), 1.0)
+    # orthogonal shifts give 0 even when alpha^2 is beyond the float range
+    shifts = [GaussianIso(np.array(m) * sigma, sigma) for m in ([0, 0], [1, 0], [0, 1])]
+    assert r_alpha_closed(*shifts, 1e200) == 0.0
+
+
 def test_kind_and_dimension_mismatch():
     with pytest.raises(KindMismatchError):
         r_alpha_closed(PoissonProd([1.0]), ExponentialProd([1.0]), PoissonProd([1.0]), 1.0)

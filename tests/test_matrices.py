@@ -1,20 +1,27 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from codiv import (PHI_IDENTITY, PHI_SQRT, DegeneratePhiError, DiagnosticStatus,
                    DiscreteMeasure, DivMatrix, DominationError, MarkovKernel,
-                   PreconditionError, SignedMeasure, chi2_divergence, chi2_signed,
-                   chi2_signed_decomposition_check, divergence_matrix, dpi_check,
-                   eigen_summary, jacobi_eigenvalues, jordan_decompose,
-                   link_identity_check, phi_alpha, phi_normalizers, push_forward,
-                   quadratic_form_check, rank_with_identity)
+                   OracleFailureError, PhiFunction, PreconditionError, SignedMeasure,
+                   chi2_divergence, chi2_signed, chi2_signed_decomposition_check,
+                   divergence_matrix, dpi_check, eigen_summary, jacobi_eigenvalues,
+                   jordan_decompose, link_identity_check, oracle_divergence_matrix,
+                   phi_alpha, phi_normalizers, push_forward, quadratic_form_check,
+                   rank_with_identity)
+from codiv.matrices import MATRIX_KINDS
 from helpers import random_dominated, random_kernel, random_probability
 
 P0 = DiscreteMeasure([0.5, 0.5])
 P1 = DiscreteMeasure([0.25, 0.75])
 P2 = DiscreteMeasure([0.75, 0.25])
+EPS = np.finfo(float).eps
 
 
 class TestJacobi:
@@ -31,6 +38,14 @@ class TestJacobi:
     def test_rejects_asymmetric(self):
         with pytest.raises(PreconditionError):
             jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_reports_non_convergence(self):
+        a = np.random.default_rng(2).normal(size=(30, 30))
+        sym = a + a.T
+        with pytest.raises(OracleFailureError, match="did not converge in 1 sweeps"):
+            jacobi_eigenvalues(sym, max_sweeps=1)
+        np.testing.assert_allclose(jacobi_eigenvalues(sym), np.linalg.eigvalsh(sym),
+                                   atol=30 * EPS * np.linalg.norm(sym))
 
 
 class TestDivergenceMatrix:
@@ -57,6 +72,116 @@ class TestDivergenceMatrix:
     def test_phi_kind_requires_phi(self):
         with pytest.raises(PreconditionError):
             divergence_matrix(P0, [P1], "rphi")
+
+
+def _fast_and_oracle_instance(rng, i):
+    """A reference with null points, measures it dominates, and on odd i one measure
+    with mass on a null point and, every fourth i, one carried by the null points alone
+    (zero Hellinger affinity)."""
+    n = int(rng.integers(4, 12))
+    p0 = random_probability(rng, n, zeros=int(rng.integers(1, 3)))
+    ps = [random_dominated(rng, p0, zeros=int(rng.integers(0, 2)))
+          for _ in range(int(rng.integers(1, 6)))]
+    if i % 2:
+        ps.insert(int(rng.integers(0, len(ps) + 1)), random_probability(rng, n))
+    if i % 4 == 3:
+        ps.append(DiscreteMeasure((p0.mass == 0) / np.sum(p0.mass == 0)))
+    return p0, ps
+
+
+def _cross(kind, p0, ps, phi, entries):
+    """The integral whose rounding bounds an entry: of (dPj/dP0)(dPk/dP0) for chi2, of the
+    normalized roots for hellinger, of the normalized phi values for rphi, and of
+    phi(dPj/dP0) phi(dPk/dP0) for vphi (the entry plus m_j m_k)."""
+    if kind != "vphi":
+        return entries + 1.0
+    pos = p0.mass > 0
+    w = p0.mass[pos]
+    means = np.array([math.fsum(phi.apply(p.mass[pos] / w) * w) for p in ps])
+    return entries + np.outer(means, means)
+
+
+class TestFastPathAgainstOracle:
+    """divergence_matrix (H H') and eigvalsh against the pairwise fsum and Jacobi routes."""
+
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    def test_entries_and_eigenvalues_match(self, kind):
+        rng = np.random.default_rng(61)
+        infinite = finite = 0
+        for i in range(60):
+            p0, ps = _fast_and_oracle_instance(rng, i)
+            phi = phi_alpha(rng.choice([0.25, 0.5, 1.0, 2.0])) if kind in ("vphi", "rphi") else None
+            fast = divergence_matrix(p0, ps, kind, phi=phi)
+            oracle = oracle_divergence_matrix(p0, ps, kind, phi=phi)
+            np.testing.assert_array_equal(np.isinf(fast.entries), np.isinf(oracle.entries))
+            cells = np.isfinite(oracle.entries)
+            cross = _cross(kind, p0, ps, phi, oracle.entries)[cells]
+            tol = 16 * p0.support_size * EPS * (np.abs(cross) + 1)
+            assert np.all(np.abs(fast.entries[cells] - oracle.entries[cells]) <= tol)
+            if not fast.finite:
+                infinite += 1
+                continue
+            finite += 1
+            # Each route is within N EPS ||A|| of the eigenvalues, so they agree to twice that.
+            a = fast.entries
+            np.testing.assert_allclose(np.linalg.eigvalsh(a), jacobi_eigenvalues(a), rtol=0,
+                                       atol=2 * fast.size * EPS * np.linalg.norm(a))
+            summary = eigen_summary(fast)
+            assert summary.min_eigenvalue == np.linalg.eigvalsh(a)[0]
+        assert finite > 0
+        # Hellinger stays finite without domination; only a zero affinity makes it infinite.
+        assert infinite == (15 if kind == "hellinger" else 30)
+
+    @pytest.mark.parametrize("route", [divergence_matrix, oracle_divergence_matrix])
+    def test_vanishing_rphi_normalizer_raises(self, route):
+        spike = PhiFunction(fn=lambda x: 1.0 if x == 1.0 else 0.0,
+                            dphi_at_one=0.0, d2phi_at_one=0.0, name="spike")
+        with pytest.raises(DegeneratePhiError):
+            route(P0, [P0, P1], "rphi", phi=spike)
+        assert route(P0, [P0, P1], "vphi", phi=spike).entries[1, 1] == 0.0
+
+    def test_near_identical_measures_match_a_50_digit_sum(self):
+        """Spread 1e-8: every chi2 entry is about 1e-17, far below the rounding of the
+        uncentred sum minus 1; the centred rows keep them to about 1e-8 relative."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(67)
+        n, m, spread = 1000, 50, 1e-8
+        p0 = random_probability(rng, n)
+        ps = []
+        for _ in range(m):
+            mass = p0.mass * (1.0 + spread * rng.uniform(-1.0, 1.0, n))
+            ps.append(DiscreteMeasure(mass / math.fsum(mass)))
+        mat = divergence_matrix(p0, ps, "chi2")
+        with mpmath.workdps(50):
+            w = [mpmath.mpf(float(x)) for x in p0.mass]
+            dev = [[mpmath.mpf(float(x)) / wi - 1 for x, wi in zip(p.mass, w)] for p in ps]
+            dev_w = [[d * wi for d, wi in zip(row, w)] for row in dev]
+            exact = np.zeros((m, m))
+            for j in range(m):
+                for k in range(j, m):
+                    exact[j, k] = exact[k, j] = float(mpmath.fdot(dev[j], dev_w[k]))
+        # Forming a row costs at most EPS * sqrt(p0) per point, the dot product N EPS dev^2.
+        largest = max(float(np.max(np.abs(p.mass / p0.mass - 1.0))) for p in ps)
+        tol = 4 * EPS * largest + n * EPS * largest ** 2
+        assert np.max(np.abs(mat.entries - exact)) <= tol
+        summary = eigen_summary(mat)
+        assert summary.min_eigenvalue >= -1e-9 * max(1.0, summary.max_eigenvalue)
+        assert summary.min_eigenvalue >= -m * EPS * np.linalg.norm(mat.entries)
+
+
+def test_entries_do_not_depend_on_the_blas_thread_count():
+    """A threaded BLAS product of 100 x 100 operands changes its last bits with the
+    number of threads; the reports must not."""
+    script = ("import hashlib, numpy as np; from codiv import DiscreteMeasure, divergence_matrix;"
+              "rng = np.random.default_rng(7); m = rng.random((101, 100)) + 0.05;"
+              "ps = [DiscreteMeasure(r / r.sum()) for r in m];"
+              "e = divergence_matrix(ps[0], ps[1:], 'chi2').entries;"
+              "print(hashlib.sha256(e.tobytes()).hexdigest())")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = {subprocess.run([sys.executable, "-c", script], capture_output=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": n}
+                              ).stdout for n in ("1", "2")}
+    assert len(digests) == 1
 
 
 class TestLinkIdentity:
@@ -214,6 +339,16 @@ class TestDpi:
         bad = DiscreteMeasure([0.5, 0.5])
         with pytest.raises(DominationError):
             dpi_check(q0, [bad], MarkovKernel.identity(2))
+
+    def test_pushed_totals_within_both_tolerances(self):
+        """Masses and kernel rows each 9e-13 above 1 push to totals 1.8e-12 above 1,
+        beyond PROBABILITY_TOL; dpi_check divides the images by their totals."""
+        q0 = DiscreteMeasure([0.5, 0.5 + 9e-13])
+        q1 = DiscreteMeasure([0.25, 0.75 + 9e-13])
+        k = MarkovKernel([[0.5, 0.5 + 9e-13], [0.25, 0.75 + 9e-13]])
+        report = dpi_check(q0, [q1], k)
+        assert abs(push_forward(k, q0).total - 1.0) > 1e-12
+        assert report.min_eig_of_difference >= 0.0
 
 
 class TestRankIdentity:

@@ -148,6 +148,10 @@ def test_measure_validation():
         DiscreteMeasure([])
     with pytest.raises(PreconditionError):
         SignedMeasure([math.nan])
+    # the largest int that float() rounds to a finite value is a number; one more is not
+    assert DiscreteMeasure([2 ** 1024 - 2 ** 970 - 1, 0]).mass[0] == np.finfo(float).max
+    with pytest.raises(PreconditionError, match="finite number"):
+        SignedMeasure([2 ** 1024 - 2 ** 970, 0])
 
 
 def test_json_round_trip():
