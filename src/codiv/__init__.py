@@ -11,9 +11,9 @@ inequality, local bilinear expansion) of the associated divergence matrices.
 Extended-real results are plain floats; ``math.inf`` is the infinite value.
 """
 
-from .codivergence import (PHI_IDENTITY, PHI_SQRT, PhiFunction, chi2_codiv,
-                           chi2_divergence, hellinger_affinity, hellinger_codiv,
-                           phi_alpha, r_alpha, r_phi, v_alpha, v_phi)
+from .codivergence import (PHI_IDENTITY, PHI_SQRT, Features, PhiFunction, chi2_codiv,
+                           chi2_divergence, features, hellinger_codiv, phi_alpha,
+                           r_alpha, r_phi, v_alpha, v_phi)
 from .errors import (CodivError, DegeneratePhiError, DimensionMismatchError,
                      DominationError, KindMismatchError, OracleFailureError,
                      PreconditionError)
@@ -25,9 +25,9 @@ from .local import (ExpansionReport, OffSupportReport, PerturbationPair,
                     expansion_check, fisher_gram, fisher_inner,
                     geometric_decay_ok, hellinger_off_support_check)
 from .matrices import (DiagnosticStatus, DivMatrix, DpiReport, EigenSummary,
-                       Features, MarkovKernel, RankReport, chi2_signed,
+                       MarkovKernel, RankReport, chi2_signed,
                        chi2_signed_decomposition_check, divergence_matrix,
-                       dpi_check, eigen_summary, features, is_psd, jacobi_eigenvalues,
+                       dpi_check, eigen_summary, is_psd, jacobi_eigenvalues,
                        link_identity_check, phi_normalizers, push_forward,
                        quadratic_form_check, rank_with_identity)
 from .measures import (DensityRatio, DiscreteMeasure, JordanDecomposition,

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import matrices
-from .codivergence import chi2_codiv, hellinger_codiv, phi_alpha, r_alpha, v_alpha
+from .codivergence import PhiFunction, phi_alpha
 from .errors import CodivError, DegeneratePhiError, OracleFailureError
 from .families import (family_from_json_dict, family_problems, family_set_problems,
                        r_alpha_closed)
@@ -162,38 +162,37 @@ def _finite_or_inf(x: float):
     return "inf" if math.isinf(x) else x
 
 
+def _kind_and_link(options) -> tuple[str, float, PhiFunction | None]:
+    """The base kind and alpha of the kind option, and the link phi of vphi and rphi."""
+    base, alpha = parse_kind(options["kind"])
+    return base, alpha, phi_alpha(alpha) if base in ("vphi", "rphi") else None
+
+
+def _input_matrix(job) -> DivMatrix:
+    """The divergence matrix of the job's measures around its first one."""
+    measures = _load_measures(job["inputs"])
+    base, _, phi = _kind_and_link(job.get("options", {}))
+    return divergence_matrix(measures[0], measures[1:], base, phi=phi, reference="inputs[0]")
+
+
 def _run_codiv(job, tolerance, seed):
     inputs = job["inputs"]
     kind = job.get("options", {})["kind"]
-    base, alpha = parse_kind(kind)
     if all("kind" in doc for doc in inputs):
         f0, f1, f2 = (family_from_json_dict(doc) for doc in inputs)
-        value = r_alpha_closed(f0, f1, f2, alpha)
+        value = r_alpha_closed(f0, f1, f2, parse_kind(kind)[1])
     else:
-        p0, p1, p2 = _load_measures(inputs)
-        if base == "chi2":
-            value = chi2_codiv(p0, p1, p2)
-        elif base == "hellinger":
-            value = hellinger_codiv(p0, p1, p2)
-        elif base == "vphi":
-            value = v_alpha(p0, p1, p2, alpha)
-        else:
-            value = r_alpha(p0, p1, p2, alpha)
+        value = float(_input_matrix(job).entries[0, 1])
     return {"command": "codiv", "kind": kind, "value": _finite_or_inf(value)}
 
 
 def _run_matrix(job, tolerance, seed):
-    measures = _load_measures(job["inputs"])
-    base, alpha = parse_kind(job.get("options", {})["kind"])
-    phi = phi_alpha(alpha) if base in ("vphi", "rphi") else None
-    mat = divergence_matrix(measures[0], measures[1:], base, phi=phi, reference="inputs[0]")
-    return {"command": "matrix", "matrix": mat.to_json_dict()}
+    return {"command": "matrix", "matrix": _input_matrix(job).to_json_dict()}
 
 
 def _run_rank(job, tolerance, seed):
     options = job.get("options", {})
-    base, alpha = parse_kind(options["kind"])
-    phi = phi_alpha(alpha) if base in ("vphi", "rphi") else None
+    base, _, phi = _kind_and_link(options)
     tol_factor = tolerance if tolerance is not None else matrices.RANK_TOL_FACTOR
     if "trials" in options:
         rng = np.random.default_rng(seed)

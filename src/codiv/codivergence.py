@@ -1,21 +1,30 @@
 """Covariance- and correlation-type codivergences on finite discrete measures.
 
-All evaluations are exact finite sums accumulated with ``math.fsum``.  The
+A codivergence D(p0 | p1, p2) is an inner product of the centred features of p1
+and p2 in L2(p0), so every kind is evaluated as a Gram matrix: ``features`` makes
+the centred feature matrix H, one row per measure, and D(p0 | ps[j], ps[k]) is
+cell (j, k) of H H'.  The pair functions ``chi2_codiv``, ``hellinger_codiv``,
+``v_phi`` and ``r_phi`` return cell (0, 1) of the two-row matrix, which is the
+bit-for-bit value of the same cell of ``matrices.divergence_matrix``.  The
+identity needs totals of 1, so every measure must be a probability measure.  The
 return value is a float, with ``math.inf`` encoding the extended value that a
 codivergence takes on non-dominated triples (or a vanishing Hellinger
-affinity).
+affinity).  The pairwise finite sums of the definitions are kept in
+:mod:`codiv.oracles`, to check this route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DegeneratePhiError, PreconditionError
 from .measures import DiscreteMeasure, check_probability, check_same_support, dominated_by
+
+MATRIX_KINDS = ("vphi", "rphi", "chi2", "hellinger")
 
 _PHI_PROBE_POINTS = (0.0, 0.25, 0.5, 1.0, 2.0, 10.0)
 
@@ -66,69 +75,107 @@ PHI_IDENTITY = phi_alpha(1.0)
 PHI_SQRT = phi_alpha(0.5)
 
 
-def _phi_integrals(p0, p1, p2, phi):
-    """(cross, m1, m2) of phi(r1)phi(r2) and phi(rj) against p0, on supp(p0)."""
-    pos = p0.mass > 0
-    w = p0.mass[pos]
-    f1 = phi.apply(p1.mass[pos] / w)
-    f2 = phi.apply(p2.mass[pos] / w)
-    cross = math.fsum(f1 * f2 * w)
-    m1 = math.fsum(f1 * w)
-    m2 = math.fsum(f2 * w)
-    return cross, m1, m2
+class Features(NamedTuple):
+    """The centred feature matrix of a reference and M measures (see ``features``)."""
+
+    rows: np.ndarray  # H, M x |supp p0| (M x N for hellinger)
+    finite: np.ndarray  # row j gives finite entries: P_j << P0 (hellinger: a_j > 0)
+    normalizers: np.ndarray  # m_j (vphi, rphi), a_j (hellinger) or 1 (chi2) per row
+
+
+def features(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind: str,
+             phi: PhiFunction | None = None) -> Features:
+    """The rows H whose Gram matrix H H' holds D(p0 | ps[j], ps[k]) of ``kind``.
+
+    With r_j = p_j / p0 on supp p0, m_j the integral of phi(r_j) against p0 and
+    a_j the Hellinger affinity of p_j with p0, row j is
+      chi2       (r_j - 1) sqrt(p0)
+      vphi       (phi(r_j) - m_j) sqrt(p0)
+      rphi       (phi(r_j) / m_j - 1) sqrt(p0)
+      hellinger  sqrt(p_j) / a_j - sqrt(p0), over the whole support.
+    The identities need totals of 1, so every measure must be a probability
+    measure.  A row whose entries are infinite stays zero; a dominated rphi row
+    with m_j <= 0 raises DegeneratePhiError.  The rows are filled one at a time
+    into one buffer, so no other M x N array is made.
+    """
+    if kind not in MATRIX_KINDS:
+        raise PreconditionError(f"unknown matrix kind {kind!r}")
+    if kind in ("vphi", "rphi") and phi is None:
+        raise PreconditionError(f"kind {kind!r} requires a PhiFunction")
+    check_same_support(p0, *ps)
+    check_probability(p0, *ps)
+    null = p0.mass == 0
+    w = p0.mass if kind == "hellinger" else p0.mass[~null]
+    root0 = np.sqrt(w)
+    h = np.zeros((len(ps), w.size))
+    finite = np.ones(len(ps), dtype=bool)
+    normalizers = np.ones(len(ps))
+    for j, p in enumerate(ps):
+        row = h[j]
+        if kind == "hellinger":
+            np.sqrt(p.mass, out=row)
+            normalizers[j] = affinity = math.fsum(row * root0)
+            if affinity > 0:
+                row /= affinity
+                row -= root0
+            else:
+                finite[j] = False
+                row[:] = 0.0
+            continue
+        if np.any(p.mass[null]):
+            finite[j] = False
+            continue
+        np.divide(p.mass[~null], w, out=row)
+        centre = 1.0
+        if kind != "chi2":
+            row[:] = phi.apply(row)
+            normalizers[j] = mean = math.fsum(row * w)
+            if kind == "vphi":
+                centre = mean
+            elif mean <= 0:
+                raise DegeneratePhiError("a normalizing integral of phi vanished")
+            else:
+                row /= mean
+        row -= centre
+        row *= root0
+    return Features(h, finite, normalizers)
+
+
+def _gram(h: np.ndarray) -> np.ndarray:
+    """H H', symmetric to the last bit, by numpy's own einsum loop rather than BLAS: the
+    last bits of a threaded BLAS product change with the thread count."""
+    g = np.einsum("ik,jk->ij", h, h, optimize=False)
+    return 0.5 * (g + g.T)
+
+
+def _cell(p0, p1, p2, kind: str, phi: PhiFunction | None = None) -> float:
+    """Cell (0, 1) of the Gram matrix of the rows of p1 and p2; +inf unless both are finite."""
+    h, finite, _ = features(p0, (p1, p2), kind, phi)
+    return float(_gram(h)[0, 1]) if finite.all() else math.inf
 
 
 def v_phi(p0: DiscreteMeasure, p1: DiscreteMeasure, p2: DiscreteMeasure,
           phi: PhiFunction) -> float:
     """Covariance-type codivergence of (p1, p2) around p0; +inf unless p1, p2 << p0."""
-    check_same_support(p0, p1, p2)
-    check_probability(p0, p1, p2)
-    if not (dominated_by(p1, p0) and dominated_by(p2, p0)):
-        return math.inf
-    cross, m1, m2 = _phi_integrals(p0, p1, p2, phi)
-    return cross - m1 * m2
+    return _cell(p0, p1, p2, "vphi", phi)
 
 
 def r_phi(p0: DiscreteMeasure, p1: DiscreteMeasure, p2: DiscreteMeasure,
           phi: PhiFunction) -> float:
-    """Correlation-type codivergence: v_phi normalized by both marginal integrals."""
-    check_same_support(p0, p1, p2)
-    check_probability(p0, p1, p2)
-    if not (dominated_by(p1, p0) and dominated_by(p2, p0)):
-        return math.inf
-    cross, m1, m2 = _phi_integrals(p0, p1, p2, phi)
-    if m1 <= 0 or m2 <= 0:
-        raise DegeneratePhiError("a normalizing integral of phi vanished")
-    return cross / (m1 * m2) - 1.0
+    """Correlation-type codivergence: v_phi normalized by both marginal integrals;
+    +inf unless p1, p2 << p0, DegeneratePhiError when a dominated one's integral is <= 0."""
+    return _cell(p0, p1, p2, "rphi", phi)
 
 
 def chi2_codiv(p0: DiscreteMeasure, p1: DiscreteMeasure, p2: DiscreteMeasure) -> float:
     """Chi-square codivergence: integral of (dP1/dP0) dP2 minus 1; +inf unless dominated."""
-    check_same_support(p0, p1, p2)
-    if not (dominated_by(p1, p0) and dominated_by(p2, p0)):
-        return math.inf
-    pos = p0.mass > 0
-    return math.fsum(p1.mass[pos] * p2.mass[pos] / p0.mass[pos]) - 1.0
-
-
-def hellinger_affinity(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
-    """Hellinger affinity: the integral of sqrt(p*q) over the whole support."""
-    check_same_support(p, q)
-    return math.fsum(np.sqrt(p.mass * q.mass))
+    return _cell(p0, p1, p2, "chi2")
 
 
 def hellinger_codiv(p0: DiscreteMeasure, p1: DiscreteMeasure, p2: DiscreteMeasure) -> float:
-    """Hellinger codivergence via affinities; finite whenever both denominators are positive.
-
-    Does not require domination: mass of p1/p2 outside supp(p0) is fine as
-    long as the affinities with p0 stay positive.
-    """
-    check_same_support(p0, p1, p2)
-    d1 = hellinger_affinity(p0, p1)
-    d2 = hellinger_affinity(p0, p2)
-    if d1 <= 0 or d2 <= 0:
-        return math.inf
-    return hellinger_affinity(p1, p2) / (d1 * d2) - 1.0
+    """Hellinger codivergence via affinities; finite whenever both affinities with p0 are
+    positive, so it does not require domination."""
+    return _cell(p0, p1, p2, "hellinger")
 
 
 def r_alpha(p0: DiscreteMeasure, p1: DiscreteMeasure, p2: DiscreteMeasure,

@@ -310,11 +310,18 @@ FAMILY_KINDS = {spec.kind: cls for cls, spec in FAMILIES.items() if cls is not G
 
 def r_alpha_closed_log1p(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
                          alpha: float) -> float:
-    """log(R_alpha + 1) in closed form; +inf when a domain constraint fails."""
+    """log(R_alpha + 1) in closed form; +inf when a domain constraint fails.  OverflowError
+    when the formula gives NaN: at a huge alpha a power such as lambda**alpha overflows and
+    the differences of the overflowed terms (inf - inf) are undefined."""
     if not alpha > 0:
         raise PreconditionError("alpha must be positive")
     check_family_triple(f0, f1, f2)
-    return FAMILIES[type(f0)].log1p(f0, f1, f2, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = FAMILIES[type(f0)].log1p(f0, f1, f2, alpha)
+    if math.isnan(value):
+        raise OverflowError("log(R_alpha + 1) is undefined in floating point: an "
+                            "intermediate power exceeds the float range")
+    return value
 
 
 def r_alpha_closed(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codivergence import PhiFunction, hellinger_codiv, r_phi, v_phi
+from .codivergence import PhiFunction, _gram, hellinger_codiv, r_phi, v_phi
 from .errors import DominationError, PreconditionError
 from .measures import (PROBABILITY_TOL, DiscreteMeasure, SignedMeasure,
                        check_same_support, dominated_by, perturb, validity_radius)
@@ -39,28 +39,20 @@ class PerturbationPair:
                 raise DominationError("perturbations must be dominated by the reference")
 
 
-def _inner(p0: DiscreteMeasure, mu: SignedMeasure, mu_tilde: SignedMeasure) -> float:
-    pos = p0.mass > 0
-    return math.fsum(mu.mass[pos] * mu_tilde.mass[pos] / p0.mass[pos])
-
-
 def fisher_inner(pair: PerturbationPair) -> float:
     """Nonparametric Fisher information inner product of the pair's directions."""
-    return _inner(pair.reference, pair.mu, pair.mu_tilde)
+    pos = pair.reference.mass > 0
+    return math.fsum(pair.mu.mass[pos] * pair.mu_tilde.mass[pos] / pair.reference.mass[pos])
 
 
 def fisher_gram(p0: DiscreteMeasure, mus: Sequence[SignedMeasure]) -> np.ndarray:
-    """Gram matrix of the Fisher inner product over the given directions."""
+    """Gram matrix of the Fisher inner product over the given directions: H H' with
+    rows mu_i / sqrt(p0) on supp(p0)."""
     for m in mus:
         PerturbationPair(p0, m, m)  # validates the direction
-    n = len(mus)
-    g = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            val = _inner(p0, mus[i], mus[j])
-            g[i, j] = val
-            g[j, i] = val
-    return g
+    pos = p0.mass > 0
+    root0 = np.sqrt(p0.mass[pos])
+    return _gram(np.array([m.mass[pos] / root0 for m in mus]).reshape(len(mus), root0.size))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Divergence matrices and their structural diagnostics.
 
 The M x M matrix of codivergences around a reference measure p0 is a Gram
-matrix, and every kind is built as one: ``features`` makes the centred feature
-matrix H, one row per measure, and the matrix is H H'.  For chi2, vphi and rphi
-row j is the centred phi(dP_j/dP0) weighted by sqrt(p0), so entry (j, k) is an
-inner product in L2(p0); for hellinger it is the centred root density.  The
+matrix, and every kind is built as one: ``codivergence.features`` makes the
+centred feature matrix H, one row per measure, and the matrix is H H', whose
+cell (j, k) is bit for bit the pair codivergence of ps[j] and ps[k].  For chi2,
+vphi and rphi row j is the centred phi(dP_j/dP0) weighted by sqrt(p0), so
+entry (j, k) is an inner product in L2(p0); for hellinger it is the centred
+root density.  The
 identity holds for probability measures only, which ``divergence_matrix``
 therefore requires for every kind.  Finite matrices are PSD, their rank
 matches the rank of the underlying functions, and the chi-square matrix
@@ -26,13 +28,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .codivergence import PHI_IDENTITY, PhiFunction
+from .codivergence import MATRIX_KINDS, PHI_IDENTITY, PhiFunction, _gram, features
 from .errors import (DegeneratePhiError, DimensionMismatchError, DominationError,
                      OracleFailureError, PreconditionError, numbers, raise_first)
-from .measures import (DiscreteMeasure, SignedMeasure, check_probability, check_same_support,
-                       dominated_by, jordan_decompose, support_problems)
-
-MATRIX_KINDS = ("vphi", "rphi", "chi2", "hellinger")
+from .measures import (DiscreteMeasure, SignedMeasure, check_same_support, dominated_by,
+                       jordan_decompose, support_problems)
 
 # Eigenvalue / singular-value threshold for rank and PSD diagnostics:
 # tol = RANK_TOL_FACTOR * max(largest magnitude, 1).
@@ -152,79 +152,6 @@ def is_psd(mat: DivMatrix, floor_factor: float = RANK_TOL_FACTOR) -> bool | None
     if summary.status is not DiagnosticStatus.OK:
         return None
     return summary.min_eigenvalue >= -floor_factor * max(1.0, summary.max_eigenvalue)
-
-
-class Features(NamedTuple):
-    """The centred feature matrix of a reference and M measures (see ``features``)."""
-
-    rows: np.ndarray  # H, M x |supp p0| (M x N for hellinger)
-    finite: np.ndarray  # row j gives finite entries: P_j << P0 (hellinger: a_j > 0)
-    normalizers: np.ndarray  # m_j (vphi, rphi), a_j (hellinger) or 1 (chi2) per row
-
-
-def features(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind: str,
-             phi: PhiFunction | None = None) -> Features:
-    """The rows H whose Gram matrix H H' is the divergence matrix of ``kind``.
-
-    With r_j = p_j / p0 on supp p0, m_j the integral of phi(r_j) against p0 and
-    a_j the Hellinger affinity of p_j with p0, row j is
-      chi2       (r_j - 1) sqrt(p0)
-      vphi       (phi(r_j) - m_j) sqrt(p0)
-      rphi       (phi(r_j) / m_j - 1) sqrt(p0)
-      hellinger  sqrt(p_j) / a_j - sqrt(p0), over the whole support.
-    The identities need totals of 1, so every measure must be a probability
-    measure.  A row whose entries are infinite stays zero; a dominated rphi row
-    with m_j <= 0 raises DegeneratePhiError.  The rows are filled one at a time
-    into one buffer, so no other M x N array is made.
-    """
-    if kind not in MATRIX_KINDS:
-        raise PreconditionError(f"unknown matrix kind {kind!r}")
-    if kind in ("vphi", "rphi") and phi is None:
-        raise PreconditionError(f"kind {kind!r} requires a PhiFunction")
-    check_same_support(p0, *ps)
-    check_probability(p0, *ps)
-    null = p0.mass == 0
-    w = p0.mass if kind == "hellinger" else p0.mass[~null]
-    root0 = np.sqrt(w)
-    h = np.zeros((len(ps), w.size))
-    finite = np.ones(len(ps), dtype=bool)
-    normalizers = np.ones(len(ps))
-    for j, p in enumerate(ps):
-        row = h[j]
-        if kind == "hellinger":
-            np.sqrt(p.mass, out=row)
-            normalizers[j] = affinity = math.fsum(row * root0)
-            if affinity > 0:
-                row /= affinity
-                row -= root0
-            else:
-                finite[j] = False
-                row[:] = 0.0
-            continue
-        if np.any(p.mass[null]):
-            finite[j] = False
-            continue
-        np.divide(p.mass[~null], w, out=row)
-        centre = 1.0
-        if kind != "chi2":
-            row[:] = phi.apply(row)
-            normalizers[j] = mean = math.fsum(row * w)
-            if kind == "vphi":
-                centre = mean
-            elif mean <= 0:
-                raise DegeneratePhiError("a normalizing integral of phi vanished")
-            else:
-                row /= mean
-        row -= centre
-        row *= root0
-    return Features(h, finite, normalizers)
-
-
-def _gram(h: np.ndarray) -> np.ndarray:
-    """H H', symmetric to the last bit, by numpy's own einsum loop rather than BLAS: the
-    last bits of a threaded BLAS product change with the thread count."""
-    g = np.einsum("ik,jk->ij", h, h, optimize=False)
-    return 0.5 * (g + g.T)
 
 
 def divergence_matrix(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind: str,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -74,7 +75,7 @@ class _Measure:
     def support_size(self) -> int:
         return self.mass.size
 
-    @property
+    @cached_property
     def total(self) -> float:
         return math.fsum(self.mass)
 

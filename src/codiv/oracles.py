@@ -5,7 +5,10 @@ The family routines integrate the defining ratio of integrals directly
 Gauss-Legendre quadrature for Gaussian/Exponential/Gamma) and exist to
 validate the closed forms in :mod:`codiv.families`.  They deliberately avoid
 every closed-form shortcut.  The discrete routines evaluate codivergences
-pair by pair, to check the Gram-matrix route of :mod:`codiv.matrices`.
+pair by pair, each from its defining finite sums accumulated with
+``math.fsum``, to check the Gram cells of :func:`codiv.codivergence.features`
+through which the package computes every discrete codivergence and
+divergence matrix.  The CLI and the other modules never call them.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .codivergence import chi2_codiv, hellinger_codiv, r_phi, v_phi
+from .codivergence import MATRIX_KINDS
 from .errors import DegeneratePhiError, OracleFailureError, PreconditionError
 from .families import FAMILIES, ParamFamily, check_family_triple, r_alpha_product
-from .matrices import MATRIX_KINDS, DivMatrix
-from .measures import check_probability, check_same_support
+from .matrices import DivMatrix
+from .measures import check_probability, check_same_support, dominated_by
 
 # Exponent drop (in nats) defining the integration window relative to the
 # integrand's peak; e^-46 < 1e-19.
@@ -31,7 +34,6 @@ _TAIL_DROP = 46.0
 @dataclass(frozen=True)
 class OracleConfig:
     rel_tol: float = 1e-9
-    poisson_truncation: int | None = None  # None = adaptive tail bound
     quad_panels: int = 8
     quad_order: int = 32
     max_panels: int = 2 ** 16
@@ -48,8 +50,7 @@ DEFAULT_CONFIG = OracleConfig()
 
 @lru_cache(maxsize=None)
 def _gl_nodes(order: int):
-    nodes, weights = leggauss(order)
-    return nodes, weights
+    return leggauss(order)
 
 
 def adaptive_gauss_legendre(f, lo: float, hi: float, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
@@ -138,7 +139,7 @@ def _gamma_power_integral(params, powers, cfg: OracleConfig) -> float | None:
     return adaptive_gauss_legendre(f, y_lo, y_hi, cfg)
 
 
-def _poisson_power_sum(lams, powers, cfg: OracleConfig) -> float:
+def _poisson_power_sum(lams, powers) -> float:
     """Sum over k of prod_j Pois(lam_j)(k)**power_j, truncated by a tail bound."""
     lams = np.asarray(lams, dtype=float)
     powers = np.asarray(powers, dtype=float)
@@ -151,10 +152,6 @@ def _poisson_power_sum(lams, powers, cfg: OracleConfig) -> float:
         term = math.exp(-B + k * L - math.lgamma(k + 1))
         terms.append(term)
         k += 1
-        if cfg.poisson_truncation is not None:
-            if k >= cfg.poisson_truncation:
-                break
-            continue
         # Past 2*growth the terms at least halve each step, so the full tail
         # is bounded by twice the next term.
         if k > 2.0 * growth + 10.0 and term < 1e-18 * math.fsum(terms):
@@ -179,19 +176,23 @@ def _bernoulli_power_sum(thetas, powers) -> float:
 _COMPONENTS = {
     "gaussian": _gaussian_power_integral,
     "gamma": _gamma_power_integral,
-    "poisson": lambda params, powers, cfg: _poisson_power_sum(params[:, 0], powers, cfg),
+    "poisson": lambda params, powers, cfg: _poisson_power_sum(params[:, 0], powers),
     "bernoulli": lambda params, powers, cfg: _bernoulli_power_sum(params[:, 0], powers),
 }
 
 
 def _component_r_alpha(integral, params, alpha: float, cfg: OracleConfig) -> float:
-    """R_alpha of one scalar coordinate from its three defining integrals."""
-    i12 = integral(params, (1.0 - 2.0 * alpha, alpha, alpha), cfg)
-    i1 = integral(params, (1.0 - alpha, alpha, 0.0), cfg)
-    i2 = integral(params, (1.0 - alpha, 0.0, alpha), cfg)
-    if i12 is None or i1 is None or i2 is None or i1 <= 0 or i2 <= 0:
+    """R_alpha of one scalar coordinate from its three defining integrals; +inf when one
+    diverges.  An integral of a positive integrand that comes out <= 0 or non-finite was
+    not resolved (a peak narrower than the panels, say), so it raises OracleFailureError."""
+    values = [integral(params, powers, cfg) for powers in (
+        (1.0 - 2.0 * alpha, alpha, alpha), (1.0 - alpha, alpha, 0.0), (1.0 - alpha, 0.0, alpha))]
+    if None in values:
         return math.inf
-    return i12 / (i1 * i2) - 1.0
+    if not all(0 < value < math.inf for value in values):
+        raise OracleFailureError(f"the oracle integrals {values} of a coordinate are not all "
+                                 "positive and finite: the integrand was not resolved")
+    return values[0] / (values[1] * values[2]) - 1.0
 
 
 def oracle_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: float,
@@ -237,26 +238,51 @@ def oracle_discrete_bruteforce(p0, p1, p2, phi) -> float:
     return cross / (m1 * m2) - 1.0
 
 
+def _pairwise_codiv(p0, p1, p2, kind: str, phi) -> float:
+    """D(p0 | p1, p2) of ``kind`` from its defining integrals, each a finite sum accumulated
+    with ``math.fsum``: the pair route that checks the Gram cells of ``features``."""
+    if kind == "hellinger":
+        # Does not require domination: mass of p1/p2 outside supp(p0) is fine as
+        # long as the affinities with p0 stay positive.
+        def affinity(p, q):
+            return math.fsum(np.sqrt(p.mass * q.mass))
+
+        d1 = affinity(p0, p1)
+        d2 = affinity(p0, p2)
+        if d1 <= 0 or d2 <= 0:
+            return math.inf
+        return affinity(p1, p2) / (d1 * d2) - 1.0
+    if not (dominated_by(p1, p0) and dominated_by(p2, p0)):
+        return math.inf
+    pos = p0.mass > 0
+    if kind == "chi2":
+        return math.fsum(p1.mass[pos] * p2.mass[pos] / p0.mass[pos]) - 1.0
+    w = p0.mass[pos]
+    f1 = phi.apply(p1.mass[pos] / w)
+    f2 = phi.apply(p2.mass[pos] / w)
+    cross = math.fsum(f1 * f2 * w)
+    m1 = math.fsum(f1 * w)
+    m2 = math.fsum(f2 * w)
+    if kind == "vphi":
+        return cross - m1 * m2
+    if m1 <= 0 or m2 <= 0:
+        raise DegeneratePhiError("a normalizing integral of phi vanished")
+    return cross / (m1 * m2) - 1.0
+
+
 def oracle_divergence_matrix(p0, ps, kind: str, phi=None, reference: str = "") -> DivMatrix:
     """Reference divergence matrix: every entry D(p0 | ps[j], ps[k]) evaluated on its own
-    with ``math.fsum`` by :mod:`codiv.codivergence`, to check ``divergence_matrix``."""
+    by the pairwise ``math.fsum`` sums, to check ``divergence_matrix``."""
     if kind not in MATRIX_KINDS:
         raise PreconditionError(f"unknown matrix kind {kind!r}")
     if kind in ("vphi", "rphi") and phi is None:
         raise PreconditionError(f"kind {kind!r} requires a PhiFunction")
     check_same_support(p0, *ps)
+    if kind in ("vphi", "rphi"):  # the normalizing integrals assume totals of 1
+        check_probability(p0, *ps)
     m = len(ps)
     entries = np.zeros((m, m))
     for j in range(m):
         for k in range(j, m):
-            if kind == "chi2":
-                val = chi2_codiv(p0, ps[j], ps[k])
-            elif kind == "hellinger":
-                val = hellinger_codiv(p0, ps[j], ps[k])
-            elif kind == "vphi":
-                val = v_phi(p0, ps[j], ps[k], phi)
-            else:
-                val = r_phi(p0, ps[j], ps[k], phi)
-            entries[j, k] = val
-            entries[k, j] = val
+            entries[j, k] = entries[k, j] = _pairwise_codiv(p0, ps[j], ps[k], kind, phi)
     return DivMatrix(kind=kind, entries=entries, reference=reference)

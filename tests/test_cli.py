@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from codiv.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, main,
@@ -9,6 +10,7 @@ from codiv.errors import CodivError, DegeneratePhiError
 from codiv.families import BernoulliProd
 from codiv.matrices import DivMatrix, MarkovKernel
 from codiv.measures import DiscreteMeasure
+from helpers import random_dominated, random_probability
 
 UNIFORM = {"support": 2, "mass": [0.5, 0.5]}
 TILTED = {"support": 2, "mass": [0.25, 0.75]}
@@ -127,6 +129,37 @@ def test_overflow_is_a_computational_error(inputs, kind):
     assert status == EXIT_COMPUTE
     error = json.loads(text)["error"]
     assert error["code"] == "computation" and "log(R_alpha + 1)" in error["message"]
+
+
+@pytest.mark.parametrize("family, param, value", [
+    ("poisson_product", "lambda", 1.5),
+    ("bernoulli_product", "theta", 0.3),
+])
+def test_nan_closed_form_is_a_computational_error(family, param, value):
+    # at alpha 1e200 the powers overflow and their differences are inf - inf
+    inputs = [{"kind": family, "params": {param: [value]}}] * 3
+    text, status = run({"command": "codiv", "inputs": inputs, "options": {"kind": "alpha:1e200"}})
+    assert status == EXIT_COMPUTE
+    assert json.loads(text)["error"]["code"] == "computation"
+
+
+@pytest.mark.parametrize("kind", ["chi2", "hellinger", "alpha:0.7", "valpha:1.5"])
+@pytest.mark.parametrize("zeros", [0, 2])
+def test_codiv_is_the_matrix_cell(kind, zeros):
+    rng = np.random.default_rng(41)
+    for i in range(30):
+        p0 = random_probability(rng, 7, zeros=zeros)
+        p1 = random_dominated(rng, p0, zeros=1)
+        # with null points in p0, every third p2 is likely not dominated: an inf cell
+        p2 = random_probability(rng, 7, zeros=zeros) if i % 3 == 0 else random_dominated(rng, p0)
+        inputs = [{"support": 7, "mass": p.mass.tolist()} for p in (p0, p1, p2)]
+        codiv, codiv_status = run({"command": "codiv", "inputs": inputs,
+                                   "options": {"kind": kind}})
+        matrix, matrix_status = run({"command": "matrix", "inputs": inputs,
+                                     "options": {"kind": kind}})
+        assert codiv_status == matrix_status == EXIT_OK
+        # repr tells the bits apart, -0.0 from 0.0 included
+        assert repr(json.loads(codiv)["value"]) == repr(json.loads(matrix)["matrix"]["entries"][1])
 
 
 BERNOULLI_ONE = {"kind": "bernoulli_product", "params": {"theta": [1.0]}}
