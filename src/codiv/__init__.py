@@ -12,8 +12,7 @@ Extended-real results are plain floats; ``math.inf`` is the infinite value.
 """
 
 from .codivergence import (PHI_IDENTITY, PHI_SQRT, Features, PhiFunction, chi2_codiv,
-                           chi2_divergence, features, hellinger_codiv, phi_alpha,
-                           r_alpha, r_phi, v_alpha, v_phi)
+                           features, hellinger_codiv, phi_alpha, r_phi, v_phi)
 from .errors import (CodivError, DegeneratePhiError, DimensionMismatchError,
                      DominationError, KindMismatchError, OracleFailureError,
                      PreconditionError)
@@ -27,15 +26,13 @@ from .local import (ExpansionReport, OffSupportReport, PerturbationPair,
 from .matrices import (DiagnosticStatus, DivMatrix, DpiReport, EigenSummary,
                        MarkovKernel, RankReport, chi2_signed,
                        chi2_signed_decomposition_check, divergence_matrix,
-                       dpi_check, eigen_summary, is_psd, jacobi_eigenvalues,
+                       dpi_check, eigen_summary, jacobi_eigenvalues,
                        link_identity_check, phi_normalizers, push_forward,
                        quadratic_form_check, rank_with_identity)
-from .measures import (DensityRatio, DiscreteMeasure, JordanDecomposition,
-                       SignedMeasure, density_ratio, dominated_by, ess_sup_ratio,
-                       is_valid_perturbation, jordan_decompose, perturb,
+from .measures import (DiscreteMeasure, JordanDecomposition, SignedMeasure,
+                       dominated_by, ess_sup_ratio, jordan_decompose, perturb,
                        validity_radius)
-from .oracles import (OracleConfig, adaptive_gauss_legendre,
-                      oracle_discrete_bruteforce, oracle_divergence_matrix,
+from .oracles import (OracleConfig, adaptive_gauss_legendre, oracle_divergence_matrix,
                       oracle_r_alpha)
 
 __version__ = "0.1.0"

@@ -63,6 +63,8 @@ def parse_kind(text: str) -> tuple[str, float | None]:
                 raise CodivError(f"malformed alpha in kind {text!r}", "/options/kind")
             if not value > 0:
                 raise CodivError("alpha must be positive", "/options/kind")
+            if value == math.inf:
+                raise CodivError("alpha must be finite", "/options/kind")
             return base, value
     raise CodivError(f"unknown kind {text!r}", "/options/kind")
 
@@ -224,7 +226,7 @@ def _random_dominated_instance(rng, options):
 
 
 def _run_dpi(job, tolerance, seed):
-    floor_factor = tolerance if tolerance is not None else 1e-9
+    floor = tolerance if tolerance is not None else 1e-9
     options = job.get("options", {})
     if "trials" in options:
         rng = np.random.default_rng(seed)
@@ -238,16 +240,16 @@ def _run_dpi(job, tolerance, seed):
             report = dpi_check(q0, qs, kernel)
             worst = min(worst, report.min_eig_of_difference / report.scale)
         return {"command": "dpi", "trials": trials, "seed": seed,
-                "worst_scaled_min_eigenvalue": worst, "floor": -floor_factor,
-                "passed": worst >= -floor_factor}
+                "worst_scaled_min_eigenvalue": worst, "floor": -floor,
+                "passed": worst >= -floor}
     measures = _load_measures(job["inputs"])
     kernel = MarkovKernel.from_json_dict(options["kernel"])
     report = dpi_check(measures[0], measures[1:], kernel)
     return {"command": "dpi",
             "before": report.before.to_json_dict(), "after": report.after.to_json_dict(),
             "min_eigenvalue_of_difference": report.min_eig_of_difference,
-            "scale": report.scale, "floor": -floor_factor * report.scale,
-            "passed": report.min_eig_of_difference >= -floor_factor * report.scale}
+            "scale": report.scale, "floor": -floor * report.scale,
+            "passed": report.min_eig_of_difference >= -floor * report.scale}
 
 
 def _run_expand(job, tolerance, seed):
@@ -313,15 +315,14 @@ def run(job: dict, fmt: str = "json", tolerance: float | None = None,
         return _error("validation", "csv format is only available for matrix reports"), \
             EXIT_VALIDATION
     try:
+        if fmt == "csv":
+            return matrix_to_csv(_input_matrix(job)), EXIT_OK
         doc = _HANDLERS[job["command"]](job, tolerance, seed)
     except (DegeneratePhiError, OracleFailureError, OverflowError) as exc:
         return _error("computation", str(exc)), EXIT_COMPUTE
     except CodivError as exc:
         return _error("validation", str(exc)), EXIT_VALIDATION
     status = EXIT_OK if doc.get("passed", True) else EXIT_PROPERTY
-    if fmt == "csv":
-        mat = DivMatrix.from_json_dict(doc["matrix"])
-        return matrix_to_csv(mat), status
     return dumps_canonical(doc) + "\n", status
 
 

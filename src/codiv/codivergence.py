@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegeneratePhiError, PreconditionError
-from .measures import DiscreteMeasure, check_probability, check_same_support, dominated_by
+from .measures import DiscreteMeasure, check_probability, check_same_support
 
 MATRIX_KINDS = ("vphi", "rphi", "chi2", "hellinger")
 
@@ -31,15 +31,12 @@ _PHI_PROBE_POINTS = (0.0, 0.25, 0.5, 1.0, 2.0, 10.0)
 
 @dataclass(frozen=True)
 class PhiFunction:
-    """A nonnegative link function normalized to phi(1) = 1.
-
-    The first two derivatives at 1 are supplied analytically because the
-    local expansion machinery needs them exactly.
-    """
+    """A nonnegative link function normalized to phi(1) = 1.  Any callable is accepted, as in
+    the paper's definition; a link that is not a power can make an rphi normalizer vanish
+    (DegeneratePhiError).  phi'(1) is given exactly, for the local expansion."""
 
     fn: Callable[[float], float]
     dphi_at_one: float
-    d2phi_at_one: float
     name: str = "phi"
 
     def __post_init__(self):
@@ -66,7 +63,6 @@ def phi_alpha(alpha: float) -> PhiFunction:
     return PhiFunction(
         fn=lambda x: x ** alpha,
         dphi_at_one=alpha,
-        d2phi_at_one=alpha * (alpha - 1.0),
         name=f"alpha:{alpha:g}",
     )
 
@@ -176,25 +172,3 @@ def hellinger_codiv(p0: DiscreteMeasure, p1: DiscreteMeasure, p2: DiscreteMeasur
     """Hellinger codivergence via affinities; finite whenever both affinities with p0 are
     positive, so it does not require domination."""
     return _cell(p0, p1, p2, "hellinger")
-
-
-def r_alpha(p0: DiscreteMeasure, p1: DiscreteMeasure, p2: DiscreteMeasure,
-            alpha: float) -> float:
-    """Correlation-type codivergence with the power link x**alpha."""
-    return r_phi(p0, p1, p2, phi_alpha(alpha))
-
-
-def v_alpha(p0: DiscreteMeasure, p1: DiscreteMeasure, p2: DiscreteMeasure,
-            alpha: float) -> float:
-    """Covariance-type codivergence with the power link x**alpha."""
-    return v_phi(p0, p1, p2, phi_alpha(alpha))
-
-
-def chi2_divergence(p: DiscreteMeasure, q: DiscreteMeasure) -> float:
-    """Classical chi-square divergence of p from q; equals chi2_codiv(q | p, p)."""
-    check_same_support(p, q)
-    if not dominated_by(p, q):
-        return math.inf
-    pos = q.mass > 0
-    d = p.mass[pos] - q.mass[pos]
-    return math.fsum(d * d / q.mass[pos])

@@ -30,7 +30,8 @@ class FamilySpec(NamedTuple):
     kind: str  # the JSON kind
     params: tuple  # (JSON name, attribute, rule) per parameter; the first gives the dimension
     shared: str  # the parameter all members of a triple share, or ""
-    log1p: Callable  # (f0, f1, f2, alpha) -> log(R_alpha + 1) of a checked triple
+    log1p: Callable  # (f0, f1, f2, alpha) -> log(R_alpha + 1) of a checked triple, or None
+    # outside the natural domain: only the Gamma and generic formulas have a boundary
     coords: Callable | None  # family -> columns of the parameters of its coordinates
     component: str  # the oracle's integral for one coordinate, or ""
     natural: Callable | None  # family -> its GenericExpFam natural-parameter view
@@ -85,13 +86,6 @@ class _Family:
     @property
     def dim(self) -> int:
         return getattr(self, FAMILIES[type(self)].params[0][1]).size
-
-    def to_json_dict(self) -> dict:
-        params = {}
-        for name, attr, rule in FAMILIES[type(self)].params:
-            value = getattr(self, attr)
-            params[name] = float(value) if rule == "positive-scalar" else [float(x) for x in value]
-        return {"kind": self.kind, "params": params}
 
 
 @dataclass(frozen=True)
@@ -171,7 +165,7 @@ def check_family_triple(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily) -> No
 def _gaussian_log1p(f0, f1, f2, alpha) -> float:
     """alpha^2 <m1 - m0, m2 - m0> / sigma^2, with the shifts and sigma scaled by the power
     of two that brings sigma into [0.5, 1): exact, so the value keeps its bits, and sigma^2
-    cannot underflow.  OverflowError when the value is beyond the float range."""
+    cannot underflow.  OverflowError when the value is above the float range."""
     _, exponent = math.frexp(f0.sigma)
     sigma = math.ldexp(f0.sigma, -exponent)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -183,7 +177,7 @@ def _gaussian_log1p(f0, f1, f2, alpha) -> float:
     if inner == 0:  # orthogonal shifts give 0 even when alpha^2 overflows
         return 0.0
     value = alpha * alpha * inner / (sigma * sigma)
-    if not math.isfinite(value):
+    if value == math.inf:
         raise OverflowError("R_alpha exceeds the float range, and so does log(R_alpha + 1)")
     return value
 
@@ -205,8 +199,8 @@ def _bernoulli_log1p(f0, f1, f2, alpha) -> float:
     return total
 
 
-def _gamma_log1p(f0, f1, f2, alpha) -> float:
-    """log(R_alpha + 1) over Gamma coordinates, or +inf on a domain violation.
+def _gamma_log1p(f0, f1, f2, alpha) -> float | None:
+    """log(R_alpha + 1) over Gamma coordinates, or None on a domain violation.
 
     The rate part is accumulated through log1p of relative rate shifts, which
     is exact up to rounding when the three rates are close (the regime the
@@ -227,7 +221,7 @@ def _gamma_log1p(f0, f1, f2, alpha) -> float:
         x2 = alpha * (b2 - b0) / b0
         x12 = alpha * (b1 + b2 - 2.0 * b0) / b0
         if min(abar, a01, a02) <= 0 or min(1.0 + x1, 1.0 + x2, 1.0 + x12) <= 0:
-            return math.inf
+            return None
         log_gamma_part = (math.lgamma(a0) + math.lgamma(abar)
                           - math.lgamma(a01) - math.lgamma(a02))
         log_rate_part = (a01 * math.log1p(x1) + a02 * math.log1p(x2)
@@ -236,14 +230,14 @@ def _gamma_log1p(f0, f1, f2, alpha) -> float:
     return total
 
 
-def _generic_log1p(f0, f1, f2, alpha) -> float:
+def _generic_log1p(f0, f1, f2, alpha) -> float | None:
     t0, t1, t2 = f0.theta, f1.theta, f2.theta
     tbar = t0 + alpha * (t1 + t2 - 2.0 * t0)
     t01 = t0 + alpha * (t1 - t0)
     t02 = t0 + alpha * (t2 - t0)
     for t in (tbar, t01, t02):
         if not f0.in_domain(t):
-            return math.inf
+            return None
     A = f0.log_partition
     return float(A(tbar) - A(t01) - A(t02) + A(t0))
 
@@ -311,14 +305,19 @@ FAMILY_KINDS = {spec.kind: cls for cls, spec in FAMILIES.items() if cls is not G
 def r_alpha_closed_log1p(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
                          alpha: float) -> float:
     """log(R_alpha + 1) in closed form; +inf when a domain constraint fails.  OverflowError
-    when the formula gives NaN: at a huge alpha a power such as lambda**alpha overflows and
-    the differences of the overflowed terms (inf - inf) are undefined."""
+    when the formula gives NaN or +inf: a power such as lambda**alpha overflowed, and the
+    overflowed terms, or their differences (inf - inf), say nothing of the true value."""
     if not alpha > 0:
         raise PreconditionError("alpha must be positive")
     check_family_triple(f0, f1, f2)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = FAMILIES[type(f0)].log1p(f0, f1, f2, alpha)
-    if math.isnan(value):
+        try:
+            value = FAMILIES[type(f0)].log1p(f0, f1, f2, alpha)
+        except ValueError:  # math.fsum of +inf and -inf terms
+            value = math.nan
+    if value is None:
+        return math.inf
+    if math.isnan(value) or value == math.inf:
         raise OverflowError("log(R_alpha + 1) is undefined in floating point: an "
                             "intermediate power exceeds the float range")
     return value
@@ -327,11 +326,9 @@ def r_alpha_closed_log1p(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
 def r_alpha_closed(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
                    alpha: float) -> float:
     """Closed-form R_alpha codivergence for a same-kind family triple; OverflowError,
-    naming log(R_alpha + 1), when it is finite but beyond the float range."""
+    naming log(R_alpha + 1), when it is finite but R_alpha is beyond the float range."""
     log1p_value = r_alpha_closed_log1p(f0, f1, f2, alpha)
-    if math.isinf(log1p_value):
-        return math.inf
-    try:
+    try:  # expm1 maps the domain's +inf to +inf and -inf to -1
         return math.expm1(log1p_value)
     except OverflowError:
         raise OverflowError(f"R_alpha exceeds the float range: log(R_alpha + 1) = "

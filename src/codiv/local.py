@@ -93,30 +93,27 @@ class ExpansionReport:
             ],
         }
 
-    def decay_ok(self, factor: float = 0.6, noise_floor: float = 1e-14) -> bool:
+    def decay_ok(self) -> bool:
         return (geometric_decay_ok([lv.v_residual for lv in self.levels],
-                                   [lv.v_ratio for lv in self.levels], factor, noise_floor)
+                                   [lv.v_ratio for lv in self.levels])
                 and geometric_decay_ok([lv.r_residual for lv in self.levels],
-                                       [lv.r_ratio for lv in self.levels], factor, noise_floor))
+                                       [lv.r_ratio for lv in self.levels]))
 
 
-def geometric_decay_ok(residuals: Sequence[float], ratios: Sequence[float],
-                       factor: float = 0.6, noise_floor: float = 1e-14) -> bool:
-    """True when each halving shrinks the residual ratio by ``factor`` or the
-    residual itself is already at the noise floor."""
+def geometric_decay_ok(residuals: Sequence[float], ratios: Sequence[float]) -> bool:
+    """True when each halving shrinks the residual ratio by a factor of 0.6 or the
+    residual itself is already at the noise floor 1e-14."""
     for k in range(1, len(ratios)):
-        if residuals[k] <= noise_floor:
+        if residuals[k] <= 1e-14:
             continue
-        if ratios[k] > factor * ratios[k - 1]:
+        if ratios[k] > 0.6 * ratios[k - 1]:
             return False
     return True
 
 
-def _run_levels(p0, mu, mu_tilde, phi, coeff, steps, radius_t, radius_s):
+def _run_levels(p0, mu, mu_tilde, phi, coeff, grid):
     out = []
-    for t, s in steps:
-        if abs(t) > radius_t or abs(s) > radius_s:
-            raise PreconditionError(f"step ({t!r}, {s!r}) lies outside the validity radius")
+    for t, s in grid:
         p1 = perturb(p0, mu, t)
         p2 = perturb(p0, mu_tilde, s)
         v_val = v_phi(p0, p1, p2, phi)
@@ -133,18 +130,16 @@ def _run_levels(p0, mu, mu_tilde, phi, coeff, steps, radius_t, radius_s):
 
 
 def expansion_check(p0: DiscreteMeasure, mu: SignedMeasure, mu_tilde: SignedMeasure,
-                    phi: PhiFunction, steps: Sequence[tuple[float, float]] | None = None,
-                    levels: int = 5, base_factor: float = 0.1, shrink: float = 0.5,
-                    max_shifts: int = 8) -> ExpansionReport:
+                    phi: PhiFunction, levels: int = 5) -> ExpansionReport:
     """Evaluate both codivergence types on a shrinking (t, s) grid against the
     predicted bilinear term t*s*phi'(1)^2*<mu, mu_tilde>.
 
-    The default grid starts at 10% of each direction's validity radius and
-    halves per level.  A coarse grid can straddle the crossover between the
-    third- and fourth-order remainder terms, where consecutive residual
-    ratios do not yet contract; in that case the whole grid is shifted down
-    (up to ``max_shifts`` halvings) until the asymptotic decay is visible.
-    Explicit ``steps`` disable the search and are validated against the radii.
+    The grid starts at 10% of each direction's validity radius (capped at 1),
+    so every step stays inside it, and halves per level.  A coarse grid can
+    straddle the crossover between the third- and fourth-order remainder terms,
+    where consecutive residual ratios do not yet contract; in that case the
+    whole grid is shifted down (up to 8 halvings) until the asymptotic decay is
+    visible.
     """
     pair = PerturbationPair(p0, mu, mu_tilde)
     inner = fisher_inner(pair)
@@ -162,16 +157,11 @@ def expansion_check(p0: DiscreteMeasure, mu: SignedMeasure, mu_tilde: SignedMeas
             grid_shifts=shifts,
         )
 
-    if steps is not None:
-        return build(_run_levels(p0, mu, mu_tilde, phi, coeff, steps, radius_t, radius_s), 0)
-
-    report = None
-    for shift in range(max_shifts + 1):
-        t0 = base_factor * min(radius_t, 1.0) * shrink ** shift
-        s0 = base_factor * min(radius_s, 1.0) * shrink ** shift
-        grid = [(t0 * shrink ** k, s0 * shrink ** k) for k in range(levels)]
-        report = build(_run_levels(p0, mu, mu_tilde, phi, coeff, grid, radius_t, radius_s),
-                       shift)
+    for shift in range(9):
+        t0 = 0.1 * min(radius_t, 1.0) * 0.5 ** shift
+        s0 = 0.1 * min(radius_s, 1.0) * 0.5 ** shift
+        grid = [(t0 * 0.5 ** k, s0 * 0.5 ** k) for k in range(levels)]
+        report = build(_run_levels(p0, mu, mu_tilde, phi, coeff, grid), shift)
         if report.decay_ok():
             return report
     return report

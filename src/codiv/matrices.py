@@ -115,19 +115,6 @@ class DivMatrix:
         return {"kind": self.kind, "size": self.size, "entries": flat,
                 "reference": self.reference}
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "DivMatrix":
-        size = int(doc["size"])
-        # divergence matrices never hold -inf; the only string cell is "inf"
-        if any(isinstance(x, str) and x != "inf" for x in doc["entries"]):
-            raise PreconditionError("entries may only use the string 'inf' for infinities")
-        flat = [math.inf if x == "inf" else float(x) for x in doc["entries"]]
-        if len(flat) != size * size:
-            raise PreconditionError("entries length does not match size^2")
-        return cls(kind=doc["kind"], entries=np.array(flat).reshape(size, size),
-                   reference=doc.get("reference", ""))
-
-
 class DiagnosticStatus(enum.Enum):
     OK = "ok"
     NOT_APPLICABLE = "not-applicable"  # matrix contains +inf entries
@@ -144,14 +131,6 @@ def eigen_summary(mat: DivMatrix) -> EigenSummary:
         return EigenSummary(DiagnosticStatus.NOT_APPLICABLE, None, None)
     eigs = np.linalg.eigvalsh(mat.entries)
     return EigenSummary(DiagnosticStatus.OK, float(eigs[0]), float(eigs[-1]))
-
-
-def is_psd(mat: DivMatrix, floor_factor: float = RANK_TOL_FACTOR) -> bool | None:
-    """PSD check up to the scaled floor; None when infinite entries make it inapplicable."""
-    summary = eigen_summary(mat)
-    if summary.status is not DiagnosticStatus.OK:
-        return None
-    return summary.min_eigenvalue >= -floor_factor * max(1.0, summary.max_eigenvalue)
 
 
 def divergence_matrix(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind: str,
@@ -309,10 +288,6 @@ class MarkovKernel:
     @classmethod
     def identity(cls, n: int) -> "MarkovKernel":
         return cls(np.eye(n))
-
-    def to_json_dict(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols,
-                "matrix": [[float(x) for x in row] for row in self.matrix]}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MarkovKernel":

@@ -79,9 +79,6 @@ class _Measure:
     def total(self) -> float:
         return math.fsum(self.mass)
 
-    def to_json_dict(self) -> dict:
-        return {"support": self.support_size, "mass": [float(x) for x in self.mass]}
-
     @classmethod
     def from_json_dict(cls, doc: dict):
         mass, problems = measure_problems(doc, signed=cls.signed)
@@ -122,14 +119,6 @@ class SignedMeasure(_Measure):
         object.__setattr__(self, "mass", mass)
 
 
-@dataclass(frozen=True)
-class DensityRatio:
-    """Pointwise ratio d(mu)/d(p0); ``dominated`` is False iff mu puts mass on a p0-null point."""
-
-    values: np.ndarray
-    dominated: bool
-
-
 class JordanDecomposition(NamedTuple):
     alpha_plus: float
     mu_plus: DiscreteMeasure
@@ -155,19 +144,6 @@ def dominated_by(mu, p0: DiscreteMeasure) -> bool:
     check_same_support(mu, p0)
     null = p0.mass == 0
     return bool(np.all(mu.mass[null] == 0))
-
-
-def density_ratio(mu, p0: DiscreteMeasure) -> DensityRatio:
-    """Ratio of mu to p0 on each point; p0-null points with mu-mass 0 get ratio 0."""
-    check_same_support(mu, p0)
-    pos = p0.mass > 0
-    values = np.zeros(p0.support_size)
-    values[pos] = mu.mass[pos] / p0.mass[pos]
-    # Points violating domination are flagged and carry a signed infinity.
-    bad = ~pos & (mu.mass != 0)
-    values[bad] = np.sign(mu.mass[bad]) * np.inf
-    values.flags.writeable = False
-    return DensityRatio(values=values, dominated=not bool(np.any(bad)))
 
 
 def jordan_decompose(mu: SignedMeasure) -> JordanDecomposition:
@@ -206,16 +182,6 @@ def validity_radius(mu: SignedMeasure, p0: DiscreteMeasure) -> float:
     """
     sup = ess_sup_ratio(mu, p0)
     return math.inf if sup == 0 else 1.0 / sup
-
-
-def is_valid_perturbation(p0: DiscreteMeasure, mu: SignedMeasure, t: float,
-                          tol: float = PROBABILITY_TOL) -> bool:
-    """Check that p0 + t*mu is a probability measure up to tolerance ``tol``."""
-    check_same_support(mu, p0)
-    mass = p0.mass + t * mu.mass
-    if np.any(mass < -tol):
-        return False
-    return abs(math.fsum(mass) - 1.0) <= tol
 
 
 def perturb(p0: DiscreteMeasure, mu: SignedMeasure, t: float) -> DiscreteMeasure:

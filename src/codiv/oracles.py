@@ -145,7 +145,11 @@ def _poisson_power_sum(lams, powers) -> float:
     powers = np.asarray(powers, dtype=float)
     B = float(np.dot(powers, lams))
     L = float(np.dot(powers, np.log(lams)))
-    growth = math.exp(L)  # term ratio is growth/(k+1)
+    try:
+        growth = math.exp(L)  # term ratio is growth/(k+1)
+    except OverflowError:
+        raise OracleFailureError(f"the Poisson series' term ratio e^{L!r}/(k + 1) exceeds "
+                                 "the float range") from None
     terms = []
     k = 0
     while True:
@@ -212,30 +216,6 @@ def oracle_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: flo
     # coordinate x family x component parameter
     table = np.stack([np.column_stack(spec.coords(f)) for f in (f0, f1, f2)], axis=1)
     return r_alpha_product([_component_r_alpha(integral, params, alpha, cfg) for params in table])
-
-
-def oracle_discrete_bruteforce(p0, p1, p2, phi) -> float:
-    """Reference r_phi on small discrete supports: naive loops, no compensation."""
-    check_same_support(p0, p1, p2)
-    check_probability(p0, p1, p2)
-    if p0.support_size > 10_000:
-        raise PreconditionError("brute-force oracle is limited to supports of at most 1e4 points")
-    cross = 0.0
-    m1 = 0.0
-    m2 = 0.0
-    for w0, w1, w2 in zip(p0.mass, p1.mass, p2.mass):
-        if w0 == 0.0:
-            if w1 != 0.0 or w2 != 0.0:
-                return math.inf
-            continue
-        f1 = phi.fn(w1 / w0)
-        f2 = phi.fn(w2 / w0)
-        cross += f1 * f2 * w0
-        m1 += f1 * w0
-        m2 += f2 * w0
-    if m1 <= 0 or m2 <= 0:
-        raise DegeneratePhiError("a normalizing integral of phi vanished")
-    return cross / (m1 * m2) - 1.0
 
 
 def _pairwise_codiv(p0, p1, p2, kind: str, phi) -> float:

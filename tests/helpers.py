@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from codiv import DiscreteMeasure, SignedMeasure
+from codiv import DiscreteMeasure, PreconditionError, SignedMeasure, perturb
 
 
 def random_probability(rng, n, floor=0.05, zeros=0) -> DiscreteMeasure:
@@ -37,6 +37,14 @@ def random_direction(rng, p0: DiscreteMeasure, scale=1.0) -> SignedMeasure:
     mu = SignedMeasure(v)
     assert abs(mu.total) <= 1e-12
     return mu
+
+
+def perturbs_to_probability(p0: DiscreteMeasure, mu: SignedMeasure, t: float) -> bool:
+    """True when perturb makes p0 + t*mu a measure that is a probability within 1e-12."""
+    try:
+        return perturb(p0, mu, t).is_probability
+    except PreconditionError:
+        return False
 
 
 def random_kernel(rng, n_in, n_out) -> np.ndarray:

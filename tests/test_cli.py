@@ -8,7 +8,7 @@ from codiv.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, ma
                        parse_kind, run, validate)
 from codiv.errors import CodivError, DegeneratePhiError
 from codiv.families import BernoulliProd
-from codiv.matrices import DivMatrix, MarkovKernel
+from codiv.matrices import MarkovKernel
 from codiv.measures import DiscreteMeasure
 from helpers import random_dominated, random_probability
 
@@ -119,10 +119,21 @@ def test_malformed_options_are_validation_errors(command, inputs, options, name)
     assert [f["path"] for f in json.loads(text)["error"]["findings"]] == [f"/options/{name}"]
 
 
+def _poisson(*rates):
+    return [{"kind": "poisson_product", "params": {"lambda": list(r)}} for r in rates]
+
+
 @pytest.mark.parametrize("inputs, kind", [
-    ([{"kind": "poisson_product", "params": {"lambda": [x]}} for x in (1.0, 100.0, 100.0)], "chi2"),
+    (_poisson([1.0], [100.0], [100.0]), "chi2"),
     ([{"kind": "gaussian_iso", "params": {"mean": [m], "sigma": 0.1}} for m in (0.0, 1.0, 1.0)],
      "alpha:5"),
+    # log(R_alpha + 1) overflows to +inf, which is not the "inf" of an outside domain
+    (_poisson([1.0], [1e200], [1e200]), "chi2"),
+    # R is about e^692, but theta0^(1 - 2 alpha) overflows
+    ([{"kind": "bernoulli_product", "params": {"theta": [t]}} for t in (1e-300, 0.5, 0.5)],
+     "alpha:2"),
+    # one coordinate's term overflows to +inf and the other's to -inf
+    (_poisson([1.0, 1.0], [1e300, 1e300], [1e300, 0.5]), "alpha:1.1"),
 ])
 def test_overflow_is_a_computational_error(inputs, kind):
     text, status = run({"command": "codiv", "inputs": inputs, "options": {"kind": kind}})
@@ -193,6 +204,10 @@ class TestParseKind:
             parse_kind("alpha:zero")
         with pytest.raises(CodivError):
             parse_kind("kl")
+        for text in ("alpha:inf", "valpha:inf", "alpha:nan"):
+            with pytest.raises(CodivError) as raised:
+                parse_kind(text)
+            assert raised.value.path == "/options/kind"
 
 
 class TestCommands:
@@ -303,9 +318,8 @@ class TestReportContracts:
                "options": {"kind": "chi2"}}
         status, out = run_main(capsys, ["--input", write_job(tmp_path, job)])
         assert status == EXIT_OK
-        doc = json.loads(out)
-        mat = DivMatrix.from_json_dict(doc["matrix"])
-        assert mat.entries[0, 0] == math.inf
+        doc = json.loads(out)["matrix"]
+        assert doc["size"] == 1 and doc["entries"] == ["inf"]
 
     def test_csv_matrix_output(self, tmp_path, capsys):
         job = {"command": "matrix", "inputs": [UNIFORM, TILTED], "options": {"kind": "chi2"}}
@@ -313,6 +327,20 @@ class TestReportContracts:
                                ["--input", write_job(tmp_path, job), "--format", "csv"])
         assert status == EXIT_OK
         assert out.splitlines()[0].startswith("kind,chi2")
+
+    @pytest.mark.parametrize("kind", ["chi2", "hellinger", "alpha:0.7", "valpha:1.5"])
+    def test_csv_cells_are_the_json_entries(self, kind):
+        # the last measure is off supp p0 (an inf row for every kind), the others not
+        inputs = [{"mass": m} for m in ([0.5, 0.3, 0.2, 0.0], [0.2, 0.3, 0.5, 0.0],
+                                         [0.1, 0.6, 0.3, 0.0], [0.0, 0.0, 0.0, 1.0])]
+        job = {"command": "matrix", "inputs": inputs, "options": {"kind": kind}}
+        text, status = run(job)
+        csv_text, csv_status = run(job, fmt="csv")
+        assert status == csv_status == EXIT_OK
+        entries = json.loads(text)["matrix"]["entries"]
+        assert "inf" in entries and len(set(entries)) > 2
+        cells = [cell for line in csv_text.splitlines()[1:] for cell in line.split(",")]
+        assert cells == [x if x == "inf" else format(x, ".17g") for x in entries]
 
     def test_csv_rejected_elsewhere(self, tmp_path, capsys):
         job = {"command": "codiv", "inputs": [UNIFORM, UNIFORM, UNIFORM],

@@ -6,7 +6,8 @@ import pytest
 from codiv import (BernoulliProd, DimensionMismatchError, ExponentialProd, GammaProd,
                    GaussianIso, KindMismatchError, PoissonProd, PreconditionError,
                    as_generic, family_from_json_dict, gamma_first_order,
-                   r_alpha_closed, r_alpha_product)
+                   r_alpha_closed, r_alpha_closed_log1p, r_alpha_product)
+from codiv.families import FAMILIES
 
 
 class TestGaussian:
@@ -243,6 +244,15 @@ def test_overflow_names_the_log_value(triple, alpha, log1p_value):
         r_alpha_closed(*triple, alpha)
 
 
+@pytest.mark.parametrize("triple, alpha", [
+    ([PoissonProd([x]) for x in (1.0, 1e300, 0.5)], 1.1),  # log(R_alpha + 1) ~ -5e329
+    ([GaussianIso([m], 1.0) for m in (0.0, 1e200, -1e200)], 1.0),
+])
+def test_log1p_below_the_float_range_gives_minus_one(triple, alpha):
+    assert r_alpha_closed_log1p(*triple, alpha) == -math.inf
+    assert r_alpha_closed(*triple, alpha) == -1.0
+
+
 @pytest.mark.parametrize("sigma", [1e-170, 1e-160, 1e170])
 def test_gaussian_sigma_squared_neither_underflows_nor_overflows(sigma):
     """Shifts of one sigma give e^(alpha^2) - 1 however small or large sigma is; shifts of
@@ -265,11 +275,15 @@ def test_kind_and_dimension_mismatch():
 
 
 def test_family_json_round_trip():
-    fams = [GaussianIso([0.0, 1.0], 2.0), PoissonProd([1.5]), BernoulliProd([0.25]),
-            ExponentialProd([2.0]), GammaProd([1.5], [2.5])]
-    for f in fams:
-        doc = f.to_json_dict()
-        g = family_from_json_dict(doc)
-        assert g.to_json_dict() == doc
+    docs = {GaussianIso: {"kind": "gaussian_iso", "params": {"mean": [0.0, 1.0], "sigma": 2.0}},
+            PoissonProd: {"kind": "poisson_product", "params": {"lambda": [1.5]}},
+            BernoulliProd: {"kind": "bernoulli_product", "params": {"theta": [0.25]}},
+            ExponentialProd: {"kind": "exponential_product", "params": {"beta": [2.0]}},
+            GammaProd: {"kind": "gamma_product", "params": {"shape": [1.5], "rate": [2.5]}}}
+    for cls, doc in docs.items():
+        f = family_from_json_dict(doc)
+        assert type(f) is cls and f.kind == doc["kind"]
+        for name, attr, _ in FAMILIES[cls].params:
+            np.testing.assert_array_equal(getattr(f, attr), doc["params"][name])
     with pytest.raises(PreconditionError):
         family_from_json_dict({"kind": "cauchy", "params": {}})

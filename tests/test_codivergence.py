@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from codiv import (PHI_IDENTITY, PHI_SQRT, DegeneratePhiError, DiscreteMeasure,
-                   PhiFunction, PreconditionError, chi2_codiv, chi2_divergence,
-                   hellinger_codiv, phi_alpha, r_alpha, r_phi, v_alpha, v_phi)
+                   PhiFunction, PreconditionError, SignedMeasure, chi2_codiv, chi2_signed,
+                   hellinger_codiv, phi_alpha, r_phi, v_phi)
 from helpers import random_dominated, random_direction, random_probability
 
 P0 = DiscreteMeasure([0.5, 0.5])
@@ -15,7 +15,7 @@ P2 = DiscreteMeasure([0.75, 0.25])
 
 def test_phi_normalization_enforced():
     with pytest.raises(PreconditionError):
-        PhiFunction(fn=lambda x: 2.0 * x, dphi_at_one=2.0, d2phi_at_one=0.0)
+        PhiFunction(fn=lambda x: 2.0 * x, dphi_at_one=2.0)
     with pytest.raises(PreconditionError):
         phi_alpha(0.0)
 
@@ -56,7 +56,7 @@ class TestRphi:
 
     def test_degenerate_phi_raises(self):
         spike = PhiFunction(fn=lambda x: 1.0 if x == 1.0 else 0.0,
-                            dphi_at_one=0.0, d2phi_at_one=0.0, name="spike")
+                            dphi_at_one=0.0, name="spike")
         with pytest.raises(DegeneratePhiError):
             r_phi(P0, P1, P1, spike)
 
@@ -76,7 +76,7 @@ class TestChi2:
             p0 = random_probability(rng, 6, zeros=1)
             p1 = random_dominated(rng, p0)
             assert chi2_codiv(p0, p1, p1) == pytest.approx(
-                chi2_divergence(p1, p0), abs=1e-12)
+                chi2_signed(SignedMeasure(p1.mass), p0), abs=1e-12)
 
     def test_exact_bilinearity(self):
         rng = np.random.default_rng(9)
@@ -121,7 +121,7 @@ class TestRAlpha:
             p0 = random_probability(rng, 4)
             pa = random_dominated(rng, p0)
             pb = random_dominated(rng, p0)
-            assert r_alpha(p0, pa, pb, 1.0) == pytest.approx(
+            assert r_phi(p0, pa, pb, phi_alpha(1.0)) == pytest.approx(
                 chi2_codiv(p0, pa, pb), abs=1e-13)
 
     def test_alpha_half_is_hellinger_on_dominated(self):
@@ -130,13 +130,13 @@ class TestRAlpha:
             p0 = random_probability(rng, 5)
             pa = random_dominated(rng, p0)
             pb = random_dominated(rng, p0)
-            assert r_alpha(p0, pa, pb, 0.5) == pytest.approx(
+            assert r_phi(p0, pa, pb, phi_alpha(0.5)) == pytest.approx(
                 hellinger_codiv(p0, pa, pb), abs=1e-13)
 
     def test_reference_diagonal_zero_any_alpha(self):
         for a in (0.25, 0.5, 1.0, 1.7):
-            assert r_alpha(P0, P0, P0, a) == pytest.approx(0.0, abs=1e-14)
-            assert v_alpha(P0, P0, P0, a) == pytest.approx(0.0, abs=1e-14)
+            assert r_phi(P0, P0, P0, phi_alpha(a)) == pytest.approx(0.0, abs=1e-14)
+            assert v_phi(P0, P0, P0, phi_alpha(a)) == pytest.approx(0.0, abs=1e-14)
 
 
 class TestStructuralProperties:

@@ -129,12 +129,6 @@ class TestExpansionCheck:
                                  SignedMeasure([0.0, 0.0]), PHI_SQRT)
         assert all(lv.v_ratio <= 1e-12 for lv in report.levels)
 
-    def test_steps_outside_radius_rejected(self):
-        p0 = DiscreteMeasure([0.5, 0.5])
-        mu = SignedMeasure([0.5, -0.5])
-        with pytest.raises(PreconditionError):
-            expansion_check(p0, mu, mu, PHI_SQRT, steps=[(1.5, 0.1)])
-
     def test_gram_recovered_from_expansion(self):
         rng = np.random.default_rng(71)
         p0 = random_probability(rng, 5)

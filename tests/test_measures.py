@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codiv import (DiscreteMeasure, DimensionMismatchError, DominationError,
-                   PreconditionError, SignedMeasure, density_ratio, dominated_by,
-                   ess_sup_ratio, is_valid_perturbation, jordan_decompose, perturb,
-                   validity_radius)
-from helpers import random_direction, random_probability
+                   PreconditionError, SignedMeasure, divergence_matrix, dominated_by,
+                   ess_sup_ratio, features, jordan_decompose, perturb, validity_radius)
+from helpers import perturbs_to_probability, random_direction, random_probability
 
 
 class TestDominatedBy:
@@ -28,32 +27,41 @@ class TestDominatedBy:
 
 
 class TestDensityRatio:
+    """dP/dP0 as the chi2 rows of ``features`` carry it, (dP/dP0 - 1) sqrt(p0) on supp p0,
+    and as ``ess_sup_ratio`` bounds it for a direction."""
+
+    QUARTERS = DiscreteMeasure([0.25, 0.25, 0.25, 0.25])  # sqrt(p0) = 0.5 exactly
+
     def test_unit_ratios(self):
-        r = density_ratio(SignedMeasure([0.5, -0.5]), DiscreteMeasure([0.5, 0.5]))
-        assert r.dominated
-        np.testing.assert_array_equal(r.values, [1.0, -1.0])
+        rows = features(self.QUARTERS, [self.QUARTERS], "chi2")
+        assert rows.finite.all()
+        np.testing.assert_array_equal(rows.rows, [[0.0, 0.0, 0.0, 0.0]])
 
     def test_zero_measure(self):
-        r = density_ratio(SignedMeasure([0, 0]), DiscreteMeasure([0.5, 0.5]))
-        np.testing.assert_array_equal(r.values, [0.0, 0.0])
+        rows = features(self.QUARTERS, [DiscreteMeasure([0.5, 0.5, 0.0, 0.0])], "chi2")
+        np.testing.assert_array_equal(rows.rows, [[0.5, 0.5, -0.5, -0.5]])
 
     def test_direct_division(self):
-        r = density_ratio(SignedMeasure([0.25, -0.25, 0]), DiscreteMeasure([0.25, 0.25, 0.5]))
-        np.testing.assert_array_equal(r.values, [1.0, -1.0, 0.0])
-        assert r.dominated
+        # ratios (2, 0, 1)
+        rows = features(DiscreteMeasure([0.25, 0.25, 0.5]), [DiscreteMeasure([0.5, 0.0, 0.5])],
+                        "chi2")
+        np.testing.assert_array_equal(rows.rows, [[0.5, -0.5, 0.0]])
+        assert rows.finite.all()
 
     def test_non_dominated_flag(self):
-        r = density_ratio(SignedMeasure([0, 0.3]), DiscreteMeasure([1.0, 0.0]))
-        assert not r.dominated
-        assert r.values[1] == math.inf
+        p0, p1 = DiscreteMeasure([1.0, 0.0]), DiscreteMeasure([0.7, 0.3])
+        assert not features(p0, [p1], "chi2").finite[0]
+        assert divergence_matrix(p0, [p1], "chi2").entries[0, 0] == math.inf
 
     def test_remultiplication_recovers_mu(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             p0 = random_probability(rng, 6)
             mu = random_direction(rng, p0)
-            r = density_ratio(mu, p0)
-            np.testing.assert_allclose(r.values * p0.mass, mu.mass, rtol=4e-16, atol=1e-300)
+            sup = ess_sup_ratio(mu, p0)
+            np.testing.assert_array_less(np.abs(mu.mass), sup * p0.mass * (1 + 4e-16))
+            top = np.argmax(np.abs(mu.mass) / p0.mass)
+            np.testing.assert_allclose(sup * p0.mass[top], abs(mu.mass[top]), rtol=4e-16)
 
 
 class TestJordan:
@@ -129,8 +137,8 @@ class TestValidityRadius:
             a_star = validity_radius(mu, p0)
             assert math.isfinite(a_star)
             for t in np.linspace(-a_star, a_star, 20):
-                assert is_valid_perturbation(p0, mu, t)
-            assert not is_valid_perturbation(p0, mu, 1.01 * a_star)
+                assert perturbs_to_probability(p0, mu, t)
+            assert not perturbs_to_probability(p0, mu, 1.01 * a_star)
 
     def test_perturb_constructs_measure_at_boundary(self):
         p0 = DiscreteMeasure([0.5, 0.5])
@@ -155,8 +163,8 @@ def test_measure_validation():
 
 
 def test_json_round_trip():
-    p = DiscreteMeasure([0.25, 0.75])
-    assert DiscreteMeasure.from_json_dict(p.to_json_dict()).mass.tolist() == [0.25, 0.75]
+    doc = {"support": 2, "mass": [0.25, 0.75]}
+    assert DiscreteMeasure.from_json_dict(doc).mass.tolist() == doc["mass"]
     doc = {"support": 3, "mass": [0.1, -0.1, 0.0]}
     assert SignedMeasure.from_json_dict(doc).mass.tolist() == [0.1, -0.1, 0.0]
     with pytest.raises(PreconditionError):

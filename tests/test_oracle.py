@@ -6,7 +6,7 @@ import pytest
 from codiv import (PHI_SQRT, BernoulliProd, DiscreteMeasure, ExponentialProd,
                    GammaProd, GaussianIso, OracleConfig, OracleFailureError,
                    PoissonProd, PreconditionError, adaptive_gauss_legendre,
-                   oracle_discrete_bruteforce, oracle_r_alpha, phi_alpha, r_phi)
+                   oracle_divergence_matrix, oracle_r_alpha, phi_alpha, r_phi)
 from codiv.oracles import _poisson_power_sum
 from helpers import random_dominated, random_probability
 
@@ -96,6 +96,8 @@ class TestSelfConsistency:
 
 
 class TestDiscreteBruteForce:
+    """The pairwise oracle, which sums each entry on its own, against the Gram cells."""
+
     def test_matches_compensated_implementation(self):
         rng = np.random.default_rng(25)
         for _ in range(1000):
@@ -104,14 +106,15 @@ class TestDiscreteBruteForce:
             pb = random_dominated(rng, p0)
             phi = phi_alpha(rng.choice([0.25, 0.5, 1.0, 2.0]))
             fast = r_phi(p0, pa, pb, phi)
-            slow = oracle_discrete_bruteforce(p0, pa, pb, phi)
+            slow = oracle_divergence_matrix(p0, [pa, pb], "rphi", phi).entries[0, 1]
             assert slow == pytest.approx(fast, abs=1e-11)
 
     def test_identity_triple(self):
         p0 = DiscreteMeasure([0.3, 0.7])
-        assert oracle_discrete_bruteforce(p0, p0, p0, PHI_SQRT) == pytest.approx(0.0, abs=1e-15)
+        assert oracle_divergence_matrix(p0, [p0], "rphi", PHI_SQRT).entries[0, 0] == \
+            pytest.approx(0.0, abs=1e-15)
 
     def test_non_dominated_is_infinite(self):
         p0 = DiscreteMeasure([1.0, 0.0])
         p1 = DiscreteMeasure([0.5, 0.5])
-        assert oracle_discrete_bruteforce(p0, p1, p1, PHI_SQRT) == math.inf
+        assert oracle_divergence_matrix(p0, [p1], "rphi", PHI_SQRT).entries[0, 0] == math.inf
