@@ -32,7 +32,6 @@ from .matrices import (DiagnosticStatus, DivMatrix, DpiReport, EigenSummary,
 from .measures import (DiscreteMeasure, JordanDecomposition, SignedMeasure,
                        dominated_by, ess_sup_ratio, jordan_decompose, perturb,
                        validity_radius)
-from .oracles import (OracleConfig, adaptive_gauss_legendre, oracle_divergence_matrix,
-                      oracle_r_alpha)
+from .oracles import adaptive_gauss_legendre, oracle_divergence_matrix, oracle_r_alpha
 
 __version__ = "0.1.0"

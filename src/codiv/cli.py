@@ -23,8 +23,9 @@ from .families import (family_from_json_dict, family_problems, family_set_proble
 from .local import expansion_check, hellinger_off_support_check
 from .matrices import (DivMatrix, MarkovKernel, divergence_matrix, dpi_check, kernel_problems,
                        rank_with_identity)
-from .measures import DiscreteMeasure, SignedMeasure, measure_problems, support_problems
-from .oracles import OracleConfig, oracle_r_alpha
+from .measures import (DiscreteMeasure, SignedMeasure, direction_problems, measure_problems,
+                       support_problems)
+from .oracles import oracle_r_alpha
 from .serialize import dumps_canonical, matrix_to_csv
 
 EXIT_OK = 0
@@ -34,11 +35,13 @@ EXIT_PROPERTY = 4
 
 COMMANDS = ("codiv", "matrix", "rank", "dpi", "expand", "oracle-check")
 
+# Upper bounds of the count options, which keep a job's work bounded; a suite kernel of
+# support x output_support floats stays within 32 MB.
+_COUNT_BOUNDS = {"trials": 1000, "support": 2000, "count": 200, "output_support": 2000,
+                 "levels": 50, "grid_n": 20}
 # Options whose values are counts or scales: name -> (test, what the value must be).
-_OPTION_SCHEMA = {
-    name: (lambda x: type(x) is int and x > 0, "a positive integer")
-    for name in ("trials", "support", "count", "output_support", "levels", "grid_n")
-}
+_OPTION_SCHEMA = {name: (lambda x: type(x) is int and x > 0, "a positive integer")
+                  for name in _COUNT_BOUNDS}
 _OPTION_SCHEMA["grid_scale"] = (lambda x: type(x) in (int, float) and 0 < x < math.inf,
                                 "a positive finite number")
 
@@ -88,24 +91,28 @@ def _masses(inputs, problems: list, directions=()) -> list:
     return masses
 
 
-def validate(job: dict) -> list:
-    """Structural validation findings; an empty list means the job can run."""
+def validate(job: dict) -> tuple[list, list | None]:
+    """Structural validation findings, and the inputs built from what was checked: the job's
+    measures, directions or families in order, then the dpi kernel.  The inputs are None
+    unless there are no findings, which means the job can run."""
     command = job.get("command")
     if command not in COMMANDS:
-        return [{"path": "/command", "message": f"unknown command {command!r}"}]
+        return [{"path": "/command", "message": f"unknown command {command!r}"}], None
     inputs = job.get("inputs")
     options = job.get("options", {})
     if not isinstance(options, dict):
-        return [{"path": "/options", "message": "options must be an object"}]
+        return [{"path": "/options", "message": "options must be an object"}], None
     randomized = command in ("dpi", "rank") and "trials" in options
     if not randomized and not (isinstance(inputs, list) and inputs):
-        return [{"path": "/inputs", "message": "inputs must be a non-empty list"}]
+        return [{"path": "/inputs", "message": "inputs must be a non-empty list"}], None
     if command in _INPUT_COUNTS and len(inputs) != 3:
-        return [{"path": "/inputs", "message": _INPUT_COUNTS[command]}]
+        return [{"path": "/inputs", "message": _INPUT_COUNTS[command]}], None
 
     problems: list = []
-    if command == "oracle-check" or (
-            command == "codiv" and all(isinstance(x, dict) and "kind" in x for x in inputs)):
+    masses, directions, kernel = [], (), None
+    families = command == "oracle-check" or (
+        command == "codiv" and all(isinstance(x, dict) and "kind" in x for x in inputs))
+    if families:
         members = []
         for i, doc in enumerate(inputs):
             member, found = family_problems(doc, f"/inputs/{i}")
@@ -122,18 +129,15 @@ def validate(job: dict) -> list:
         problems += support_problems(masses)
     elif command == "expand":
         mode = options.get("mode", "local")
-        masses = _masses(inputs, problems, directions=(1, 2))
+        directions = (1, 2)
+        masses = _masses(inputs, problems, directions)
         if mode not in ("local", "off-support"):
             problems.append(CodivError(f"unknown mode {mode!r}", "/options/mode"))
         problems += support_problems(masses)
         if not problems:
-            off = mode == "off-support"
-            message = ("direction must be nonnegative outside the reference support" if off
-                       else "direction puts mass on a reference null point")
-            for i in (1, 2):
-                bad = np.flatnonzero((masses[0] == 0) & (masses[i] < 0 if off else masses[i] != 0))
-                if bad.size:
-                    problems.append(CodivError(message, f"/inputs/{i}/mass/{bad[0]}"))
+            for i in directions:
+                problems += direction_problems(masses[i], masses[0], mode == "off-support",
+                                               f"/inputs/{i}")
         if mode == "local":
             _kind_option(options, problems)
     elif not randomized:  # matrix, rank and dpi on explicit measures
@@ -153,15 +157,16 @@ def validate(job: dict) -> list:
     for name, (test, what) in _OPTION_SCHEMA.items():
         if name in options and not test(options[name]):
             problems.append(CodivError(f"{name} must be {what}", f"/options/{name}"))
-    return [{"path": p.path, "message": str(p)} for p in problems]
-
-
-def _load_measures(inputs) -> list[DiscreteMeasure]:
-    return [DiscreteMeasure.from_json_dict(doc) for doc in inputs]
-
-
-def _finite_or_inf(x: float):
-    return "inf" if math.isinf(x) else x
+        elif options.get(name, 0) > _COUNT_BOUNDS.get(name, math.inf):
+            problems.append(CodivError(f"{name} must be {what} at most {_COUNT_BOUNDS[name]}",
+                                       f"/options/{name}"))
+    if problems:
+        return [{"path": p.path, "message": str(p)} for p in problems], None
+    if families:
+        return [], [family_from_json_dict(doc) for doc in inputs]
+    built = [(SignedMeasure if i in directions else DiscreteMeasure)(mass)
+             for i, mass in enumerate(masses)]
+    return [], built if kernel is None else built + [MarkovKernel(kernel)]
 
 
 def _kind_and_link(options) -> tuple[str, float, PhiFunction | None]:
@@ -170,30 +175,26 @@ def _kind_and_link(options) -> tuple[str, float, PhiFunction | None]:
     return base, alpha, phi_alpha(alpha) if base in ("vphi", "rphi") else None
 
 
-def _input_matrix(job) -> DivMatrix:
+def _input_matrix(options, inputs) -> DivMatrix:
     """The divergence matrix of the job's measures around its first one."""
-    measures = _load_measures(job["inputs"])
-    base, _, phi = _kind_and_link(job.get("options", {}))
-    return divergence_matrix(measures[0], measures[1:], base, phi=phi, reference="inputs[0]")
+    base, _, phi = _kind_and_link(options)
+    return divergence_matrix(inputs[0], inputs[1:], base, phi=phi, reference="inputs[0]")
 
 
-def _run_codiv(job, tolerance, seed):
-    inputs = job["inputs"]
-    kind = job.get("options", {})["kind"]
-    if all("kind" in doc for doc in inputs):
-        f0, f1, f2 = (family_from_json_dict(doc) for doc in inputs)
-        value = r_alpha_closed(f0, f1, f2, parse_kind(kind)[1])
+def _run_codiv(options, inputs, tolerance, seed):
+    kind = options["kind"]
+    if isinstance(inputs[0], DiscreteMeasure):
+        value = float(_input_matrix(options, inputs).entries[0, 1])
     else:
-        value = float(_input_matrix(job).entries[0, 1])
-    return {"command": "codiv", "kind": kind, "value": _finite_or_inf(value)}
+        value = r_alpha_closed(*inputs, parse_kind(kind)[1])
+    return {"command": "codiv", "kind": kind, "value": value}
 
 
-def _run_matrix(job, tolerance, seed):
-    return {"command": "matrix", "matrix": _input_matrix(job).to_json_dict()}
+def _run_matrix(options, inputs, tolerance, seed):
+    return {"command": "matrix", "matrix": _input_matrix(options, inputs).to_json_dict()}
 
 
-def _run_rank(job, tolerance, seed):
-    options = job.get("options", {})
+def _run_rank(options, inputs, tolerance, seed):
     base, _, phi = _kind_and_link(options)
     tol_factor = tolerance if tolerance is not None else matrices.RANK_TOL_FACTOR
     if "trials" in options:
@@ -207,8 +208,7 @@ def _run_rank(job, tolerance, seed):
                 agree += 1
         return {"command": "rank", "kind": options["kind"], "trials": trials,
                 "seed": seed, "agreements": agree, "passed": agree == trials}
-    measures = _load_measures(job["inputs"])
-    report = rank_with_identity(measures[0], measures[1:], base, phi=phi, tol_factor=tol_factor)
+    report = rank_with_identity(inputs[0], inputs[1:], base, phi=phi, tol_factor=tol_factor)
     if report.status is matrices.DiagnosticStatus.NOT_APPLICABLE:
         return {"command": "rank", "kind": options["kind"], "status": "not-applicable"}
     return {"command": "rank", "kind": options["kind"], "status": "ok",
@@ -225,9 +225,8 @@ def _random_dominated_instance(rng, options):
     return measures[0], measures[1:]
 
 
-def _run_dpi(job, tolerance, seed):
+def _run_dpi(options, inputs, tolerance, seed):
     floor = tolerance if tolerance is not None else 1e-9
-    options = job.get("options", {})
     if "trials" in options:
         rng = np.random.default_rng(seed)
         trials = options["trials"]
@@ -242,8 +241,7 @@ def _run_dpi(job, tolerance, seed):
         return {"command": "dpi", "trials": trials, "seed": seed,
                 "worst_scaled_min_eigenvalue": worst, "floor": -floor,
                 "passed": worst >= -floor}
-    measures = _load_measures(job["inputs"])
-    kernel = MarkovKernel.from_json_dict(options["kernel"])
+    *measures, kernel = inputs
     report = dpi_check(measures[0], measures[1:], kernel)
     return {"command": "dpi",
             "before": report.before.to_json_dict(), "after": report.after.to_json_dict(),
@@ -252,39 +250,32 @@ def _run_dpi(job, tolerance, seed):
             "passed": report.min_eig_of_difference >= -floor * report.scale}
 
 
-def _run_expand(job, tolerance, seed):
-    options = job.get("options", {})
+def _run_expand(options, inputs, tolerance, seed):
     mode = options.get("mode", "local")
-    p0 = DiscreteMeasure.from_json_dict(job["inputs"][0])
-    mu = SignedMeasure.from_json_dict(job["inputs"][1])
-    mu_tilde = SignedMeasure.from_json_dict(job["inputs"][2])
     if mode == "off-support":
         rel_tol = tolerance if tolerance is not None else 0.05
-        report = hellinger_off_support_check(p0, mu, mu_tilde,
+        report = hellinger_off_support_check(*inputs,
                                              grid_scale=float(options.get("grid_scale", 1e-3)),
                                              grid_n=options.get("grid_n", 4))
         return {"command": "expand", "mode": mode, "report": report.to_json_dict(),
                 "passed": report.sqrt_rel_error <= rel_tol and report.bilinear_rel_error <= rel_tol}
     _, alpha = parse_kind(options["kind"])
-    report = expansion_check(p0, mu, mu_tilde, phi_alpha(alpha), levels=options.get("levels", 5))
+    report = expansion_check(*inputs, phi_alpha(alpha), levels=options.get("levels", 5))
     return {"command": "expand", "mode": "local", "report": report.to_json_dict(),
             "passed": report.decay_ok()}
 
 
-def _run_oracle_check(job, tolerance, seed):
+def _run_oracle_check(options, inputs, tolerance, seed):
     rel_tol = tolerance if tolerance is not None else 1e-7
-    options = job.get("options", {})
     _, alpha = parse_kind(options["kind"])
-    f0, f1, f2 = (family_from_json_dict(doc) for doc in job["inputs"])
-    closed = r_alpha_closed(f0, f1, f2, alpha)
-    numeric = oracle_r_alpha(f0, f1, f2, alpha, OracleConfig())
+    closed = r_alpha_closed(*inputs, alpha)
+    numeric = oracle_r_alpha(*inputs, alpha)
     if math.isinf(closed) or math.isinf(numeric):
         rel_err = 0.0 if closed == numeric else math.inf
     else:
         rel_err = abs(closed - numeric) / max(1.0, abs(closed), abs(numeric))
-    return {"command": "oracle-check", "kind": options["kind"],
-            "closed_form": _finite_or_inf(closed), "oracle": _finite_or_inf(numeric),
-            "relative_error": _finite_or_inf(rel_err), "tolerance": rel_tol,
+    return {"command": "oracle-check", "kind": options["kind"], "closed_form": closed,
+            "oracle": numeric, "relative_error": rel_err, "tolerance": rel_tol,
             "passed": rel_err <= rel_tol}
 
 
@@ -308,16 +299,17 @@ def _error(code: str, message: str, findings: list | None = None) -> str:
 def run(job: dict, fmt: str = "json", tolerance: float | None = None,
         seed: int = 0) -> tuple[str, int]:
     """Validate and execute a job; returns (report text, exit status)."""
-    findings = validate(job)
+    findings, inputs = validate(job)
     if findings:
         return _error("validation", "job validation failed", findings), EXIT_VALIDATION
     if fmt == "csv" and job["command"] != "matrix":
         return _error("validation", "csv format is only available for matrix reports"), \
             EXIT_VALIDATION
+    options = job.get("options", {})
     try:
         if fmt == "csv":
-            return matrix_to_csv(_input_matrix(job)), EXIT_OK
-        doc = _HANDLERS[job["command"]](job, tolerance, seed)
+            return matrix_to_csv(_input_matrix(options, inputs)), EXIT_OK
+        doc = _HANDLERS[job["command"]](options, inputs, tolerance, seed)
     except (DegeneratePhiError, OracleFailureError, OverflowError) as exc:
         return _error("computation", str(exc)), EXIT_COMPUTE
     except CodivError as exc:

@@ -111,8 +111,7 @@ class DivMatrix:
         return bool(np.all(np.isfinite(self.entries)))
 
     def to_json_dict(self) -> dict:
-        flat = ["inf" if math.isinf(x) else float(x) for x in self.entries.ravel()]
-        return {"kind": self.kind, "size": self.size, "entries": flat,
+        return {"kind": self.kind, "size": self.size, "entries": self.entries.ravel().tolist(),
                 "reference": self.reference}
 
 class DiagnosticStatus(enum.Enum):
@@ -289,12 +288,6 @@ class MarkovKernel:
     def identity(cls, n: int) -> "MarkovKernel":
         return cls(np.eye(n))
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "MarkovKernel":
-        matrix, problems = kernel_problems(doc)
-        raise_first(problems)
-        return cls(matrix)
-
 
 def push_forward(k: MarkovKernel, p):
     """Push a (signed) measure through the kernel: out[y] = sum_x mass[x]*k[x, y]."""
@@ -329,13 +322,11 @@ class RankReport(NamedTuple):
     status: DiagnosticStatus
     matrix_rank: int | None
     function_rank: int | None
-    tolerance: float | None
 
 
-def _threshold_count(values: np.ndarray, tol_factor: float) -> tuple[int, float]:
+def _threshold_count(values: np.ndarray, tol_factor: float) -> int:
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
-    tol = tol_factor * scale
-    return int(np.sum(np.abs(values) > tol)), tol
+    return int(np.sum(np.abs(values) > tol_factor * scale))
 
 
 def rank_with_identity(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind: str,
@@ -354,8 +345,8 @@ def rank_with_identity(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind:
         phi = PHI_IDENTITY
     mat = divergence_matrix(p0, ps, kind, phi=phi)
     if not mat.finite:
-        return RankReport(DiagnosticStatus.NOT_APPLICABLE, None, None, None)
-    matrix_rank, tol = _threshold_count(np.linalg.eigvalsh(mat.entries), tol_factor)
+        return RankReport(DiagnosticStatus.NOT_APPLICABLE, None, None)
+    matrix_rank = _threshold_count(np.linalg.eigvalsh(mat.entries), tol_factor)
 
     if kind == "hellinger":
         rows = [np.sqrt(p0.mass)] + [np.sqrt(p.mass) for p in ps]
@@ -365,5 +356,5 @@ def rank_with_identity(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind:
         sqrt_w = np.sqrt(w)
         rows = [sqrt_w] + [phi.apply(p.mass[pos] / w) * sqrt_w for p in ps]
     svals = np.linalg.svd(np.stack(rows), compute_uv=False)
-    span_dim, _ = _threshold_count(svals, tol_factor)
-    return RankReport(DiagnosticStatus.OK, matrix_rank, span_dim - 1, tol)
+    span_dim = _threshold_count(svals, tol_factor)
+    return RankReport(DiagnosticStatus.OK, matrix_rank, span_dim - 1)

@@ -53,6 +53,21 @@ def measure_problems(doc, signed: bool = False, normalized: bool = False,
     return mass, problems
 
 
+def direction_problems(mass: np.ndarray, p0_mass: np.ndarray, off_support: bool = False,
+                       path: str = "") -> list:
+    """The direction rule for a direction's mass array around a reference's, with paths under
+    ``path``: in local mode a direction puts no mass on a p0-null point; off support, no
+    negative mass there."""
+    bad = np.flatnonzero((p0_mass == 0) & (mass < 0 if off_support else mass != 0))
+    if not bad.size:
+        return []
+    if off_support:
+        return [PreconditionError("direction must be nonnegative outside the reference support",
+                                  f"{path}/mass/{bad[0]}")]
+    return [DominationError("direction puts mass on a reference null point",
+                            f"{path}/mass/{bad[0]}")]
+
+
 def support_problems(masses, kernel_rows: int | None = None) -> list:
     """Rules across the mass arrays of a job (None ones skipped), with paths in the job:
     one support size, which is also the kernel's input size when there is a kernel."""
@@ -69,8 +84,6 @@ def support_problems(masses, kernel_rows: int | None = None) -> list:
 class _Measure:
     """What probability and signed measures share: a frozen mass vector."""
 
-    signed = False
-
     @property
     def support_size(self) -> int:
         return self.mass.size
@@ -78,12 +91,6 @@ class _Measure:
     @cached_property
     def total(self) -> float:
         return math.fsum(self.mass)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict):
-        mass, problems = measure_problems(doc, signed=cls.signed)
-        raise_first(problems)
-        return cls(mass)
 
 
 @dataclass(frozen=True)
@@ -111,7 +118,6 @@ class SignedMeasure(_Measure):
     """Finite signed measure on a finite support."""
 
     mass: np.ndarray
-    signed = True
 
     def __post_init__(self):
         mass, problems = measure_problems({"mass": self.mass}, signed=True)
@@ -165,10 +171,8 @@ def jordan_decompose(mu: SignedMeasure) -> JordanDecomposition:
 def ess_sup_ratio(mu: SignedMeasure, p0: DiscreteMeasure) -> float:
     """Essential supremum of |d(mu)/d(p0)| for a zero-mass direction mu dominated by p0."""
     check_same_support(mu, p0)
-    if abs(mu.total) > PROBABILITY_TOL:
-        raise PreconditionError(f"mu must have zero total mass, got {mu.total!r}")
-    if not dominated_by(mu, p0):
-        raise DominationError("mu is not dominated by p0")
+    raise_first(measure_problems({"mass": mu.mass}, signed=True, normalized=True)[1]
+                + direction_problems(mu.mass, p0.mass))
     pos = p0.mass > 0
     if not np.any(pos):
         return 0.0

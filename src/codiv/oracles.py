@@ -14,7 +14,6 @@ divergence matrix.  The CLI and the other modules never call them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,38 +29,27 @@ from .measures import check_probability, check_same_support, dominated_by
 # integrand's peak; e^-46 < 1e-19.
 _TAIL_DROP = 46.0
 
-
-@dataclass(frozen=True)
-class OracleConfig:
-    rel_tol: float = 1e-9
-    quad_panels: int = 8
-    quad_order: int = 32
-    max_panels: int = 2 ** 16
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise PreconditionError("rel_tol must be positive")
-        if self.quad_order < 2:
-            raise PreconditionError("quad_order must be at least 2")
+# adaptive_gauss_legendre: tolerance, first panel count, nodes per panel, most panels.
+_REL_TOL = 1e-9
+_QUAD_PANELS = 8
+_QUAD_ORDER = 32
+_MAX_PANELS = 2 ** 16
 
 
-DEFAULT_CONFIG = OracleConfig()
+@lru_cache(maxsize=1)
+def _gl_nodes():
+    return leggauss(_QUAD_ORDER)
 
 
-@lru_cache(maxsize=None)
-def _gl_nodes(order: int):
-    return leggauss(order)
-
-
-def adaptive_gauss_legendre(f, lo: float, hi: float, cfg: OracleConfig = DEFAULT_CONFIG) -> float:
+def adaptive_gauss_legendre(f, lo: float, hi: float) -> float:
     """Integrate a vectorized integrand by panel bisection until two successive
-    uniform refinements agree to rel_tol/4."""
+    uniform refinements agree to _REL_TOL/4."""
     if not hi > lo:
         raise PreconditionError("empty integration interval")
-    nodes, weights = _gl_nodes(cfg.quad_order)
-    panels = max(1, cfg.quad_panels)
+    nodes, weights = _gl_nodes()
+    panels = _QUAD_PANELS
     prev = None
-    while panels <= cfg.max_panels:
+    while panels <= _MAX_PANELS:
         edges = np.linspace(lo, hi, panels + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         halfs = 0.5 * (edges[1:] - edges[:-1])
@@ -70,11 +58,11 @@ def adaptive_gauss_legendre(f, lo: float, hi: float, cfg: OracleConfig = DEFAULT
         est = math.fsum((halfs[:, None] * (weights[None, :] * vals)).ravel())
         if prev is not None:
             scale = max(abs(est), abs(prev), 1e-300)
-            if abs(est - prev) <= 0.25 * cfg.rel_tol * scale:
+            if abs(est - prev) <= 0.25 * _REL_TOL * scale:
                 return est
         prev = est
         panels *= 2
-    raise OracleFailureError(f"quadrature did not converge within {cfg.max_panels} panels")
+    raise OracleFailureError(f"quadrature did not converge within {_MAX_PANELS} panels")
 
 
 def _log_window(log_g, y_star: float, first_step: float = 1.0) -> tuple[float, float]:
@@ -93,7 +81,7 @@ def _log_window(log_g, y_star: float, first_step: float = 1.0) -> tuple[float, f
     return y_lo, y_hi
 
 
-def _gaussian_power_integral(params, powers, cfg: OracleConfig) -> float:
+def _gaussian_power_integral(params, powers) -> float:
     """Integral of prod_j N(mean_j, sigma^2)(x)**power_j dx over rows (mean_j, sigma); powers
     sum to 1.  The integrand is a bump of width sigma centred at sum_j power_j * mean_j,
     outside the means when a power is negative, so the window is bracketed around it."""
@@ -106,10 +94,10 @@ def _gaussian_power_integral(params, powers, cfg: OracleConfig) -> float:
         return log_norm - inv2s2 * sum(c * (x - m) ** 2 for m, c in zip(means, powers) if c != 0.0)
 
     lo, hi = _log_window(log_f, float(np.dot(powers, means)), sigma)
-    return adaptive_gauss_legendre(lambda x: np.exp(log_f(x)), lo, hi, cfg)
+    return adaptive_gauss_legendre(lambda x: np.exp(log_f(x)), lo, hi)
 
 
-def _gamma_power_integral(params, powers, cfg: OracleConfig) -> float | None:
+def _gamma_power_integral(params, powers) -> float | None:
     """Integral of prod_j Gamma(shape_j, rate_j)(x)**power_j dx over rows (shape_j, rate_j),
     or None if divergent.
 
@@ -136,7 +124,7 @@ def _gamma_power_integral(params, powers, cfg: OracleConfig) -> float | None:
 
     y_star = math.log(S / R)
     y_lo, y_hi = _log_window(log_g, y_star)
-    return adaptive_gauss_legendre(f, y_lo, y_hi, cfg)
+    return adaptive_gauss_legendre(f, y_lo, y_hi)
 
 
 def _poisson_power_sum(lams, powers) -> float:
@@ -152,17 +140,21 @@ def _poisson_power_sum(lams, powers) -> float:
                                  "the float range") from None
     terms = []
     k = 0
-    while True:
-        term = math.exp(-B + k * L - math.lgamma(k + 1))
-        terms.append(term)
-        k += 1
-        # Past 2*growth the terms at least halve each step, so the full tail
-        # is bounded by twice the next term.
-        if k > 2.0 * growth + 10.0 and term < 1e-18 * math.fsum(terms):
-            break
-        if k > 10_000_000:
-            raise OracleFailureError("poisson series did not meet its tail bound")
-    return math.fsum(terms)
+    try:
+        while True:
+            term = math.exp(-B + k * L - math.lgamma(k + 1))
+            terms.append(term)
+            k += 1
+            # Past 2*growth the terms at least halve each step, so the full tail
+            # is bounded by twice the next term.
+            if k > 2.0 * growth + 10.0 and term < 1e-18 * math.fsum(terms):
+                break
+            if k > 10_000_000:
+                raise OracleFailureError("poisson series did not meet its tail bound")
+        return math.fsum(terms)
+    except OverflowError:  # math.exp of a term, or math.fsum of the terms
+        raise OracleFailureError("the Poisson series' terms or their sum exceed the float "
+                                 "range") from None
 
 
 def _bernoulli_power_sum(thetas, powers) -> float:
@@ -180,16 +172,16 @@ def _bernoulli_power_sum(thetas, powers) -> float:
 _COMPONENTS = {
     "gaussian": _gaussian_power_integral,
     "gamma": _gamma_power_integral,
-    "poisson": lambda params, powers, cfg: _poisson_power_sum(params[:, 0], powers),
-    "bernoulli": lambda params, powers, cfg: _bernoulli_power_sum(params[:, 0], powers),
+    "poisson": lambda params, powers: _poisson_power_sum(params[:, 0], powers),
+    "bernoulli": lambda params, powers: _bernoulli_power_sum(params[:, 0], powers),
 }
 
 
-def _component_r_alpha(integral, params, alpha: float, cfg: OracleConfig) -> float:
+def _component_r_alpha(integral, params, alpha: float) -> float:
     """R_alpha of one scalar coordinate from its three defining integrals; +inf when one
     diverges.  An integral of a positive integrand that comes out <= 0 or non-finite was
     not resolved (a peak narrower than the panels, say), so it raises OracleFailureError."""
-    values = [integral(params, powers, cfg) for powers in (
+    values = [integral(params, powers) for powers in (
         (1.0 - 2.0 * alpha, alpha, alpha), (1.0 - alpha, alpha, 0.0), (1.0 - alpha, 0.0, alpha))]
     if None in values:
         return math.inf
@@ -199,12 +191,11 @@ def _component_r_alpha(integral, params, alpha: float, cfg: OracleConfig) -> flo
     return values[0] / (values[1] * values[2]) - 1.0
 
 
-def oracle_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: float,
-                   cfg: OracleConfig = DEFAULT_CONFIG) -> float:
+def oracle_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: float) -> float:
     """Numerical R_alpha for a same-kind family triple, one coordinate at a time.
 
     Product families are composed with the product rule; the per-coordinate
-    integrals are evaluated to cfg.rel_tol.
+    integrals are evaluated to _REL_TOL.
     """
     if not alpha > 0:
         raise PreconditionError("alpha must be positive")
@@ -215,7 +206,7 @@ def oracle_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: flo
         raise PreconditionError("the oracle needs a density; generic families are not supported")
     # coordinate x family x component parameter
     table = np.stack([np.column_stack(spec.coords(f)) for f in (f0, f1, f2)], axis=1)
-    return r_alpha_product([_component_r_alpha(integral, params, alpha, cfg) for params in table])
+    return r_alpha_product([_component_r_alpha(integral, params, alpha) for params in table])
 
 
 def _pairwise_codiv(p0, p1, p2, kind: str, phi) -> float:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from codiv import (PHI_IDENTITY, BernoulliProd, DiscreteMeasure, ExponentialProd,
-                   GammaProd, GaussianIso, MarkovKernel, OracleConfig,
+                   GammaProd, GaussianIso, MarkovKernel,
                    PerturbationPair, PoissonProd, SignedMeasure, chi2_codiv,
                    divergence_matrix, dpi_check, eigen_summary, expansion_check,
                    fisher_inner, gamma_first_order, hellinger_codiv,
@@ -62,7 +62,6 @@ def _family_grid(rng):
 
 def test_criterion_01_closed_forms_match_oracle():
     rng = np.random.default_rng(101)
-    cfg = OracleConfig()
     start = time.perf_counter()
     worst = 0.0
     checks = 0
@@ -71,7 +70,7 @@ def test_criterion_01_closed_forms_match_oracle():
         for f0, f1, f2 in triples:
             for alpha in ALPHAS:
                 closed = r_alpha_closed(f0, f1, f2, alpha)
-                numeric = oracle_r_alpha(f0, f1, f2, alpha, cfg)
+                numeric = oracle_r_alpha(f0, f1, f2, alpha)
                 checks += 1
                 if math.isinf(closed) or math.isinf(numeric):
                     ok = ok and closed == numeric
@@ -86,11 +85,11 @@ def test_criterion_01_closed_forms_match_oracle():
     f2 = GaussianIso([0.0, 1.0], 1.0)
     for alpha in ALPHAS:
         ok = ok and r_alpha_closed(f0, f1, f2, alpha) == 0.0
-        ok = ok and abs(oracle_r_alpha(f0, f1, f2, alpha, cfg)) <= 1e-7
+        ok = ok and abs(oracle_r_alpha(f0, f1, f2, alpha)) <= 1e-7
     # and a Gamma domain violation is infinite on both routes
     g0, g1 = GammaProd([1.0], [5.0]), GammaProd([1.0], [1.0])
     ok = ok and r_alpha_closed(g0, g1, g1, 1.0) == math.inf
-    ok = ok and oracle_r_alpha(g0, g1, g1, 1.0, cfg) == math.inf
+    ok = ok and oracle_r_alpha(g0, g1, g1, 1.0) == math.inf
 
     elapsed = time.perf_counter() - start
     ok = ok and elapsed <= 60.0

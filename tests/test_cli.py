@@ -8,8 +8,9 @@ from codiv.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, ma
                        parse_kind, run, validate)
 from codiv.errors import CodivError, DegeneratePhiError
 from codiv.families import BernoulliProd
+from codiv.local import PerturbationPair, hellinger_off_support_check
 from codiv.matrices import MarkovKernel
-from codiv.measures import DiscreteMeasure
+from codiv.measures import DiscreteMeasure, SignedMeasure, ess_sup_ratio
 from helpers import random_dominated, random_probability
 
 UNIFORM = {"support": 2, "mass": [0.5, 0.5]}
@@ -33,49 +34,49 @@ class TestValidate:
         job = {"command": "matrix",
                "inputs": [UNIFORM, {"support": 3, "mass": [0.6, 0.5, -0.1]}],
                "options": {"kind": "chi2"}}
-        findings = validate(job)
+        findings, _ = validate(job)
         assert any(f["path"] == "/inputs/1/mass/2" for f in findings)
 
     def test_bernoulli_open_interval(self):
         fam = {"kind": "bernoulli_product", "params": {"theta": [1.0]}}
         job = {"command": "oracle-check", "inputs": [fam, fam, fam],
                "options": {"kind": "chi2"}}
-        findings = validate(job)
+        findings, _ = validate(job)
         assert any(f["path"] == "/inputs/0/params/theta/0"
                    and "open-interval" in f["message"] for f in findings)
 
     def test_kernel_row_sum(self):
         job = {"command": "dpi", "inputs": [UNIFORM, TILTED],
                "options": {"kernel": {"matrix": [[0.4, 0.5], [0.5, 0.5]]}}}
-        findings = validate(job)
+        findings, _ = validate(job)
         assert any(f["path"] == "/options/kernel/matrix/0"
                    and "row-stochastic" in f["message"] for f in findings)
 
     def test_unknown_command(self):
-        assert validate({"command": "solve"})[0]["path"] == "/command"
+        assert validate({"command": "solve"})[0][0]["path"] == "/command"
 
     def test_probability_enforced(self):
         job = {"command": "matrix", "inputs": [UNIFORM, {"support": 2, "mass": [0.5, 0.4]}],
                "options": {"kind": "chi2"}}
-        assert any("sum to 1" in f["message"] for f in validate(job))
+        assert any("sum to 1" in f["message"] for f in validate(job)[0])
 
     def test_covariance_type_rejected_for_families(self):
         fam = {"kind": "poisson_product", "params": {"lambda": [1.0]}}
         job = {"command": "codiv", "inputs": [fam, fam, fam],
                "options": {"kind": "valpha:0.5"}}
-        assert any(f["path"] == "/options/kind" for f in validate(job))
+        assert any(f["path"] == "/options/kind" for f in validate(job)[0])
 
     def test_support_mismatch_detected(self):
         job = {"command": "matrix",
                "inputs": [UNIFORM, {"support": 3, "mass": [0.2, 0.3, 0.5]}],
                "options": {"kind": "chi2"}}
-        assert any("support sizes differ" in f["message"] for f in validate(job))
+        assert any("support sizes differ" in f["message"] for f in validate(job)[0])
 
     def test_family_dimension_mismatch_detected(self):
         f1 = {"kind": "poisson_product", "params": {"lambda": [1.0]}}
         f2 = {"kind": "poisson_product", "params": {"lambda": [1.0, 2.0]}}
         job = {"command": "codiv", "inputs": [f1, f1, f2], "options": {"kind": "chi2"}}
-        assert any("dimensions differ" in f["message"] for f in validate(job))
+        assert any("dimensions differ" in f["message"] for f in validate(job)[0])
 
     def test_expand_direction_on_null_point_detected(self):
         job = {"command": "expand",
@@ -83,13 +84,13 @@ class TestValidate:
                           {"support": 3, "mass": [0.1, -0.2, 0.1]},
                           {"support": 3, "mass": [0.1, -0.1, 0.0]}],
                "options": {"kind": "chi2", "mode": "local"}}
-        findings = validate(job)
+        findings, _ = validate(job)
         assert any(f["path"] == "/inputs/1/mass/2" for f in findings)
 
     def test_kernel_size_mismatch_detected(self):
         job = {"command": "dpi", "inputs": [UNIFORM, TILTED],
                "options": {"kernel": {"matrix": [[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]]}}}
-        assert any("kernel input size" in f["message"] for f in validate(job))
+        assert any("kernel input size" in f["message"] for f in validate(job)[0])
 
 
 OFF_SUPPORT = [{"support": 4, "mass": [0.6, 0.4, 0.0, 0.0]},
@@ -109,6 +110,13 @@ DIRECTIONS = [UNIFORM, {"support": 2, "mass": [0.25, -0.25]}, {"support": 2, "ma
     ("expand", OFF_SUPPORT, {"mode": "off-support", "grid_scale": -1e-3}, "grid_scale"),
     ("expand", DIRECTIONS, {"kind": "chi2", "levels": "x"}, "levels"),
     ("expand", DIRECTIONS, {"kind": "chi2", "levels": 0}, "levels"),
+    # over their upper bounds: rejected before anything is allocated
+    ("rank", None, {"kind": "chi2", "trials": 1, "support": 10 ** 12}, "support"),
+    ("rank", None, {"kind": "chi2", "trials": 2 ** 60}, "trials"),
+    ("dpi", None, {"trials": 1, "output_support": 10 ** 12}, "output_support"),
+    ("dpi", None, {"trials": 1, "count": 201}, "count"),
+    ("expand", OFF_SUPPORT, {"mode": "off-support", "grid_n": 21}, "grid_n"),
+    ("expand", DIRECTIONS, {"kind": "chi2", "levels": 51}, "levels"),
 ])
 def test_malformed_options_are_validation_errors(command, inputs, options, name):
     job = {"command": command, "options": options}
@@ -175,6 +183,11 @@ def test_codiv_is_the_matrix_cell(kind, zeros):
 
 BERNOULLI_ONE = {"kind": "bernoulli_product", "params": {"theta": [1.0]}}
 BAD_KERNEL = [[0.4, 0.5], [0.5, 0.5]]
+NULL_POINT = [0.5, 0.5, 0.0]
+ON_NULL_POINT = [0.1, -0.2, 0.1]  # zero total, but mass on the reference's null point
+NEGATIVE_OFF = [0.1, 0.1, -0.2]  # zero total, but negative off the reference's support
+LOCAL_JOB = {"command": "expand", "options": {"kind": "chi2"},
+             "inputs": [{"mass": NULL_POINT}, {"mass": ON_NULL_POINT}, {"mass": [0.1, -0.1, 0.0]}]}
 
 
 @pytest.mark.parametrize("construct, job", [
@@ -184,11 +197,18 @@ BAD_KERNEL = [[0.4, 0.5], [0.5, 0.5]]
      {"command": "oracle-check", "inputs": [BERNOULLI_ONE] * 3, "options": {"kind": "chi2"}}),
     (lambda: MarkovKernel(BAD_KERNEL),
      {"command": "dpi", "inputs": [UNIFORM, TILTED], "options": {"kernel": {"matrix": BAD_KERNEL}}}),
+    (lambda: PerturbationPair(DiscreteMeasure(NULL_POINT), SignedMeasure(ON_NULL_POINT),
+                              SignedMeasure([0.1, -0.1, 0.0])), LOCAL_JOB),
+    (lambda: ess_sup_ratio(SignedMeasure(ON_NULL_POINT), DiscreteMeasure(NULL_POINT)), LOCAL_JOB),
+    (lambda: hellinger_off_support_check(DiscreteMeasure(NULL_POINT), SignedMeasure(NEGATIVE_OFF),
+                                         SignedMeasure(NEGATIVE_OFF)),
+     {"command": "expand", "options": {"mode": "off-support"},
+      "inputs": [{"mass": NULL_POINT}, {"mass": NEGATIVE_OFF}, {"mass": NEGATIVE_OFF}]}),
 ])
 def test_constructors_raise_the_first_finding(construct, job):
     with pytest.raises(CodivError) as raised:
         construct()
-    assert str(raised.value) == validate(job)[0]["message"]
+    assert str(raised.value) == validate(job)[0][0]["message"]
 
 
 class TestParseKind:
@@ -374,7 +394,7 @@ class TestReportContracts:
     def test_computational_error_exit_code(self, monkeypatch):
         from codiv import cli as cli_module
 
-        def boom(job, tolerance, seed):
+        def boom(options, inputs, tolerance, seed):
             raise DegeneratePhiError("denominator vanished")
 
         monkeypatch.setitem(cli_module._HANDLERS, "codiv", boom)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ from codiv import (PHI_IDENTITY, PHI_SQRT, DegeneratePhiError, DiagnosticStatus,
                    phi_alpha, phi_normalizers, push_forward, quadratic_form_check,
                    rank_with_identity)
 from codiv.matrices import MATRIX_KINDS
+from codiv.serialize import dumps_canonical
 from helpers import random_dominated, random_kernel, random_probability
 
 P0 = DiscreteMeasure([0.5, 0.5])
@@ -423,7 +425,7 @@ class TestSerialization:
         good = DiscreteMeasure([0.5, 0.5, 0.0])
         bad = DiscreteMeasure([0.0, 0.5, 0.5])
         mat = divergence_matrix(p0, [good, bad], "chi2", reference="p0")
-        doc = mat.to_json_dict()
+        doc = json.loads(dumps_canonical(mat.to_json_dict()))
         assert "inf" in doc["entries"]
         back = [math.inf if x == "inf" else x for x in doc["entries"]]
         np.testing.assert_array_equal(np.reshape(back, (doc["size"],) * 2), mat.entries)

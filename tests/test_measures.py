@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from codiv import (DiscreteMeasure, DimensionMismatchError, DominationError,
                    PreconditionError, SignedMeasure, divergence_matrix, dominated_by,
                    ess_sup_ratio, features, jordan_decompose, perturb, validity_radius)
+from codiv.measures import measure_problems
 from helpers import perturbs_to_probability, random_direction, random_probability
 
 
@@ -164,8 +165,10 @@ def test_measure_validation():
 
 def test_json_round_trip():
     doc = {"support": 2, "mass": [0.25, 0.75]}
-    assert DiscreteMeasure.from_json_dict(doc).mass.tolist() == doc["mass"]
+    mass, problems = measure_problems(doc, normalized=True)
+    assert mass.tolist() == doc["mass"] and problems == []
     doc = {"support": 3, "mass": [0.1, -0.1, 0.0]}
-    assert SignedMeasure.from_json_dict(doc).mass.tolist() == [0.1, -0.1, 0.0]
-    with pytest.raises(PreconditionError):
-        DiscreteMeasure.from_json_dict({"support": 2, "mass": [1.0]})
+    mass, problems = measure_problems(doc, signed=True, normalized=True)
+    assert mass.tolist() == [0.1, -0.1, 0.0] and problems == []
+    _, problems = measure_problems({"support": 2, "mass": [1.0]}, path="/inputs/0")
+    assert [(type(p), p.path) for p in problems] == [(PreconditionError, "/inputs/0/support")]
