@@ -16,10 +16,9 @@ from .codivergence import (PHI_IDENTITY, PHI_SQRT, Features, PhiFunction, chi2_c
 from .errors import (CodivError, DegeneratePhiError, DimensionMismatchError,
                      DominationError, KindMismatchError, OracleFailureError,
                      PreconditionError)
-from .families import (BernoulliProd, ExponentialProd, GammaProd, GaussianIso,
-                       GenericExpFam, ParamFamily, PoissonProd, as_generic,
-                       family_from_json_dict, gamma_first_order, r_alpha_closed,
-                       r_alpha_closed_log1p, r_alpha_product)
+from .families import (BernoulliProd, ExponentialProd, GammaProd, GaussianIso, ParamFamily,
+                       PoissonProd, family_from_json_dict, gamma_first_order, r_alpha_closed,
+                       r_alpha_closed_log1p)
 from .local import (ExpansionReport, OffSupportReport, PerturbationPair,
                     expansion_check, fisher_gram, fisher_inner,
                     geometric_decay_ok, hellinger_off_support_check)
@@ -32,6 +31,7 @@ from .matrices import (DiagnosticStatus, DivMatrix, DpiReport, EigenSummary,
 from .measures import (DiscreteMeasure, JordanDecomposition, SignedMeasure,
                        dominated_by, ess_sup_ratio, jordan_decompose, perturb,
                        validity_radius)
-from .oracles import adaptive_gauss_legendre, oracle_divergence_matrix, oracle_r_alpha
+from .oracles import (adaptive_gauss_legendre, oracle_divergence_matrix,
+                      oracle_natural_r_alpha, oracle_r_alpha, r_alpha_product)
 
 __version__ = "0.1.0"

@@ -36,9 +36,12 @@ EXIT_PROPERTY = 4
 COMMANDS = ("codiv", "matrix", "rank", "dpi", "expand", "oracle-check")
 
 # Upper bounds of the count options, which keep a job's work bounded; a suite kernel of
-# support x output_support floats stays within 32 MB.
+# support x output_support floats stays within 32 MB, and a suite's total work
+# trials x (count + 1) x support x output_support within _SUITE_WORK (about 5 s).
 _COUNT_BOUNDS = {"trials": 1000, "support": 2000, "count": 200, "output_support": 2000,
                  "levels": 50, "grid_n": 20}
+_SUITE_WORK = 2 * 10 ** 9
+_SUITE_COUNT, _SUITE_SUPPORT = 3, 6  # a randomized suite's count and support by default
 # Options whose values are counts or scales: name -> (test, what the value must be).
 _OPTION_SCHEMA = {name: (lambda x: type(x) is int and x > 0, "a positive integer")
                   for name in _COUNT_BOUNDS}
@@ -160,6 +163,13 @@ def validate(job: dict) -> tuple[list, list | None]:
         elif options.get(name, 0) > _COUNT_BOUNDS.get(name, math.inf):
             problems.append(CodivError(f"{name} must be {what} at most {_COUNT_BOUNDS[name]}",
                                        f"/options/{name}"))
+    if randomized and not problems:
+        support = options.get("support", _SUITE_SUPPORT)
+        work = (options["trials"] * (options.get("count", _SUITE_COUNT) + 1) * support
+                * options.get("output_support", support))
+        if work > _SUITE_WORK:
+            problems.append(CodivError(f"trials x (count + 1) x support x output_support must "
+                                       f"be at most {_SUITE_WORK}, got {work}", "/options"))
     if problems:
         return [{"path": p.path, "message": str(p)} for p in problems], None
     if families:
@@ -219,8 +229,8 @@ def _run_rank(options, inputs, tolerance, seed):
 def _random_dominated_instance(rng, options):
     """A reference and ``count`` measures on ``support`` points, all of full support."""
     measures = []
-    for _ in range(options.get("count", 3) + 1):
-        mass = rng.random(options.get("support", 6)) + 0.05
+    for _ in range(options.get("count", _SUITE_COUNT) + 1):
+        mass = rng.random(options.get("support", _SUITE_SUPPORT)) + 0.05
         measures.append(DiscreteMeasure(mass / math.fsum(mass)))
     return measures[0], measures[1:]
 
@@ -302,9 +312,14 @@ def run(job: dict, fmt: str = "json", tolerance: float | None = None,
     findings, inputs = validate(job)
     if findings:
         return _error("validation", "job validation failed", findings), EXIT_VALIDATION
-    if fmt == "csv" and job["command"] != "matrix":
-        return _error("validation", "csv format is only available for matrix reports"), \
-            EXIT_VALIDATION
+    for wrong, message in ((fmt == "csv" and job["command"] != "matrix",
+                            "csv format is only available for matrix reports"),
+                           (tolerance is not None and not math.isfinite(tolerance),
+                            "tolerance must be a finite number"),
+                           (not (isinstance(seed, int) and seed >= 0),
+                            "seed must be a nonnegative integer")):
+        if wrong:
+            return _error("validation", message), EXIT_VALIDATION
     options = job.get("options", {})
     try:
         if fmt == "csv":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -31,10 +31,10 @@ class FamilySpec(NamedTuple):
     params: tuple  # (JSON name, attribute, rule) per parameter; the first gives the dimension
     shared: str  # the parameter all members of a triple share, or ""
     log1p: Callable  # (f0, f1, f2, alpha) -> log(R_alpha + 1) of a checked triple, or None
-    # outside the natural domain: only the Gamma and generic formulas have a boundary
-    coords: Callable | None  # family -> columns of the parameters of its coordinates
-    component: str  # the oracle's integral for one coordinate, or ""
-    natural: Callable | None  # family -> its GenericExpFam natural-parameter view
+    # outside the natural domain: only the Gamma formula has a boundary
+    coords: Callable  # family -> columns of the parameters of its coordinates
+    component: str  # the oracle's integral for one coordinate
+    natural: Callable  # family -> (natural parameter, log-partition A, domain test of A)
 
 
 def _param_problems(spec: FamilySpec, values: dict, path: str) -> tuple[dict, list]:
@@ -125,21 +125,7 @@ class GammaProd(_Family):
     rates: np.ndarray
 
 
-@dataclass(frozen=True)
-class GenericExpFam(_Family):
-    """Exponential family given by natural parameter, log-partition A and domain test.
-
-    ``log_partition`` and ``in_domain`` must be pure functions of the natural
-    parameter (a float or a vector).
-    """
-
-    theta: np.ndarray
-    log_partition: Callable[[np.ndarray], float]
-    in_domain: Callable[[np.ndarray], bool]
-
-
-ParamFamily = Union[GaussianIso, PoissonProd, BernoulliProd, ExponentialProd,
-                    GammaProd, GenericExpFam]
+ParamFamily = Union[GaussianIso, PoissonProd, BernoulliProd, ExponentialProd, GammaProd]
 
 
 _SET_RULES = ((KindMismatchError, "family kinds differ across inputs"),
@@ -230,38 +216,14 @@ def _gamma_log1p(f0, f1, f2, alpha) -> float | None:
     return total
 
 
-def _generic_log1p(f0, f1, f2, alpha) -> float | None:
-    t0, t1, t2 = f0.theta, f1.theta, f2.theta
-    tbar = t0 + alpha * (t1 + t2 - 2.0 * t0)
-    t01 = t0 + alpha * (t1 - t0)
-    t02 = t0 + alpha * (t2 - t0)
-    for t in (tbar, t01, t02):
-        if not f0.in_domain(t):
-            return None
-    A = f0.log_partition
-    return float(A(tbar) - A(t01) - A(t02) + A(t0))
+# Natural-parameter views (theta, A, in_domain), for the exponential-family identity
+# that oracles.oracle_natural_r_alpha evaluates.
+
+def _everywhere(th) -> bool:
+    return True
 
 
-# Natural-parameter views, which cross-check the formulas above through the
-# generic exponential-family identity.
-
-def _gaussian_natural(f: GaussianIso) -> GenericExpFam:
-    sigma2 = f.sigma * f.sigma
-    return GenericExpFam(theta=f.mean, in_domain=lambda th: True,
-                         log_partition=lambda th: float(np.dot(th, th)) / (2.0 * sigma2))
-
-
-def _poisson_natural(f: PoissonProd) -> GenericExpFam:
-    return GenericExpFam(theta=np.log(f.rates), in_domain=lambda th: True,
-                         log_partition=lambda th: float(np.sum(np.exp(th))))
-
-
-def _bernoulli_natural(f: BernoulliProd) -> GenericExpFam:
-    return GenericExpFam(theta=np.log(f.thetas / (1.0 - f.thetas)), in_domain=lambda th: True,
-                         log_partition=lambda th: float(np.sum(np.logaddexp(0.0, th))))
-
-
-def _gamma_natural(f) -> GenericExpFam:
+def _gamma_natural(f):
     # theta = (shape - 1, -rate) per Gamma coordinate, flattened.
     def log_partition(th):
         d = th.size // 2
@@ -273,33 +235,32 @@ def _gamma_natural(f) -> GenericExpFam:
         return bool(np.all(th[:d] > -1.0) and np.all(th[d:] < 0))
 
     shapes, rates = FAMILIES[type(f)].coords(f)
-    return GenericExpFam(theta=np.concatenate([shapes - 1.0, -rates]),
-                         log_partition=log_partition, in_domain=in_domain)
+    return np.concatenate([shapes - 1.0, -rates]), log_partition, in_domain
 
 
 FAMILIES = {
     GaussianIso: FamilySpec(
         "gaussian_iso", (("mean", "mean", "finite"), ("sigma", "sigma", "positive-scalar")),
         "sigma", _gaussian_log1p, lambda f: (f.mean, np.full(f.dim, float(f.sigma))), "gaussian",
-        _gaussian_natural),
+        lambda f: (f.mean, lambda th: float(np.dot(th, th)) / (2.0 * (f.sigma * f.sigma)),
+                   _everywhere)),
     PoissonProd: FamilySpec(
         "poisson_product", (("lambda", "rates", "positive"),),
-        "", _poisson_log1p, lambda f: (f.rates,), "poisson", _poisson_natural),
+        "", _poisson_log1p, lambda f: (f.rates,), "poisson",
+        lambda f: (np.log(f.rates), lambda th: float(np.sum(np.exp(th))), _everywhere)),
     BernoulliProd: FamilySpec(
         "bernoulli_product", (("theta", "thetas", "open-unit"),),
-        "", _bernoulli_log1p, lambda f: (f.thetas,), "bernoulli", _bernoulli_natural),
+        "", _bernoulli_log1p, lambda f: (f.thetas,), "bernoulli",
+        lambda f: (np.log(f.thetas / (1.0 - f.thetas)),
+                   lambda th: float(np.sum(np.logaddexp(0.0, th))), _everywhere)),
     ExponentialProd: FamilySpec(  # the Gamma component with unit shapes
         "exponential_product", (("beta", "rates", "positive"),),
         "", _gamma_log1p, lambda f: (np.ones(f.dim), f.rates), "gamma", _gamma_natural),
     GammaProd: FamilySpec(
         "gamma_product", (("shape", "shapes", "positive"), ("rate", "rates", "positive")),
         "", _gamma_log1p, lambda f: (f.shapes, f.rates), "gamma", _gamma_natural),
-    GenericExpFam: FamilySpec(
-        "generic_exponential_family", (("theta", "theta", "finite"),),
-        "", _generic_log1p, None, "", None),
 }
-# A GenericExpFam carries functions, so it has no JSON form.
-FAMILY_KINDS = {spec.kind: cls for cls, spec in FAMILIES.items() if cls is not GenericExpFam}
+FAMILY_KINDS = {spec.kind: cls for cls, spec in FAMILIES.items()}
 
 
 def r_alpha_closed_log1p(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
@@ -335,13 +296,6 @@ def r_alpha_closed(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
                             f"{float(log1p_value)!r}") from None
 
 
-def r_alpha_product(componentwise: Sequence[float]) -> float:
-    """Combine per-coordinate R_alpha values: product of (value + 1) minus 1; +inf absorbs."""
-    if any(math.isinf(v) for v in componentwise):
-        return math.inf
-    return math.prod(1.0 + v for v in componentwise) - 1.0
-
-
 def gamma_first_order(f0: GammaProd, f1: GammaProd, f2: GammaProd, alpha: float) -> float:
     """First-order approximation of the Gamma R_alpha for shared shapes.
 
@@ -358,14 +312,6 @@ def gamma_first_order(f0: GammaProd, f1: GammaProd, f2: GammaProd, alpha: float)
         raise DimensionMismatchError("the three families must share their shape vector")
     quad = math.fsum(a0 * (b1 - b0) * (b2 - b0) / (b0 * b0))
     return math.expm1(alpha * alpha * quad)
-
-
-def as_generic(f: ParamFamily) -> GenericExpFam:
-    """Natural-parameter representation with its log-partition and domain test."""
-    natural = FAMILIES[type(f)].natural
-    if natural is None:
-        raise KindMismatchError(f"no natural-parameter view for kind {f.kind!r}")
-    return natural(f)
 
 
 def family_problems(doc, path: str = "") -> tuple[tuple, list]:

@@ -31,8 +31,8 @@ import numpy as np
 from .codivergence import MATRIX_KINDS, PHI_IDENTITY, PhiFunction, _gram, features
 from .errors import (DegeneratePhiError, DimensionMismatchError, DominationError,
                      OracleFailureError, PreconditionError, numbers, raise_first)
-from .measures import (DiscreteMeasure, SignedMeasure, check_same_support, dominated_by,
-                       jordan_decompose, support_problems)
+from .measures import (PROBABILITY_TOL, DiscreteMeasure, SignedMeasure, check_same_support,
+                       dominated_by, jordan_decompose, support_problems)
 
 # Eigenvalue / singular-value threshold for rank and PSD diagnostics:
 # tol = RANK_TOL_FACTOR * max(largest magnitude, 1).
@@ -252,7 +252,7 @@ def kernel_problems(doc, path: str = "") -> tuple[np.ndarray | None, list]:
         if np.any(row < 0):
             problems.append(PreconditionError("kernel entries must be nonnegative", f"{at}/{r}"))
         total = math.fsum(row)
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > PROBABILITY_TOL:
             problems.append(PreconditionError(f"not row-stochastic: row sums to {total!r}",
                                               f"{at}/{r}"))
         rows.append(row)

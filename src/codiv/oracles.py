@@ -4,24 +4,28 @@ The family routines integrate the defining ratio of integrals directly
 (truncated series for Poisson, exact two-point sums for Bernoulli, adaptive
 Gauss-Legendre quadrature for Gaussian/Exponential/Gamma) and exist to
 validate the closed forms in :mod:`codiv.families`.  They deliberately avoid
-every closed-form shortcut.  The discrete routines evaluate codivergences
-pair by pair, each from its defining finite sums accumulated with
-``math.fsum``, to check the Gram cells of :func:`codiv.codivergence.features`
-through which the package computes every discrete codivergence and
-divergence matrix.  The CLI and the other modules never call them.
+every closed-form shortcut.  ``oracle_natural_r_alpha`` checks the closed forms
+another way: through the exponential-family identity, of which each is a
+special case, on the natural parameters that the family table stores.  The
+discrete routines evaluate codivergences pair by pair, each from its
+defining finite sums accumulated with ``math.fsum``, to check the Gram
+cells of :func:`codiv.codivergence.features` through which the package
+computes every discrete codivergence and divergence matrix.  The CLI and
+the other modules never call them.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .codivergence import MATRIX_KINDS
 from .errors import DegeneratePhiError, OracleFailureError, PreconditionError
-from .families import FAMILIES, ParamFamily, check_family_triple, r_alpha_product
+from .families import FAMILIES, ParamFamily, check_family_triple
 from .matrices import DivMatrix
 from .measures import check_probability, check_same_support, dominated_by
 
@@ -191,6 +195,13 @@ def _component_r_alpha(integral, params, alpha: float) -> float:
     return values[0] / (values[1] * values[2]) - 1.0
 
 
+def r_alpha_product(componentwise: Sequence[float]) -> float:
+    """Combine per-coordinate R_alpha values: product of (value + 1) minus 1; +inf absorbs."""
+    if any(math.isinf(v) for v in componentwise):
+        return math.inf
+    return math.prod(1.0 + v for v in componentwise) - 1.0
+
+
 def oracle_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: float) -> float:
     """Numerical R_alpha for a same-kind family triple, one coordinate at a time.
 
@@ -201,12 +212,28 @@ def oracle_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: flo
         raise PreconditionError("alpha must be positive")
     check_family_triple(f0, f1, f2)
     spec = FAMILIES[type(f0)]
-    integral = _COMPONENTS.get(spec.component)
-    if integral is None:
-        raise PreconditionError("the oracle needs a density; generic families are not supported")
+    integral = _COMPONENTS[spec.component]
     # coordinate x family x component parameter
     table = np.stack([np.column_stack(spec.coords(f)) for f in (f0, f1, f2)], axis=1)
     return r_alpha_product([_component_r_alpha(integral, params, alpha) for params in table])
+
+
+def oracle_natural_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
+                           alpha: float) -> float:
+    """R_alpha from the exponential-family identity on the natural parameters tj and the
+    log-partition A of the family table: log(R_alpha + 1) = A(tbar) - A(t01) - A(t02) + A(t0),
+    with tbar = t0 + alpha (t1 + t2 - 2 t0) and t0j = t0 + alpha (tj - t0); +inf when a mixed
+    parameter leaves the natural domain."""
+    if not alpha > 0:
+        raise PreconditionError("alpha must be positive")
+    check_family_triple(f0, f1, f2)
+    natural = FAMILIES[type(f0)].natural
+    (t0, A, in_domain), (t1, _, _), (t2, _, _) = (natural(f) for f in (f0, f1, f2))
+    mixed = (t0 + alpha * (t1 + t2 - 2.0 * t0), t0 + alpha * (t1 - t0), t0 + alpha * (t2 - t0))
+    if not all(in_domain(t) for t in mixed):
+        return math.inf
+    tbar, t01, t02 = mixed
+    return math.expm1(A(tbar) - A(t01) - A(t02) + A(t0))
 
 
 def _pairwise_codiv(p0, p1, p2, kind: str, phi) -> float:

@@ -55,19 +55,11 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     raise PreconditionError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _csv_cell(x) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".17g")
-    return str(x)
-
-
 def matrix_to_csv(mat: DivMatrix) -> str:
     """RFC-4180 CSV of the matrix entries, one row per line, "inf" cells allowed."""
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
     writer.writerow(["kind", mat.kind, "size", mat.size, "reference", mat.reference])
     for row in mat.entries:
-        writer.writerow([_csv_cell(float(x)) for x in row])
+        writer.writerow([format_float(float(x)).strip('"') for x in row])
     return buf.getvalue()

@@ -127,6 +127,25 @@ def test_malformed_options_are_validation_errors(command, inputs, options, name)
     assert [f["path"] for f in json.loads(text)["error"]["findings"]] == [f"/options/{name}"]
 
 
+@pytest.mark.parametrize("command, options, admitted", [
+    ("dpi", {"trials": 5, "count": 200, "support": 2000}, False),
+    ("dpi", {"trials": 10, "count": 49, "support": 2000}, True),  # exactly 2e9
+    ("dpi", {"trials": 10, "count": 50, "support": 2000}, False),
+    ("dpi", {"trials": 1000, "count": 200, "support": 10, "output_support": 2000}, False),
+    ("dpi", {"trials": 1000, "support": 800}, False),  # count defaults to 3
+    ("rank", {"kind": "chi2", "trials": 1000, "count": 200, "support": 2000}, False),
+])
+def test_suite_work_is_bounded(command, options, admitted):
+    # validate only: the admitted suites are never run
+    findings, _ = validate({"command": command, "options": options})
+    if admitted:
+        assert findings == []
+    else:
+        assert [f["path"] for f in findings] == ["/options"]
+        assert findings[0]["message"].startswith(
+            "trials x (count + 1) x support x output_support must be at most 2000000000")
+
+
 def _poisson(*rates):
     return [{"kind": "poisson_product", "params": {"lambda": list(r)}} for r in rates]
 
@@ -378,6 +397,26 @@ class TestReportContracts:
         doc = json.loads(out)
         assert doc["error"]["code"] == "validation"
         assert doc["error"]["findings"][0]["path"].startswith("/inputs/1")
+
+    @pytest.mark.parametrize("job, flags, message", [
+        ({"command": "dpi", "inputs": [UNIFORM, TILTED],
+          "options": {"kernel": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}}},
+         ["--tolerance", "nan"], "tolerance must be a finite number"),
+        ({"command": "dpi", "options": {"trials": 2}},
+         ["--tolerance", "inf"], "tolerance must be a finite number"),
+        ({"command": "rank", "inputs": [UNIFORM, TILTED], "options": {"kind": "chi2"}},
+         ["--tolerance=-inf"], "tolerance must be a finite number"),
+        ({"command": "expand", "inputs": OFF_SUPPORT, "options": {"mode": "off-support"}},
+         ["--tolerance", "nan"], "tolerance must be a finite number"),
+        ({"command": "dpi", "options": {"trials": 2}},
+         ["--seed", "-1"], "seed must be a nonnegative integer"),
+        ({"command": "rank", "options": {"trials": 2, "kind": "chi2"}},
+         ["--seed", "-1"], "seed must be a nonnegative integer"),
+    ])
+    def test_malformed_flags_are_validation_errors(self, tmp_path, capsys, job, flags, message):
+        status, out = run_main(capsys, ["--input", write_job(tmp_path, job), *flags])
+        assert status == EXIT_VALIDATION
+        assert json.loads(out) == {"error": {"code": "validation", "message": message}}
 
     def test_missing_input_file(self, capsys):
         status, out = run_main(capsys, ["--input", "/nonexistent/job.json"])
