@@ -3,7 +3,8 @@
 A job is a JSON document {"command": ..., "inputs": [...], "options": {...}};
 the tool validates it, runs the computation and prints a deterministic JSON
 (or CSV) report.  Exit codes: 0 success, 2 validation error, 3 computational
-error, 4 property violation in a check command.
+error (code "internal" for an exception no documented error covers), 4 property
+violation in a check command.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ import numpy as np
 from . import matrices
 from .codivergence import PhiFunction, phi_alpha
 from .errors import CodivError, DegeneratePhiError, OracleFailureError
-from .families import (family_from_json_dict, family_problems, family_set_problems,
-                       r_alpha_closed)
+from .families import family_problems, family_set_problems, r_alpha_closed
 from .local import expansion_check, hellinger_off_support_check
 from .matrices import (DivMatrix, MarkovKernel, divergence_matrix, dpi_check, kernel_problems,
                        rank_with_identity)
-from .measures import (DiscreteMeasure, SignedMeasure, direction_problems, measure_problems,
-                       support_problems)
+from .measures import (DiscreteMeasure, SignedMeasure, direction_problems, exact_sum,
+                       measure_problems, support_problems)
 from .oracles import oracle_r_alpha
 from .serialize import dumps_canonical, matrix_to_csv
 
@@ -116,10 +116,11 @@ def validate(job: dict) -> tuple[list, list | None]:
     families = command == "oracle-check" or (
         command == "codiv" and all(isinstance(x, dict) and "kind" in x for x in inputs))
     if families:
-        members = []
+        members, built_families = [], []
         for i, doc in enumerate(inputs):
-            member, found = family_problems(doc, f"/inputs/{i}")
+            member, found, family = family_problems(doc, f"/inputs/{i}")
             members.append(member)
+            built_families.append(family)
             problems += found
         _kind_option(options, problems)
         problems += family_set_problems(members, "/inputs")
@@ -173,7 +174,7 @@ def validate(job: dict) -> tuple[list, list | None]:
     if problems:
         return [{"path": p.path, "message": str(p)} for p in problems], None
     if families:
-        return [], [family_from_json_dict(doc) for doc in inputs]
+        return [], built_families
     built = [(SignedMeasure if i in directions else DiscreteMeasure)(mass)
              for i, mass in enumerate(masses)]
     return [], built if kernel is None else built + [MarkovKernel(kernel)]
@@ -231,7 +232,7 @@ def _random_dominated_instance(rng, options):
     measures = []
     for _ in range(options.get("count", _SUITE_COUNT) + 1):
         mass = rng.random(options.get("support", _SUITE_SUPPORT)) + 0.05
-        measures.append(DiscreteMeasure(mass / math.fsum(mass)))
+        measures.append(DiscreteMeasure(mass / exact_sum(mass)))
     return measures[0], measures[1:]
 
 
@@ -308,7 +309,19 @@ def _error(code: str, message: str, findings: list | None = None) -> str:
 
 def run(job: dict, fmt: str = "json", tolerance: float | None = None,
         seed: int = 0) -> tuple[str, int]:
-    """Validate and execute a job; returns (report text, exit status)."""
+    """Validate and execute a job; returns (report text, exit status).  An exception that no
+    documented error covers is exit 3 with code "internal", naming its type; its traceback
+    goes to stderr."""
+    try:
+        return _run(job, fmt, tolerance, seed)
+    except Exception as exc:  # the last resort: a job never ends in a traceback
+        import traceback  # here, not at the top: only a defect reaches this line
+
+        traceback.print_exc(file=sys.stderr)
+        return _error("internal", f"internal error: {type(exc).__name__}: {exc}"), EXIT_COMPUTE
+
+
+def _run(job: dict, fmt: str, tolerance: float | None, seed: int) -> tuple[str, int]:
     findings, inputs = validate(job)
     if findings:
         return _error("validation", "job validation failed", findings), EXIT_VALIDATION

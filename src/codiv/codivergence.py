@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegeneratePhiError, PreconditionError
-from .measures import DiscreteMeasure, check_probability, check_same_support
+from .measures import DiscreteMeasure, check_probability, check_same_support, exact_sum
 
 MATRIX_KINDS = ("vphi", "rphi", "chi2", "hellinger")
 
@@ -43,7 +43,11 @@ class PhiFunction:
         if abs(self.fn(1.0) - 1.0) > 1e-14:
             raise PreconditionError(f"phi(1) must equal 1, got {self.fn(1.0)!r}")
         for x in _PHI_PROBE_POINTS:
-            if self.fn(x) < 0:
+            try:
+                value = self.fn(x)
+            except OverflowError:  # a float power beyond the range is +inf, nonnegative
+                continue
+            if value < 0:
                 raise PreconditionError(f"phi must be nonnegative, phi({x}) < 0")
 
     def apply(self, ratios: np.ndarray) -> np.ndarray:
@@ -91,8 +95,9 @@ def features(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind: str,
       hellinger  sqrt(p_j) / a_j - sqrt(p0), over the whole support.
     The identities need totals of 1, so every measure must be a probability
     measure.  A row whose entries are infinite stays zero; a dominated rphi row
-    with m_j <= 0 raises DegeneratePhiError.  The rows are filled one at a time
-    into one buffer, so no other M x N array is made.
+    with m_j <= 0 raises DegeneratePhiError, and a phi value or m_j beyond the float
+    range raises OverflowError.  The rows are filled one at a time into one buffer,
+    so no other M x N array is made.
     """
     if kind not in MATRIX_KINDS:
         raise PreconditionError(f"unknown matrix kind {kind!r}")
@@ -110,7 +115,7 @@ def features(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind: str,
         row = h[j]
         if kind == "hellinger":
             np.sqrt(p.mass, out=row)
-            normalizers[j] = affinity = math.fsum(row * root0)
+            normalizers[j] = affinity = exact_sum(row * root0)
             if affinity > 0:
                 row /= affinity
                 row -= root0
@@ -124,8 +129,9 @@ def features(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind: str,
         np.divide(p.mass[~null], w, out=row)
         centre = 1.0
         if kind != "chi2":
-            row[:] = phi.apply(row)
-            normalizers[j] = mean = math.fsum(row * w)
+            with np.errstate(over="ignore"):
+                row[:] = phi.apply(row)
+            normalizers[j] = mean = _phi_mean(row, w, phi)
             if kind == "vphi":
                 centre = mean
             elif mean <= 0:
@@ -137,11 +143,28 @@ def features(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind: str,
     return Features(h, finite, normalizers)
 
 
+def _phi_mean(values: np.ndarray, w: np.ndarray, phi: PhiFunction) -> float:
+    """The integral of the phi values against p0's masses w; OverflowError naming the link
+    when a value or the integral is not finite."""
+    if np.isfinite(values).all():
+        try:
+            return exact_sum(values * w)
+        except OverflowError:  # the integral exceeds the float range
+            pass
+    raise OverflowError(f"phi {phi.name} of a density ratio, or its integral against p0, "
+                        f"exceeds the float range")
+
+
 def _gram(h: np.ndarray) -> np.ndarray:
     """H H', symmetric to the last bit, by numpy's own einsum loop rather than BLAS: the
-    last bits of a threaded BLAS product change with the thread count."""
-    g = np.einsum("ik,jk->ij", h, h, optimize=False)
-    return 0.5 * (g + g.T)
+    last bits of a threaded BLAS product change with the thread count.  OverflowError
+    when a cell exceeds the float range: +inf stands for non-domination only."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.einsum("ik,jk->ij", h, h, optimize=False)
+        g = np.where(g == g.T, g, 0.5 * (g + g.T))
+    if not np.isfinite(g).all():
+        raise OverflowError("a cell of the Gram matrix H H' exceeds the float range")
+    return g
 
 
 def _cell(p0, p1, p2, kind: str, phi: PhiFunction | None = None) -> float:

@@ -314,25 +314,27 @@ def gamma_first_order(f0: GammaProd, f1: GammaProd, f2: GammaProd, alpha: float)
     return math.expm1(alpha * alpha * quad)
 
 
-def family_problems(doc, path: str = "") -> tuple[tuple, list]:
-    """The problems of a family document {"kind", "params"}, with paths under ``path``,
-    and its (kind, dimension, shared parameter value) for family_set_problems."""
+def family_problems(doc, path: str = "") -> tuple[tuple, list, ParamFamily | None]:
+    """The problems of a family document {"kind", "params"}, with paths under ``path``, its
+    (kind, dimension, shared parameter value) for family_set_problems, and the family built
+    from the checked parameters (None unless there are no problems)."""
     if not (isinstance(doc, dict) and "kind" in doc):
-        return (None, None, None), [PreconditionError("family descriptor required", path)]
+        return (None, None, None), [PreconditionError("family descriptor required", path)], None
     kind = doc["kind"]
     cls = FAMILY_KINDS.get(kind) if isinstance(kind, str) else None
     member = (kind if isinstance(kind, str) else None, None, None)
     if cls is None:
-        return member, [PreconditionError(f"unknown family kind {kind!r}", f"{path}/kind")]
+        return member, [PreconditionError(f"unknown family kind {kind!r}", f"{path}/kind")], None
     spec, params = FAMILIES[cls], doc.get("params")
     if not isinstance(params, dict):
-        return member, [PreconditionError("params object is required", f"{path}/params")]
+        return member, [PreconditionError("params object is required", f"{path}/params")], None
     checked, problems = _param_problems(spec, params, path)
     first = checked.get(spec.params[0][0])
-    return (kind, None if first is None else first.size, checked.get(spec.shared)), problems
+    family = None if problems else cls(**{attr: checked[name] for name, attr, _ in spec.params})
+    return (kind, None if first is None else first.size, checked.get(spec.shared)), problems, family
 
 
 def family_from_json_dict(doc: dict) -> ParamFamily:
-    raise_first(family_problems(doc)[1])
-    cls = FAMILY_KINDS[doc["kind"]]
-    return cls(**{attr: doc["params"][name] for name, attr, _ in FAMILIES[cls].params})
+    _, problems, family = family_problems(doc)
+    raise_first(problems)
+    return family

@@ -19,7 +19,7 @@ import numpy as np
 from .codivergence import PhiFunction, _gram, hellinger_codiv, r_phi, v_phi
 from .errors import PreconditionError, raise_first
 from .measures import (DiscreteMeasure, SignedMeasure, check_same_support, direction_problems,
-                       measure_problems, perturb, validity_radius)
+                       exact_sum, measure_problems, perturb, validity_radius)
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class PerturbationPair:
 def fisher_inner(pair: PerturbationPair) -> float:
     """Nonparametric Fisher information inner product of the pair's directions."""
     pos = pair.reference.mass > 0
-    return math.fsum(pair.mu.mass[pos] * pair.mu_tilde.mass[pos] / pair.reference.mass[pos])
+    return exact_sum(pair.mu.mass[pos] * pair.mu_tilde.mass[pos] / pair.reference.mass[pos])
 
 
 def fisher_gram(p0: DiscreteMeasure, mus: Sequence[SignedMeasure]) -> np.ndarray:
@@ -243,10 +243,10 @@ def hellinger_off_support_check(p0: DiscreteMeasure, mu1: SignedMeasure, mu2: Si
     coef, *_ = np.linalg.lstsq(np.asarray(design), np.asarray(values), rcond=None)
 
     off = ~supp
-    c_sqrt = math.fsum(np.sqrt(np.maximum(mu1.mass[off], 0.0) * np.maximum(mu2.mass[off], 0.0)))
-    inner_supp = math.fsum(mu1.mass[supp] * mu2.mass[supp] / p0.mass[supp])
-    m1 = math.fsum(mu1.mass[supp])
-    m2 = math.fsum(mu2.mass[supp])
+    c_sqrt = exact_sum(np.sqrt(np.maximum(mu1.mass[off], 0.0) * np.maximum(mu2.mass[off], 0.0)))
+    inner_supp = exact_sum(mu1.mass[supp] * mu2.mass[supp] / p0.mass[supp])
+    m1 = exact_sum(mu1.mass[supp])
+    m2 = exact_sum(mu2.mass[supp])
     return OffSupportReport(
         fitted_sqrt=float(coef[0]), fitted_bilinear=float(coef[1]),
         fitted_cross_t=float(coef[2]), fitted_cross_s=float(coef[3]),

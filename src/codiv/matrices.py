@@ -32,7 +32,7 @@ from .codivergence import MATRIX_KINDS, PHI_IDENTITY, PhiFunction, _gram, featur
 from .errors import (DegeneratePhiError, DimensionMismatchError, DominationError,
                      OracleFailureError, PreconditionError, numbers, raise_first)
 from .measures import (PROBABILITY_TOL, DiscreteMeasure, SignedMeasure, check_same_support,
-                       dominated_by, jordan_decompose, support_problems)
+                       dominated_by, exact_sum, jordan_decompose, support_problems)
 
 # Eigenvalue / singular-value threshold for rank and PSD diagnostics:
 # tol = RANK_TOL_FACTOR * max(largest magnitude, 1).
@@ -186,7 +186,7 @@ def chi2_signed(mu: SignedMeasure, p: DiscreteMeasure) -> float:
     total = mu.total
     pos = p.mass > 0
     dev = mu.mass[pos] / p.mass[pos] - total
-    return math.fsum(dev * dev * p.mass[pos])
+    return exact_sum(dev * dev * p.mass[pos])
 
 
 def chi2_signed_decomposition_check(mu: SignedMeasure, p: DiscreteMeasure) -> tuple[float, float]:
@@ -231,7 +231,7 @@ def quadratic_form_check(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure],
         mixture = SignedMeasure(np.sum(v[:, None] * np.stack([p.mass for p in ps]), axis=0))
         return lhs, chi2_signed(mixture, p0)
     combo = v @ h
-    return lhs, math.fsum(combo * combo)
+    return lhs, exact_sum(combo * combo)
 
 
 def kernel_problems(doc, path: str = "") -> tuple[np.ndarray | None, list]:
@@ -251,7 +251,7 @@ def kernel_problems(doc, path: str = "") -> tuple[np.ndarray | None, list]:
             return None, problems + [PreconditionError("ragged kernel matrix", f"{at}/{r}")]
         if np.any(row < 0):
             problems.append(PreconditionError("kernel entries must be nonnegative", f"{at}/{r}"))
-        total = math.fsum(row)
+        total = exact_sum(row)
         if abs(total - 1.0) > PROBABILITY_TOL:
             problems.append(PreconditionError(f"not row-stochastic: row sums to {total!r}",
                                               f"{at}/{r}"))

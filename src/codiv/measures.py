@@ -23,6 +23,49 @@ from .errors import (DimensionMismatchError, DominationError, PreconditionError,
 
 PROBABILITY_TOL = 1e-12
 
+# Below this length math.fsum is faster than the extraction passes (measured crossover
+# 640-768 on 1e5-scale probability, product and signed data).
+_EXACT_SUM_MIN_SIZE = 768
+
+
+def exact_sum(values: np.ndarray) -> float:
+    """The sum of a 1-D float array, correctly rounded: the bits of ``math.fsum``.
+
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point summation
+    part I", SIAM J. Sci. Comput. 31(1), 2008): with sigma = 2**k above (n + 2) * max|r|,
+    q = (r + sigma) - sigma and r - q are exact, and every q is a multiple of
+    2**-53 * sigma whose sum stays below sigma, so ``np.sum(q)`` is exact in any order.
+    Each pass moves the top 53 - log2(n + 2) bits of the residual r into one such exact
+    partial sum; once r is zero, ``math.fsum`` of the partial sums is the correctly
+    rounded total.  ``math.fsum`` of the array itself, with its NaN, inf and
+    OverflowError behaviour, handles short arrays, arrays of 2**26 entries or more (where
+    the bound on the partial sums fails), non-finite entries, residuals outside
+    [2**-900, 2**900] (all zeros included) and residuals that 8 passes do not clear.
+    """
+    x = np.asarray(values, dtype=float)
+    n = x.size
+    if _EXACT_SUM_MIN_SIZE <= n < 2 ** 26:
+        bits = (n + 1).bit_length()  # ceil(log2(n + 2))
+        top = max(float(x.max()), -float(x.min()))
+        q = np.empty_like(x)
+        r = x
+        partials = []
+        for _ in range(8):
+            if not 2.0 ** -900 <= top <= 2.0 ** 900:  # also false for NaN
+                break
+            sigma = math.ldexp(1.0, math.frexp(top)[1] + bits)
+            np.add(r, sigma, out=q)
+            q -= sigma
+            if r is x:
+                r = x - q
+            else:
+                r -= q
+            partials.append(float(q.sum()))
+            top = max(float(r.max()), -float(r.min()))
+            if top == 0.0:
+                return math.fsum(partials)
+    return math.fsum(x.tolist())
+
 
 def measure_problems(doc, signed: bool = False, normalized: bool = False,
                      path: str = "") -> tuple[np.ndarray | None, list]:
@@ -42,7 +85,7 @@ def measure_problems(doc, signed: bool = False, normalized: bool = False,
         PreconditionError("mass entry must be nonnegative", f"{path}/mass/{i}")
         for i in np.flatnonzero(mass < 0)]
     if normalized:
-        total = math.fsum(mass.tolist())
+        total = exact_sum(mass)
         if abs(total - (0.0 if signed else 1.0)) > PROBABILITY_TOL:
             problems.append(PreconditionError(
                 f"signed direction must have zero total mass, got {total!r}" if signed
@@ -90,7 +133,7 @@ class _Measure:
 
     @cached_property
     def total(self) -> float:
-        return math.fsum(self.mass)
+        return exact_sum(self.mass)
 
 
 @dataclass(frozen=True)
@@ -160,8 +203,8 @@ def jordan_decompose(mu: SignedMeasure) -> JordanDecomposition:
     """
     pos = np.where(mu.mass > 0, mu.mass, 0.0)
     neg = np.where(mu.mass < 0, -mu.mass, 0.0)
-    alpha_plus = math.fsum(pos)
-    alpha_minus = math.fsum(neg)
+    alpha_plus = exact_sum(pos)
+    alpha_minus = exact_sum(neg)
     n = mu.support_size
     mu_plus = DiscreteMeasure(pos / alpha_plus) if alpha_plus > 0 else DiscreteMeasure.uniform(n)
     mu_minus = DiscreteMeasure(neg / alpha_minus) if alpha_minus > 0 else DiscreteMeasure.uniform(n)

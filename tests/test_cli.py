@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from codiv import cli
 from codiv.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, main,
                        parse_kind, run, validate)
 from codiv.errors import CodivError, DegeneratePhiError
@@ -179,6 +180,19 @@ def test_nan_closed_form_is_a_computational_error(family, param, value):
     text, status = run({"command": "codiv", "inputs": inputs, "options": {"kind": "alpha:1e200"}})
     assert status == EXIT_COMPUTE
     assert json.loads(text)["error"]["code"] == "computation"
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    def handler(options, inputs, tolerance, seed):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setitem(cli._HANDLERS, "codiv", handler)
+    job = {"command": "codiv", "inputs": [UNIFORM, TILTED, UNIFORM], "options": {"kind": "chi2"}}
+    text, status = run(job)
+    assert status == EXIT_COMPUTE
+    assert json.loads(text) == {"error": {
+        "code": "internal", "message": "internal error: IndexError: list index out of range"}}
+    assert "Traceback" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["chi2", "hellinger", "alpha:0.7", "valpha:1.5"])

@@ -1,0 +1,83 @@
+"""``exact_sum`` returns the bits of ``math.fsum``, sign of zero included, or raises the
+exception type that ``math.fsum`` raises."""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from codiv.measures import _EXACT_SUM_MIN_SIZE, exact_sum
+
+SIZES = (1, 2, 255, 256, 257, _EXACT_SUM_MIN_SIZE - 1, _EXACT_SUM_MIN_SIZE,
+         _EXACT_SUM_MIN_SIZE + 1, 4096, 100_000)
+SPECIALS = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan, "max": 1.7976931348623157e308,
+            "-max": -1.7976931348623157e308, "tiny": 5e-324, "-0": -0.0}
+
+
+def outcome(f, x: np.ndarray):
+    """The bits of f(x), or the type of the exception it raises."""
+    try:
+        return struct.pack("<d", f(x))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def reference(x: np.ndarray) -> float:
+    return math.fsum(x.tolist())
+
+
+@st.composite
+def float_arrays(draw):
+    """Arrays over exponent windows anywhere in the float range (subnormals included), with
+    optional exact cancellation of all but a few entries scaled down by 2**-drop, so that
+    the total depends on the last bits of small residuals; then zeros of either sign and
+    special values."""
+    n = draw(st.sampled_from(SIZES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(["window", "probability", "products"]))
+    if shape == "window":
+        lo = draw(st.integers(-1074, 1024))
+        hi = min(1024, lo + draw(st.sampled_from([0, 1, 10, 40, 60, 120, 300, 2100])))
+        mantissa = rng.integers(2 ** 52, 2 ** 53, n).astype(float)
+        x = np.ldexp(mantissa, rng.integers(lo, hi + 1, n) - 53)
+        x *= rng.choice([-1.0, 1.0], n) if draw(st.booleans()) else 1.0
+    elif shape == "probability":
+        u = rng.random(n) + 0.05
+        x = u / math.fsum(u)
+    else:
+        x = rng.random(n) * rng.random(n) * (rng.random(n) - 0.5)
+    drop = draw(st.sampled_from([None, 0, 20, 40, 60, 90, 120]))
+    if drop is not None:  # exact cancellation: x with -x, leaving a few entries scaled down
+        bulk = x[: (n - max(1, n // 16)) // 2]
+        rest = np.ldexp(x[bulk.size: n - bulk.size], -drop)
+        x = rng.permutation(np.concatenate([bulk, -bulk, rest]))
+    zeros = draw(st.sampled_from([0.0, 0.01, 0.5, 1.0]))
+    picked = rng.random(n) < zeros
+    x[picked] = rng.choice([0.0, -0.0], int(picked.sum()))
+    for name in draw(st.lists(st.sampled_from(sorted(SPECIALS)), max_size=3)):
+        x[rng.integers(n)] = SPECIALS[name]
+    return x
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(float_arrays())
+def test_bits_equal_fsum(x):
+    assert outcome(exact_sum, x) == outcome(reference, x)
+
+
+@pytest.mark.parametrize("n", SIZES[2:])
+@pytest.mark.parametrize("head, fill, want", [
+    ([math.inf, -math.inf], 0.0, ValueError),  # -inf + inf
+    ([1e308, 1e308, -1e308], 0.0, OverflowError),  # intermediate overflow
+    ([1e308, 1e308], 0.0, OverflowError),  # the total overflows
+    ([], -0.0, struct.pack("<d", math.fsum([-0.0]))),
+    ([1.0, -1.0], -0.0, struct.pack("<d", 0.0)),  # exact cancellation is +0
+])
+def test_raises_and_zeros_like_fsum(n, head, fill, want):
+    x = np.full(n, fill)
+    x[: len(head)] = head
+    assert outcome(reference, x) == want
+    assert outcome(exact_sum, x) == want
