@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import matrices
-from .codivergence import PhiFunction, phi_alpha
+from .codivergence import PhiFunction, chi2_codiv, hellinger_codiv, phi_alpha, r_phi, v_phi
 from .errors import CodivError, DegeneratePhiError, OracleFailureError
 from .families import family_problems, family_set_problems, r_alpha_closed
 from .local import expansion_check, hellinger_off_support_check
@@ -195,7 +195,11 @@ def _input_matrix(options, inputs) -> DivMatrix:
 def _run_codiv(options, inputs, tolerance, seed):
     kind = options["kind"]
     if isinstance(inputs[0], DiscreteMeasure):
-        value = float(_input_matrix(options, inputs).entries[0, 1])
+        # the one cell, not the matrix: a diagonal cell beyond the float range is no error
+        base, _, phi = _kind_and_link(options)
+        pair = {"chi2": chi2_codiv, "hellinger": hellinger_codiv, "vphi": v_phi,
+                "rphi": r_phi}[base]
+        value = pair(*inputs) if phi is None else pair(*inputs, phi)
     else:
         value = r_alpha_closed(*inputs, parse_kind(kind)[1])
     return {"command": "codiv", "kind": kind, "value": value}

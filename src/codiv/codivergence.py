@@ -155,22 +155,37 @@ def _phi_mean(values: np.ndarray, w: np.ndarray, phi: PhiFunction) -> float:
                         f"exceeds the float range")
 
 
+_GRAM_OVERFLOW = "a cell of the Gram matrix H H' exceeds the float range"
+
+
 def _gram(h: np.ndarray) -> np.ndarray:
-    """H H', symmetric to the last bit, by numpy's own einsum loop rather than BLAS: the
-    last bits of a threaded BLAS product change with the thread count.  OverflowError
-    when a cell exceeds the float range: +inf stands for non-domination only."""
+    """H H' by numpy's own einsum loop rather than BLAS: the last bits of a threaded BLAS
+    product change with the thread count.  Cells (i, j) and (j, i) are the same products
+    summed in the same order, so the result is symmetric to the last bit.  A cell beyond
+    the float range is left non-finite; each caller checks the cells it reports."""
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.einsum("ik,jk->ij", h, h, optimize=False)
-        g = np.where(g == g.T, g, 0.5 * (g + g.T))
+        return np.einsum("ik,jk->ij", h, h, optimize=False)
+
+
+def _finite_gram(h: np.ndarray) -> np.ndarray:
+    """``_gram`` of h; OverflowError when any cell exceeds the float range, since +inf in
+    a divergence matrix stands for non-domination only."""
+    g = _gram(h)
     if not np.isfinite(g).all():
-        raise OverflowError("a cell of the Gram matrix H H' exceeds the float range")
+        raise OverflowError(_GRAM_OVERFLOW)
     return g
 
 
 def _cell(p0, p1, p2, kind: str, phi: PhiFunction | None = None) -> float:
-    """Cell (0, 1) of the Gram matrix of the rows of p1 and p2; +inf unless both are finite."""
+    """Cell (0, 1) of the Gram matrix of the rows of p1 and p2; +inf unless both are finite.
+    OverflowError when that cell exceeds the float range; the diagonal is not reported."""
     h, finite, _ = features(p0, (p1, p2), kind, phi)
-    return float(_gram(h)[0, 1]) if finite.all() else math.inf
+    if not finite.all():
+        return math.inf
+    value = float(_gram(h)[0, 1])
+    if not math.isfinite(value):
+        raise OverflowError(_GRAM_OVERFLOW)
+    return value
 
 
 def v_phi(p0: DiscreteMeasure, p1: DiscreteMeasure, p2: DiscreteMeasure,

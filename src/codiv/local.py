@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codivergence import PhiFunction, _gram, hellinger_codiv, r_phi, v_phi
+from .codivergence import PhiFunction, _finite_gram, hellinger_codiv, r_phi, v_phi
 from .errors import PreconditionError, raise_first
 from .measures import (DiscreteMeasure, SignedMeasure, check_same_support, direction_problems,
                        exact_sum, measure_problems, perturb, validity_radius)
@@ -50,7 +50,8 @@ def fisher_gram(p0: DiscreteMeasure, mus: Sequence[SignedMeasure]) -> np.ndarray
         PerturbationPair(p0, m, m)  # validates the direction
     pos = p0.mass > 0
     root0 = np.sqrt(p0.mass[pos])
-    return _gram(np.array([m.mass[pos] / root0 for m in mus]).reshape(len(mus), root0.size))
+    rows = np.array([m.mass[pos] / root0 for m in mus]).reshape(len(mus), root0.size)
+    return _finite_gram(rows)
 
 
 @dataclass(frozen=True)

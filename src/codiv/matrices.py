@@ -28,7 +28,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .codivergence import MATRIX_KINDS, PHI_IDENTITY, PhiFunction, _gram, features
+from .codivergence import (MATRIX_KINDS, PHI_IDENTITY, PhiFunction, _finite_gram,
+                           features)
 from .errors import (DegeneratePhiError, DimensionMismatchError, DominationError,
                      OracleFailureError, PreconditionError, numbers, raise_first)
 from .measures import (PROBABILITY_TOL, DiscreteMeasure, SignedMeasure, check_same_support,
@@ -137,7 +138,7 @@ def divergence_matrix(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind: 
     """Matrix with (j, k) entry D(p0 | ps[j], ps[k]) for the requested kind: the Gram
     matrix of ``features``, with +inf in the rows and columns of the infinite rows."""
     h, finite, _ = features(p0, ps, kind, phi)
-    entries = _gram(h)
+    entries = _finite_gram(h)
     entries[~finite, :] = math.inf
     entries[:, ~finite] = math.inf
     return DivMatrix(kind=kind, entries=entries, reference=reference)
@@ -226,7 +227,7 @@ def quadratic_form_check(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure],
         if kind == "chi2":
             raise DominationError("chi2 quadratic form needs dominated measures")
         raise PreconditionError("hellinger quadratic form needs positive affinities")
-    lhs = float(v @ _gram(h) @ v)
+    lhs = float(v @ _finite_gram(h) @ v)
     if kind == "chi2":
         mixture = SignedMeasure(np.sum(v[:, None] * np.stack([p.mass for p in ps]), axis=0))
         return lhs, chi2_signed(mixture, p0)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codiv import (PHI_IDENTITY, PHI_SQRT, DegeneratePhiError, DiscreteMeasure,
                    PhiFunction, PreconditionError, SignedMeasure, chi2_codiv, chi2_signed,
-                   hellinger_codiv, phi_alpha, r_phi, v_phi)
+                   divergence_matrix, hellinger_codiv, phi_alpha, r_phi, v_phi)
+from codiv.codivergence import _gram
 from helpers import random_dominated, random_direction, random_probability
 
 P0 = DiscreteMeasure([0.5, 0.5])
@@ -170,3 +173,30 @@ class TestStructuralProperties:
             p1 = random_dominated(rng, p0, zeros=1)
             assert (hellinger_codiv(p0, p1, p1)
                     <= chi2_codiv(p0, p1, p1) + 1e-10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 300), offset=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_gram_is_bit_symmetric(rows, cols, offset, seed):
+    # cells (i, j) and (j, i) must be equal to the last bit, also for rows that are not
+    # 16-byte aligned and for magnitudes across the float range
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(rows * cols) * 2.0 ** rng.integers(-500, 500, rows * cols)
+    buffer = np.empty(rows * cols + offset)
+    buffer[offset:] = values
+    g = _gram(buffer[offset:].reshape(rows, cols))
+    assert np.array_equal(g, g.T, equal_nan=True)
+
+
+def test_codiv_reports_its_cell_when_only_the_diagonal_overflows():
+    # v_alpha at alpha 308: phi(r) stays finite, the off-diagonal cell is about 9e306, and
+    # the diagonal cells of H H' overflow; the matrix, which reports them, is an error
+    p0 = DiscreteMeasure([0.1, 0.2, 0.3, 0.4])
+    p1 = DiscreteMeasure([0.4, 0.3, 0.2, 0.1])
+    p2 = DiscreteMeasure([0.25, 0.25, 0.25, 0.25])
+    phi = phi_alpha(308.0)
+    value = v_phi(p0, p1, p2, phi)
+    assert math.isfinite(value)
+    with pytest.raises(OverflowError, match="Gram matrix"):
+        divergence_matrix(p0, [p1, p2], "vphi", phi)

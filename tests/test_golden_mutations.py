@@ -2,8 +2,9 @@
 
 Each example takes a job of the golden corpus and changes one to three of its
 leaves: it puts a value from a small pool in place of the leaf, deletes it, or
-scales it when it is a number.  ``cli.run`` must raise nothing and exit 0, 2, 3
-or 4, and its report must be canonical JSON: it reads back to the same text
+scales it when it is a number.  ``cli.run`` must exit 0, 2, 3 or 4 without
+reaching its last resort, the "internal" error that an unexpected exception
+becomes, and its report must be canonical JSON: it reads back to the same text
 through ``dumps_canonical`` (``parse_int=float`` keeps the sign of -0).
 """
 
@@ -76,4 +77,6 @@ def test_mutated_golden_job_ends_in_a_documented_way(data):
             owner[key] *= data.draw(st.sampled_from(FACTORS), label="factor")
     text, status = run(job)
     assert status in (EXIT_OK, EXIT_VALIDATION, EXIT_COMPUTE, EXIT_PROPERTY)
-    assert dumps_canonical(json.loads(text, parse_int=float)) + "\n" == text
+    report = json.loads(text, parse_int=float)
+    assert report.get("error", {}).get("code") != "internal", report["error"]["message"]
+    assert dumps_canonical(report) + "\n" == text
