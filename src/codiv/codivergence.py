@@ -157,20 +157,27 @@ def _phi_mean(values: np.ndarray, w: np.ndarray, phi: PhiFunction) -> float:
 
 _GRAM_OVERFLOW = "a cell of the Gram matrix H H' exceeds the float range"
 
+# Kinds whose cells are E[f_j f_k] - 1 for nonnegative f_j, f_k: at least -1.
+_CORRELATION_KINDS = ("chi2", "hellinger", "rphi")
 
-def _gram(h: np.ndarray) -> np.ndarray:
+
+def _gram(h: np.ndarray, kind: str = "") -> np.ndarray:
     """H H' by numpy's own einsum loop rather than BLAS: the last bits of a threaded BLAS
     product change with the thread count.  Cells (i, j) and (j, i) are the same products
-    summed in the same order, so the result is symmetric to the last bit.  A cell beyond
+    summed in the same order, so the result is symmetric to the last bit.  A finite cell
+    of a correlation-type kind that rounding put below -1 is raised to -1.  A cell beyond
     the float range is left non-finite; each caller checks the cells it reports."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.einsum("ik,jk->ij", h, h, optimize=False)
+        g = np.einsum("ik,jk->ij", h, h, optimize=False)
+        if kind in _CORRELATION_KINDS:
+            g[(g < -1.0) & (g > -math.inf)] = -1.0
+    return g
 
 
-def _finite_gram(h: np.ndarray) -> np.ndarray:
+def _finite_gram(h: np.ndarray, kind: str = "") -> np.ndarray:
     """``_gram`` of h; OverflowError when any cell exceeds the float range, since +inf in
     a divergence matrix stands for non-domination only."""
-    g = _gram(h)
+    g = _gram(h, kind)
     if not np.isfinite(g).all():
         raise OverflowError(_GRAM_OVERFLOW)
     return g
@@ -182,7 +189,7 @@ def _cell(p0, p1, p2, kind: str, phi: PhiFunction | None = None) -> float:
     h, finite, _ = features(p0, (p1, p2), kind, phi)
     if not finite.all():
         return math.inf
-    value = float(_gram(h)[0, 1])
+    value = float(_gram(h, kind)[0, 1])
     if not math.isfinite(value):
         raise OverflowError(_GRAM_OVERFLOW)
     return value

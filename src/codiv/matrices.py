@@ -138,7 +138,7 @@ def divergence_matrix(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind: 
     """Matrix with (j, k) entry D(p0 | ps[j], ps[k]) for the requested kind: the Gram
     matrix of ``features``, with +inf in the rows and columns of the infinite rows."""
     h, finite, _ = features(p0, ps, kind, phi)
-    entries = _finite_gram(h)
+    entries = _finite_gram(h, kind)
     entries[~finite, :] = math.inf
     entries[:, ~finite] = math.inf
     return DivMatrix(kind=kind, entries=entries, reference=reference)
@@ -227,7 +227,7 @@ def quadratic_form_check(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure],
         if kind == "chi2":
             raise DominationError("chi2 quadratic form needs dominated measures")
         raise PreconditionError("hellinger quadratic form needs positive affinities")
-    lhs = float(v @ _finite_gram(h) @ v)
+    lhs = float(v @ _finite_gram(h, kind) @ v)
     if kind == "chi2":
         mixture = SignedMeasure(np.sum(v[:, None] * np.stack([p.mass for p in ps]), axis=0))
         return lhs, chi2_signed(mixture, p0)

@@ -1,23 +1,25 @@
 """Independent numerical evaluation of R_alpha and of divergence matrices.
 
 The family routines integrate the defining ratio of integrals directly
-(truncated series for Poisson, exact two-point sums for Bernoulli, adaptive
-Gauss-Legendre quadrature for Gaussian/Exponential/Gamma) and exist to
-validate the closed forms in :mod:`codiv.families`.  They deliberately avoid
-every closed-form shortcut.  ``oracle_natural_r_alpha`` checks the closed forms
-another way: through the exponential-family identity, of which each is a
-special case, on the natural parameters that the family table stores.  The
-discrete routines evaluate codivergences pair by pair, each from its
-defining finite sums accumulated with ``math.fsum``, to check the Gram
+(exact two-point sums for Bernoulli, adaptive Gauss-Legendre quadrature for
+Gaussian/Exponential/Gamma, and anchored log-space series for Poisson: each
+series is divided by its term at k = floor(lambda_0), and summed over a window
+that widens until a geometric bound on each tail is below 2**-60 of the sum)
+and exist to validate the closed forms in :mod:`codiv.families`.  They
+deliberately avoid every closed-form shortcut.  ``oracle_natural_r_alpha``
+checks the closed forms another way: through the exponential-family identity,
+of which each is a special case, on the natural parameters that the family
+table stores.  The discrete routines evaluate codivergences pair by pair, each
+from its defining finite sums accumulated with ``math.fsum``, to check the Gram
 cells of :func:`codiv.codivergence.features` through which the package
-computes every discrete codivergence and divergence matrix.  The CLI and
-the other modules never call them.
+computes every discrete codivergence and divergence matrix.  The CLI and the
+other modules never call them.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +29,7 @@ from .codivergence import MATRIX_KINDS
 from .errors import DegeneratePhiError, OracleFailureError, PreconditionError
 from .families import FAMILIES, ParamFamily, check_family_triple
 from .matrices import DivMatrix
-from .measures import check_probability, check_same_support, dominated_by
+from .measures import check_probability, check_same_support, dominated_by, exact_sum
 
 # Exponent drop (in nats) defining the integration window relative to the
 # integrand's peak; e^-46 < 1e-19.
@@ -38,6 +40,12 @@ _REL_TOL = 1e-9
 _QUAD_PANELS = 8
 _QUAD_ORDER = 32
 _MAX_PANELS = 2 ** 16
+
+# _poisson_log_series: most terms in a window, tail bound relative to the sum, and the
+# drop (in nats) below the peak past which terms are not summed.
+_SERIES_TERMS = 2 ** 20
+_SERIES_TAIL = 2.0 ** -60
+_SERIES_DROP = 60.0
 
 
 @lru_cache(maxsize=1)
@@ -131,60 +139,84 @@ def _gamma_power_integral(params, powers) -> float | None:
     return adaptive_gauss_legendre(f, y_lo, y_hi)
 
 
-def _poisson_power_sum(lams, powers) -> float:
-    """Sum over k of prod_j Pois(lam_j)(k)**power_j, truncated by a tail bound."""
-    lams = np.asarray(lams, dtype=float)
-    powers = np.asarray(powers, dtype=float)
-    B = float(np.dot(powers, lams))
-    L = float(np.dot(powers, np.log(lams)))
+def _poisson_log_series(L: float, m: int) -> float:
+    """log of the series sum_k e^((k - m) L) m!/k!, whose terms are log-concave in k with
+    their mode at g = e^L and the value 1 at the anchor m.
+
+    The log terms are accumulated outward from m by ``np.cumsum`` of L - log j, over a
+    window [lo, hi] that covers m and g.  Past hi a term is at most r = g/(hi + 1) times
+    the one before it, and below lo at most r = lo/g, so each tail is at most its edge
+    term times r/(1 - r); the window widens until both bounds are below _SERIES_TAIL of
+    the sum.  Terms more than _SERIES_DROP nats below the peak are not summed.
+    OracleFailureError when e^L exceeds the float range or the window would hold more
+    than _SERIES_TERMS terms."""
     try:
-        growth = math.exp(L)  # term ratio is growth/(k+1)
+        if not math.isfinite(L):
+            raise OverflowError
+        g = math.exp(L)
     except OverflowError:
         raise OracleFailureError(f"the Poisson series' term ratio e^{L!r}/(k + 1) exceeds "
                                  "the float range") from None
-    terms = []
-    k = 0
+    margin = 10 * math.ceil(math.sqrt(g)) + 10
+    while True:
+        lo = max(0, math.floor(min(m, g)) - margin)
+        hi = math.ceil(max(m, g)) + margin
+        if hi - lo + 1 > _SERIES_TERMS:
+            raise OracleFailureError(f"the Poisson series around k = {m} and the mode "
+                                     f"{g!r} needs more than {_SERIES_TERMS} terms")
+        up = np.cumsum(L - np.log(np.arange(m + 1, hi + 1, dtype=float)))
+        down = np.cumsum(np.log(np.arange(m, lo, -1, dtype=float)) - L)
+        logs = np.concatenate([down[::-1], [0.0], up])
+        peak = float(logs.max())
+        total = exact_sum(np.exp(logs[logs >= peak - _SERIES_DROP] - peak))
+        tails = [math.exp(logs[-1] - peak) * g / (hi + 1 - g)]  # r / (1 - r)
+        if lo > 0:
+            tails.append(math.exp(logs[0] - peak) * lo / (g - lo))
+        if max(tails) <= _SERIES_TAIL * total:
+            return peak + math.log(total)
+        margin *= 2
+
+
+def _poisson_r_alpha(params, alpha: float) -> float:
+    """R_alpha of one Poisson coordinate from its defining series, in log space.
+
+    With powers c summing to 1, the series sum_k prod_j Pois(lam_j)(k)**c_j is
+    e^(-B + mL)/m! times ``_poisson_log_series``(L, m)'s sum, for B = c.lam and
+    L = c.log(lam).  Every series uses the anchor m = floor(lam_0), and the series of
+    Pois(lam_0) itself, whose sum is 1, joins the three of R_alpha: then
+    log(R_alpha + 1) = log S_a + log S_0 - log S_b - log S_c, in which the factors
+    e^(-B + mL)/m! cancel exactly, so they are never computed.  OracleFailureError when
+    R_alpha exceeds the float range."""
+    lams = params[:, 0]
+    log_lams = np.log(lams)
+    m = math.floor(lams[0])
+    log1p = 0.0
+    for sign, powers in ((1.0, (1.0 - 2.0 * alpha, alpha, alpha)), (1.0, (1.0, 0.0, 0.0)),
+                         (-1.0, (1.0 - alpha, alpha, 0.0)), (-1.0, (1.0 - alpha, 0.0, alpha))):
+        L = float(np.dot(powers, log_lams))
+        log1p += sign * _poisson_log_series(L, m)
     try:
-        while True:
-            term = math.exp(-B + k * L - math.lgamma(k + 1))
-            terms.append(term)
-            k += 1
-            # Past 2*growth the terms at least halve each step, so the full tail
-            # is bounded by twice the next term.
-            if k > 2.0 * growth + 10.0 and term < 1e-18 * math.fsum(terms):
-                break
-            if k > 10_000_000:
-                raise OracleFailureError("poisson series did not meet its tail bound")
-        return math.fsum(terms)
-    except OverflowError:  # math.exp of a term, or math.fsum of the terms
-        raise OracleFailureError("the Poisson series' terms or their sum exceed the float "
-                                 "range") from None
+        return math.expm1(log1p)
+    except OverflowError:
+        raise OracleFailureError(f"the Poisson series give R_alpha beyond the float range: "
+                                 f"log(R_alpha + 1) = {log1p!r}") from None
 
 
-def _bernoulli_power_sum(thetas, powers) -> float:
+def _bernoulli_power_sum(params, powers) -> float:
     """Exact two-point sum of prod_j Ber(theta_j)(x)**power_j over x in {0, 1}."""
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = params[:, 0]
     powers = np.asarray(powers, dtype=float)
     at_one = math.exp(float(np.dot(powers, np.log(thetas))))
     at_zero = math.exp(float(np.dot(powers, np.log1p(-thetas))))
     return at_one + at_zero
 
 
-# For each oracle component of the family table: the integral, over one
-# coordinate, of prod_j p_j(x)**powers[j], where row j of ``params`` holds the
-# coordinate's parameters in family j; None marks a divergent integral.
-_COMPONENTS = {
-    "gaussian": _gaussian_power_integral,
-    "gamma": _gamma_power_integral,
-    "poisson": lambda params, powers: _poisson_power_sum(params[:, 0], powers),
-    "bernoulli": lambda params, powers: _bernoulli_power_sum(params[:, 0], powers),
-}
-
-
-def _component_r_alpha(integral, params, alpha: float) -> float:
-    """R_alpha of one scalar coordinate from its three defining integrals; +inf when one
-    diverges.  An integral of a positive integrand that comes out <= 0 or non-finite was
-    not resolved (a peak narrower than the panels, say), so it raises OracleFailureError."""
+def _ratio_of_integrals(integral, params, alpha: float) -> float:
+    """R_alpha of one scalar coordinate from its three defining integrals, where
+    ``integral(params, powers)`` is the integral of prod_j p_j(x)**powers[j] and None
+    marks a divergent one; +inf when one diverges.  An integral of a positive integrand
+    that comes out <= 0 or non-finite was not resolved (a peak narrower than the panels,
+    say), so it raises OracleFailureError."""
     values = [integral(params, powers) for powers in (
         (1.0 - 2.0 * alpha, alpha, alpha), (1.0 - alpha, alpha, 0.0), (1.0 - alpha, 0.0, alpha))]
     if None in values:
@@ -193,6 +225,16 @@ def _component_r_alpha(integral, params, alpha: float) -> float:
         raise OracleFailureError(f"the oracle integrals {values} of a coordinate are not all "
                                  "positive and finite: the integrand was not resolved")
     return values[0] / (values[1] * values[2]) - 1.0
+
+
+# For each oracle component of the family table: R_alpha of one coordinate, from
+# ``params``, whose row j holds the coordinate's parameters in family j, and alpha.
+_COMPONENTS = {
+    "gaussian": partial(_ratio_of_integrals, _gaussian_power_integral),
+    "gamma": partial(_ratio_of_integrals, _gamma_power_integral),
+    "poisson": _poisson_r_alpha,
+    "bernoulli": partial(_ratio_of_integrals, _bernoulli_power_sum),
+}
 
 
 def r_alpha_product(componentwise: Sequence[float]) -> float:
@@ -206,16 +248,17 @@ def oracle_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: flo
     """Numerical R_alpha for a same-kind family triple, one coordinate at a time.
 
     Product families are composed with the product rule; the per-coordinate
-    integrals are evaluated to _REL_TOL.
+    integrals are evaluated to _REL_TOL, and the Poisson series until their tail
+    bounds are below _SERIES_TAIL of their sums.
     """
     if not alpha > 0:
         raise PreconditionError("alpha must be positive")
     check_family_triple(f0, f1, f2)
     spec = FAMILIES[type(f0)]
-    integral = _COMPONENTS[spec.component]
+    component = _COMPONENTS[spec.component]
     # coordinate x family x component parameter
     table = np.stack([np.column_stack(spec.coords(f)) for f in (f0, f1, f2)], axis=1)
-    return r_alpha_product([_component_r_alpha(integral, params, alpha) for params in table])
+    return r_alpha_product([component(params, alpha) for params in table])
 
 
 def oracle_natural_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,

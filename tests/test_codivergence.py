@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from codiv import (PHI_IDENTITY, PHI_SQRT, DegeneratePhiError, DiscreteMeasure,
                    PhiFunction, PreconditionError, SignedMeasure, chi2_codiv, chi2_signed,
                    divergence_matrix, hellinger_codiv, phi_alpha, r_phi, v_phi)
-from codiv.codivergence import _gram
+from codiv.codivergence import _cell, _gram
 from helpers import random_dominated, random_direction, random_probability
 
 P0 = DiscreteMeasure([0.5, 0.5])
@@ -200,3 +200,28 @@ def test_codiv_reports_its_cell_when_only_the_diagonal_overflows():
     assert math.isfinite(value)
     with pytest.raises(OverflowError, match="Gram matrix"):
         divergence_matrix(p0, [p1, p2], "vphi", phi)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["chi2", "hellinger", "rphi"]), n=st.integers(2, 6),
+       zeros=st.integers(0, 4), alpha=st.sampled_from([0.5, 2.0, 50.0, 300.0, 309.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind="rphi", n=2, zeros=0, alpha=309.0, seed=-1)
+def test_correlation_cells_are_at_least_minus_one(kind, n, zeros, alpha, seed):
+    # every cell is E[f_j f_k] - 1 for nonnegative f_j, f_k; near -1, when f_j and f_k
+    # put their weight on different points, the rounded product sum must not pass it
+    if seed < 0:  # masses (0.5, 0.5), (0.25, 0.75), (0.75, 0.25): -1.0000000000000002 once
+        p0, ps = DiscreteMeasure([0.5, 0.5]), [DiscreteMeasure([0.25, 0.75]),
+                                               DiscreteMeasure([0.75, 0.25])]
+    else:
+        rng = np.random.default_rng(seed)
+        p0 = random_probability(rng, n)
+        ps = [random_dominated(rng, p0, floor=1e-3, zeros=min(zeros, n - 1)) for _ in range(3)]
+    phi = phi_alpha(alpha) if kind == "rphi" else None
+    try:
+        entries = divergence_matrix(p0, ps, kind, phi).entries
+        cell = _cell(p0, ps[0], ps[1], kind, phi)
+    except (OverflowError, DegeneratePhiError):
+        assume(False)
+    assert entries.min() >= -1.0
+    assert cell >= -1.0 and cell == entries[0, 1]

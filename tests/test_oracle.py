@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from codiv import (PHI_SQRT, BernoulliProd, DiscreteMeasure, ExponentialProd,
                    GammaProd, GaussianIso, OracleFailureError, PoissonProd,
                    adaptive_gauss_legendre, oracle_divergence_matrix, oracle_r_alpha,
                    phi_alpha, r_alpha_closed, r_phi)
-from codiv.oracles import _poisson_power_sum
+from codiv.oracles import _poisson_log_series
 from helpers import random_dominated, random_probability
 
 
@@ -77,22 +78,63 @@ class TestSelfConsistency:
             assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
     def test_poisson_tail_bound(self):
-        # adaptive truncation must agree with a generous fixed truncation
+        # the anchored series, scaled back by its anchor term, must agree with a generous
+        # fixed truncation, whichever side of the mode the anchor is on
         lams = (1.3, 2.1, 0.7)
         powers = (0.5, 0.25, 0.25)
-        adaptive = _poisson_power_sum(lams, powers)
         B = math.fsum(c * lam for c, lam in zip(powers, lams))
         L = math.fsum(c * math.log(lam) for c, lam in zip(powers, lams))
         fixed = math.fsum(math.exp(-B + k * L - math.lgamma(k + 1)) for k in range(400))
-        assert adaptive == pytest.approx(fixed, rel=1e-14)
+        for anchor in (0, 1, 4):
+            anchored = math.exp(-B + anchor * L - math.lgamma(anchor + 1)
+                                + _poisson_log_series(L, anchor))
+            assert anchored == pytest.approx(fixed, rel=1e-14)
 
     @pytest.mark.parametrize("rate", [5.2, 5.22])
-    def test_poisson_overflow_is_named(self, rate):
-        # R is finite (about 3e294 at 5.2), but the first defining series is not: at 5.2 its
-        # terms are finite and their sum is not, at 5.22 a term itself overflows
+    def test_poisson_series_beyond_the_float_range_match_the_closed_form(self, rate):
+        # R is finite (about 3e294 at 5.2), though the first defining series is not: the
+        # anchored series are summed in log space
         f = [PoissonProd([lam]) for lam in (1.0, rate, rate)]
-        with pytest.raises(OracleFailureError, match="Poisson series' terms or their sum"):
+        assert oracle_r_alpha(*f, 2.0) == pytest.approx(r_alpha_closed(*f, 2.0), rel=1e-7)
+
+    def test_poisson_term_ratio_overflow_is_named(self):
+        f = [PoissonProd([lam]) for lam in (1.0, 1e300, 0.5)]
+        with pytest.raises(OracleFailureError, match="term ratio e\\^759.09"):
+            oracle_r_alpha(*f, 1.1)
+
+    def test_poisson_term_budget_is_named(self):
+        # the window of about 2e7 terms is refused before anything is allocated
+        f = PoissonProd([1e12])
+        start = time.perf_counter()
+        with pytest.raises(OracleFailureError, match="needs more than 1048576 terms"):
+            oracle_r_alpha(f, f, f, 1.0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_poisson_r_alpha_beyond_the_float_range_is_named(self):
+        # log(R + 1) = 35 * 35 = 1225: every series is finite in log space, R is not
+        f = [PoissonProd([lam]) for lam in (1.0, 6.0, 6.0)]
+        with pytest.raises(OracleFailureError, match="R_alpha beyond the float range"):
             oracle_r_alpha(*f, 2.0)
+
+    @pytest.mark.parametrize("lam, rel", [(1e3, 1e-11), (1e4, 1e-11), (1e5, 1e-11),
+                                          (1e6, 1e-10)])
+    def test_poisson_matches_mpmath(self, lam, rel):
+        # the natural-parameter identity at 50 digits: log(R + 1) = lam0 + sum of e^L over
+        # the series a, b, c with signs +, -, -
+        mpmath = pytest.importorskip("mpmath")
+        lams = [lam * x for x in (1.0, 1.001, 0.999)]
+        alpha = 2.0
+        with mpmath.workdps(50):
+            logs = [mpmath.log(mpmath.mpf(x)) for x in lams]
+            a = mpmath.mpf(alpha)
+
+            def tilt(c1, c2):
+                return mpmath.exp((1 - c1 - c2) * logs[0] + c1 * logs[1] + c2 * logs[2])
+
+            exact = float(mpmath.expm1(mpmath.mpf(lams[0]) + tilt(a, a) - tilt(a, 0)
+                                       - tilt(0, a)))
+        value = oracle_r_alpha(*[PoissonProd([x]) for x in lams], alpha)
+        assert value == pytest.approx(exact, rel=rel)
 
 
 class TestDiscreteBruteForce:
