@@ -91,11 +91,14 @@ class TestSelfConsistency:
             assert anchored == pytest.approx(fixed, rel=1e-14)
 
     @pytest.mark.parametrize("rate", [5.2, 5.22])
-    def test_poisson_series_beyond_the_float_range_match_the_closed_form(self, rate):
-        # R is finite (about 3e294 at 5.2), though the first defining series is not: the
-        # anchored series are summed in log space
+    def test_poisson_overflow_is_named(self, rate):
+        # at alpha 2, R is finite (about 3e294 at 5.2) though the first defining series is
+        # not: the anchored series are summed in log space and match the closed form. At
+        # alpha 2.1, log(R + 1) is about 954 at 5.2, and the overflow of R itself is named
         f = [PoissonProd([lam]) for lam in (1.0, rate, rate)]
         assert oracle_r_alpha(*f, 2.0) == pytest.approx(r_alpha_closed(*f, 2.0), rel=1e-7)
+        with pytest.raises(OracleFailureError, match="R_alpha beyond the float range"):
+            oracle_r_alpha(*f, 2.1)
 
     def test_poisson_term_ratio_overflow_is_named(self):
         f = [PoissonProd([lam]) for lam in (1.0, 1e300, 0.5)]
