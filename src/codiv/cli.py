@@ -75,13 +75,6 @@ def parse_kind(text: str) -> tuple[str, float | None]:
     raise CodivError(f"unknown kind {text!r}", "/options/kind")
 
 
-def _kind_option(options: dict, problems: list) -> None:
-    try:
-        parse_kind(options.get("kind"))
-    except CodivError as exc:
-        problems.append(exc)
-
-
 def _masses(inputs, problems: list, directions=()) -> list:
     """Check each input as a probability measure, or as a direction at the indices in
     ``directions``; returns their mass arrays."""
@@ -122,15 +115,7 @@ def validate(job: dict) -> tuple[list, list | None]:
             members.append(member)
             built_families.append(family)
             problems += found
-        _kind_option(options, problems)
         problems += family_set_problems(members, "/inputs")
-        if command == "codiv" and str(options.get("kind")).startswith("valpha:"):
-            problems.append(CodivError("covariance-type closed forms are not available for "
-                                       "parametric families; use alpha:<value>", "/options/kind"))
-    elif command == "codiv":
-        masses = _masses(inputs, problems)
-        _kind_option(options, problems)
-        problems += support_problems(masses)
     elif command == "expand":
         mode = options.get("mode", "local")
         directions = (1, 2)
@@ -142,9 +127,7 @@ def validate(job: dict) -> tuple[list, list | None]:
             for i in directions:
                 problems += direction_problems(masses[i], masses[0], mode == "off-support",
                                                f"/inputs/{i}")
-        if mode == "local":
-            _kind_option(options, problems)
-    elif not randomized:  # matrix, rank and dpi on explicit measures
+    elif not randomized:  # codiv, matrix, rank and dpi on explicit measures
         masses = _masses(inputs, problems)
         if len(inputs) < 2:
             problems.append(CodivError("need the reference measure plus at least one measure",
@@ -156,8 +139,13 @@ def validate(job: dict) -> tuple[list, list | None]:
         else:
             kernel, found = kernel_problems(options["kernel"], "/options/kernel")
             problems += found + support_problems(masses, None if kernel is None else len(kernel))
-    if command in ("matrix", "rank"):
-        _kind_option(options, problems)
+    if command != "dpi" and (command != "expand" or options.get("mode", "local") == "local"):
+        try:
+            if parse_kind(options.get("kind"))[0] == "vphi" and families:
+                raise CodivError("covariance-type closed forms are not available for "
+                                 "parametric families; use alpha:<value>", "/options/kind")
+        except CodivError as exc:
+            problems.append(exc)
     for name, (test, what) in _OPTION_SCHEMA.items():
         if name in options and not test(options[name]):
             problems.append(CodivError(f"{name} must be {what}", f"/options/{name}"))
@@ -193,16 +181,15 @@ def _input_matrix(options, inputs) -> DivMatrix:
 
 
 def _run_codiv(options, inputs, tolerance, seed):
-    kind = options["kind"]
+    base, alpha, phi = _kind_and_link(options)
     if isinstance(inputs[0], DiscreteMeasure):
         # the one cell, not the matrix: a diagonal cell beyond the float range is no error
-        base, _, phi = _kind_and_link(options)
         pair = {"chi2": chi2_codiv, "hellinger": hellinger_codiv, "vphi": v_phi,
                 "rphi": r_phi}[base]
         value = pair(*inputs) if phi is None else pair(*inputs, phi)
     else:
-        value = r_alpha_closed(*inputs, parse_kind(kind)[1])
-    return {"command": "codiv", "kind": kind, "value": value}
+        value = r_alpha_closed(*inputs, alpha)
+    return {"command": "codiv", "kind": options["kind"], "value": value}
 
 
 def _run_matrix(options, inputs, tolerance, seed):

@@ -75,6 +75,14 @@ PHI_IDENTITY = phi_alpha(1.0)
 PHI_SQRT = phi_alpha(0.5)
 
 
+def check_kind(kind: str, phi: PhiFunction | None = None) -> None:
+    """PreconditionError unless ``kind`` is a matrix kind, with the link that vphi and rphi need."""
+    if kind not in MATRIX_KINDS:
+        raise PreconditionError(f"unknown matrix kind {kind!r}")
+    if kind in ("vphi", "rphi") and phi is None:
+        raise PreconditionError(f"kind {kind!r} requires a PhiFunction")
+
+
 class Features(NamedTuple):
     """The centred feature matrix of a reference and M measures (see ``features``)."""
 
@@ -99,10 +107,7 @@ def features(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind: str,
     range raises OverflowError.  The rows are filled one at a time into one buffer,
     so no other M x N array is made.
     """
-    if kind not in MATRIX_KINDS:
-        raise PreconditionError(f"unknown matrix kind {kind!r}")
-    if kind in ("vphi", "rphi") and phi is None:
-        raise PreconditionError(f"kind {kind!r} requires a PhiFunction")
+    check_kind(kind, phi)
     check_same_support(p0, *ps)
     check_probability(p0, *ps)
     null = p0.mass == 0

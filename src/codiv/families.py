@@ -140,7 +140,10 @@ def family_set_problems(members, path: str = "") -> list:
             if len(set(column) - {None}) > 1]
 
 
-def check_family_triple(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily) -> None:
+def check_family_triple(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: float) -> None:
+    """PreconditionError unless alpha > 0, then the first set rule the triple breaks."""
+    if not alpha > 0:
+        raise PreconditionError("alpha must be positive")
     members = []
     for f in (f0, f1, f2):
         shared = FAMILIES[type(f)].shared
@@ -268,9 +271,7 @@ def r_alpha_closed_log1p(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
     """log(R_alpha + 1) in closed form; +inf when a domain constraint fails.  OverflowError
     when the formula gives NaN or +inf: a power such as lambda**alpha overflowed, and the
     overflowed terms, or their differences (inf - inf), say nothing of the true value."""
-    if not alpha > 0:
-        raise PreconditionError("alpha must be positive")
-    check_family_triple(f0, f1, f2)
+    check_family_triple(f0, f1, f2, alpha)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             value = FAMILIES[type(f0)].log1p(f0, f1, f2, alpha)
@@ -303,7 +304,7 @@ def gamma_first_order(f0: GammaProd, f1: GammaProd, f2: GammaProd, alpha: float)
     alpha^2 * sum_l shape_l * (b1l-b0l)*(b2l-b0l)/b0l^2.  Exponential
     families count as Gamma families with unit shapes.
     """
-    check_family_triple(f0, f1, f2)
+    check_family_triple(f0, f1, f2, alpha)
     spec = FAMILIES[type(f0)]
     if spec.component != "gamma":
         raise KindMismatchError("gamma_first_order requires Gamma families")

@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .codivergence import (MATRIX_KINDS, PHI_IDENTITY, PhiFunction, _finite_gram,
-                           features)
+                           check_kind, features)
 from .errors import (DegeneratePhiError, DimensionMismatchError, DominationError,
                      OracleFailureError, PreconditionError, numbers, raise_first)
 from .measures import (PROBABILITY_TOL, DiscreteMeasure, SignedMeasure, check_same_support,
@@ -340,8 +340,7 @@ def rank_with_identity(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind:
     in plain L2 for the hellinger kind; the reported function rank is that
     span's dimension minus one.  The two ranks agree for finite matrices.
     """
-    if kind in ("vphi", "rphi") and phi is None:
-        raise PreconditionError(f"kind {kind!r} requires a PhiFunction")
+    check_kind(kind, phi)
     if kind == "chi2":
         phi = PHI_IDENTITY
     mat = divergence_matrix(p0, ps, kind, phi=phi)

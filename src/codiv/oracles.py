@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .codivergence import MATRIX_KINDS
+from .codivergence import check_kind
 from .errors import DegeneratePhiError, OracleFailureError, PreconditionError
 from .families import FAMILIES, ParamFamily, check_family_triple
 from .matrices import DivMatrix
@@ -98,7 +98,6 @@ def _gaussian_power_integral(params, powers) -> float:
     sum to 1.  The integrand is a bump of width sigma centred at sum_j power_j * mean_j,
     outside the means when a power is negative, so the window is bracketed around it."""
     means, sigma = params[:, 0], params[0, 1]
-    powers = np.asarray(powers, dtype=float)
     log_norm = -math.log(sigma * math.sqrt(2.0 * math.pi))  # total, since sum(powers) == 1
     inv2s2 = 1.0 / (2.0 * sigma * sigma)
 
@@ -120,7 +119,6 @@ def _gamma_power_integral(params, powers) -> float | None:
     exists iff S > 0 and R > 0.
     """
     shapes, rates = params[:, 0], params[:, 1]
-    powers = np.asarray(powers, dtype=float)
     S = float(np.dot(powers, shapes))
     R = float(np.dot(powers, rates))
     if S <= 0 or R <= 0:
@@ -205,7 +203,6 @@ def _poisson_r_alpha(params, alpha: float) -> float:
 def _bernoulli_power_sum(params, powers) -> float:
     """Exact two-point sum of prod_j Ber(theta_j)(x)**power_j over x in {0, 1}."""
     thetas = params[:, 0]
-    powers = np.asarray(powers, dtype=float)
     at_one = math.exp(float(np.dot(powers, np.log(thetas))))
     at_zero = math.exp(float(np.dot(powers, np.log1p(-thetas))))
     return at_one + at_zero
@@ -217,8 +214,8 @@ def _ratio_of_integrals(integral, params, alpha: float) -> float:
     marks a divergent one; +inf when one diverges.  An integral of a positive integrand
     that comes out <= 0 or non-finite was not resolved (a peak narrower than the panels,
     say), so it raises OracleFailureError."""
-    values = [integral(params, powers) for powers in (
-        (1.0 - 2.0 * alpha, alpha, alpha), (1.0 - alpha, alpha, 0.0), (1.0 - alpha, 0.0, alpha))]
+    values = [integral(params, powers) for powers in np.array((
+        (1.0 - 2.0 * alpha, alpha, alpha), (1.0 - alpha, alpha, 0.0), (1.0 - alpha, 0.0, alpha)))]
     if None in values:
         return math.inf
     if not all(0 < value < math.inf for value in values):
@@ -238,10 +235,14 @@ _COMPONENTS = {
 
 
 def r_alpha_product(componentwise: Sequence[float]) -> float:
-    """Combine per-coordinate R_alpha values: product of (value + 1) minus 1; +inf absorbs."""
+    """Combine per-coordinate R_alpha values: product of (value + 1) minus 1; +inf absorbs.
+    OracleFailureError when finite values multiply beyond the float range."""
     if any(math.isinf(v) for v in componentwise):
         return math.inf
-    return math.prod(1.0 + v for v in componentwise) - 1.0
+    product = math.prod(1.0 + v for v in componentwise)
+    if not math.isfinite(product):
+        raise OracleFailureError("the coordinates' R_alpha + 1 multiply beyond the float range")
+    return product - 1.0
 
 
 def oracle_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: float) -> float:
@@ -251,9 +252,7 @@ def oracle_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: flo
     integrals are evaluated to _REL_TOL, and the Poisson series until their tail
     bounds are below _SERIES_TAIL of their sums.
     """
-    if not alpha > 0:
-        raise PreconditionError("alpha must be positive")
-    check_family_triple(f0, f1, f2)
+    check_family_triple(f0, f1, f2, alpha)
     spec = FAMILIES[type(f0)]
     component = _COMPONENTS[spec.component]
     # coordinate x family x component parameter
@@ -267,9 +266,7 @@ def oracle_natural_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
     log-partition A of the family table: log(R_alpha + 1) = A(tbar) - A(t01) - A(t02) + A(t0),
     with tbar = t0 + alpha (t1 + t2 - 2 t0) and t0j = t0 + alpha (tj - t0); +inf when a mixed
     parameter leaves the natural domain."""
-    if not alpha > 0:
-        raise PreconditionError("alpha must be positive")
-    check_family_triple(f0, f1, f2)
+    check_family_triple(f0, f1, f2, alpha)
     natural = FAMILIES[type(f0)].natural
     (t0, A, in_domain), (t1, _, _), (t2, _, _) = (natural(f) for f in (f0, f1, f2))
     mixed = (t0 + alpha * (t1 + t2 - 2.0 * t0), t0 + alpha * (t1 - t0), t0 + alpha * (t2 - t0))
@@ -314,10 +311,7 @@ def _pairwise_codiv(p0, p1, p2, kind: str, phi) -> float:
 def oracle_divergence_matrix(p0, ps, kind: str, phi=None, reference: str = "") -> DivMatrix:
     """Reference divergence matrix: every entry D(p0 | ps[j], ps[k]) evaluated on its own
     by the pairwise ``math.fsum`` sums, to check ``divergence_matrix``."""
-    if kind not in MATRIX_KINDS:
-        raise PreconditionError(f"unknown matrix kind {kind!r}")
-    if kind in ("vphi", "rphi") and phi is None:
-        raise PreconditionError(f"kind {kind!r} requires a PhiFunction")
+    check_kind(kind, phi)
     check_same_support(p0, *ps)
     if kind in ("vphi", "rphi"):  # the normalizing integrals assume totals of 1
         check_probability(p0, *ps)

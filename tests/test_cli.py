@@ -61,9 +61,10 @@ class TestValidate:
                "options": {"kind": "chi2"}}
         assert any("sum to 1" in f["message"] for f in validate(job)[0])
 
-    def test_covariance_type_rejected_for_families(self):
+    @pytest.mark.parametrize("command", ["codiv", "oracle-check"])
+    def test_covariance_type_rejected_for_families(self, command):
         fam = {"kind": "poisson_product", "params": {"lambda": [1.0]}}
-        job = {"command": "codiv", "inputs": [fam, fam, fam],
+        job = {"command": command, "inputs": [fam, fam, fam],
                "options": {"kind": "valpha:0.5"}}
         assert any(f["path"] == "/options/kind" for f in validate(job)[0])
 

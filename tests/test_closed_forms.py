@@ -6,7 +6,7 @@ import pytest
 from codiv import (BernoulliProd, DimensionMismatchError, ExponentialProd, GammaProd,
                    GaussianIso, KindMismatchError, PoissonProd, PreconditionError,
                    family_from_json_dict, gamma_first_order, oracle_natural_r_alpha,
-                   r_alpha_closed, r_alpha_closed_log1p, r_alpha_product)
+                   oracle_r_alpha, r_alpha_closed, r_alpha_closed_log1p, r_alpha_product)
 from codiv.families import FAMILIES
 
 
@@ -272,6 +272,16 @@ def test_kind_and_dimension_mismatch():
         r_alpha_closed(PoissonProd([1.0]), ExponentialProd([1.0]), PoissonProd([1.0]), 1.0)
     with pytest.raises(DimensionMismatchError):
         r_alpha_closed(PoissonProd([1.0]), PoissonProd([1.0, 2.0]), PoissonProd([1.0]), 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+@pytest.mark.parametrize("route", [r_alpha_closed_log1p, r_alpha_closed, oracle_r_alpha,
+                                   oracle_natural_r_alpha, gamma_first_order],
+                         ids=lambda f: f.__name__)
+def test_alpha_must_be_positive(route, alpha):
+    f = GammaProd([1.5], [2.0])
+    with pytest.raises(PreconditionError, match="^alpha must be positive$"):
+        route(f, f, f, alpha)
 
 
 def test_family_json_round_trip():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from codiv import (PHI_IDENTITY, PHI_SQRT, DegeneratePhiError, DiagnosticStatus,
                    DiscreteMeasure, DominationError, MarkovKernel,
                    OracleFailureError, PhiFunction, PreconditionError, SignedMeasure,
                    chi2_signed, chi2_signed_decomposition_check,
-                   divergence_matrix, dpi_check, eigen_summary, jacobi_eigenvalues,
+                   divergence_matrix, dpi_check, eigen_summary, features, jacobi_eigenvalues,
                    jordan_decompose, link_identity_check, oracle_divergence_matrix,
                    phi_alpha, phi_normalizers, push_forward, quadratic_form_check,
                    rank_with_identity)
@@ -71,9 +72,14 @@ class TestDivergenceMatrix:
         assert not mat.finite
         assert eigen_summary(mat).status is DiagnosticStatus.NOT_APPLICABLE
 
-    def test_phi_kind_requires_phi(self):
-        with pytest.raises(PreconditionError):
-            divergence_matrix(P0, [P1], "rphi")
+    @pytest.mark.parametrize("route", [features, divergence_matrix, rank_with_identity,
+                                       oracle_divergence_matrix], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("kind, message", [("kl", "unknown matrix kind 'kl'"),
+                                               ("rphi", "kind 'rphi' requires a PhiFunction")],
+                             ids=["unknown", "no-link"])
+    def test_phi_kind_requires_phi(self, route, kind, message):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            route(P0, [P1], kind)
 
 
 def _fast_and_oracle_instance(rng, i):

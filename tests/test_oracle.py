@@ -7,7 +7,7 @@ import pytest
 from codiv import (PHI_SQRT, BernoulliProd, DiscreteMeasure, ExponentialProd,
                    GammaProd, GaussianIso, OracleFailureError, PoissonProd,
                    adaptive_gauss_legendre, oracle_divergence_matrix, oracle_r_alpha,
-                   phi_alpha, r_alpha_closed, r_phi)
+                   phi_alpha, r_alpha_closed, r_alpha_product, r_phi)
 from codiv.oracles import _poisson_log_series
 from helpers import random_dominated, random_probability
 
@@ -118,6 +118,15 @@ class TestSelfConsistency:
         f = [PoissonProd([lam]) for lam in (1.0, 6.0, 6.0)]
         with pytest.raises(OracleFailureError, match="R_alpha beyond the float range"):
             oracle_r_alpha(*f, 2.0)
+
+    def test_product_beyond_the_float_range_is_named(self):
+        # log(R + 1) = 576 in each coordinate: both factors are finite, their product is not,
+        # and +inf would claim a divergent integral
+        f = [PoissonProd([lam, lam]) for lam in (1.0, 5.0, 5.0)]
+        with pytest.raises(OracleFailureError, match="float range"):
+            oracle_r_alpha(*f, 2.0)
+        with pytest.raises(OracleFailureError, match="float range"):
+            r_alpha_product([1e200, 1e200])
 
     @pytest.mark.parametrize("lam, rel", [(1e3, 1e-11), (1e4, 1e-11), (1e5, 1e-11),
                                           (1e6, 1e-10)])
