@@ -173,18 +173,33 @@ def _gaussian_log1p(f0, f1, f2, alpha) -> float:
 
 def _poisson_log1p(f0, f1, f2, alpha) -> float:
     l0, l1, l2 = f0.rates, f1.rates, f2.rates
-    terms = l0 ** (1.0 - 2.0 * alpha) * (l1 ** alpha - l0 ** alpha) * (l2 ** alpha - l0 ** alpha)
-    return math.fsum(terms)
+    p0, q0, q1, q2 = l0 ** (1.0 - 2.0 * alpha), l0 ** alpha, l1 ** alpha, l2 ** alpha
+    terms = p0 * (q1 - q0) * (q2 - q0)  # not finite where a power overflowed
+    e1, e2 = (np.expm1(alpha * (np.log(lj) - np.log(l0))) for lj in (l1, l2))
+    direct = (np.minimum.reduce([p0, q0, q1, q2]) >= np.finfo(float).tiny) & np.isfinite(terms)
+    return math.fsum(np.where(direct, terms, l0 * e1 * e2))
+
+
+def _log_mix(w, a, b) -> float:
+    """log(w e^a + (1 - w) e^b), which is exactly 0 at a = b = 0."""
+    m = max(a, b)
+    return m + math.log(w * math.exp(a - m) + (1 - w) * math.exp(b - m))
 
 
 def _bernoulli_log1p(f0, f1, f2, alpha) -> float:
     total = 0.0
     for t0, t1, t2 in zip(f0.thetas, f1.thetas, f2.thetas):
-        num = (t0 ** (1 - 2 * alpha) * t1 ** alpha * t2 ** alpha
-               + (1 - t0) ** (1 - 2 * alpha) * (1 - t1) ** alpha * (1 - t2) ** alpha)
-        r1 = t0 ** (1 - alpha) * t1 ** alpha + (1 - t0) ** (1 - alpha) * (1 - t1) ** alpha
-        r2 = t0 ** (1 - alpha) * t2 ** alpha + (1 - t0) ** (1 - alpha) * (1 - t2) ** alpha
-        total += math.log(num) - math.log(r1) - math.log(r2)
+        powers = (t0 ** (1 - 2 * alpha), t1 ** alpha, t2 ** alpha, t0 ** (1 - alpha),
+                  (1 - t0) ** (1 - 2 * alpha), (1 - t1) ** alpha, (1 - t2) ** alpha,
+                  (1 - t0) ** (1 - alpha))
+        p0, p1, p2, p, q0, q1, q2, q = powers
+        sums = (p0 * p1 * p2 + q0 * q1 * q2, p * p1 + q * q1, p * p2 + q * q2)
+        if min(powers + sums) >= np.finfo(float).tiny and max(powers + sums) < math.inf:
+            total += math.log(sums[0]) - math.log(sums[1]) - math.log(sums[2])
+            continue
+        a1, a2 = (alpha * (math.log(t) - math.log(t0)) for t in (t1, t2))
+        b1, b2 = (alpha * (math.log1p(-t) - math.log1p(-t0)) for t in (t1, t2))
+        total += _log_mix(t0, a1 + a2, b1 + b2) - _log_mix(t0, a1, b1) - _log_mix(t0, a2, b2)
     return total
 
 
@@ -268,9 +283,10 @@ FAMILY_KINDS = {spec.kind: cls for cls, spec in FAMILIES.items()}
 
 def r_alpha_closed_log1p(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
                          alpha: float) -> float:
-    """log(R_alpha + 1) in closed form; +inf when a domain constraint fails.  OverflowError
-    when the formula gives NaN or +inf: a power such as lambda**alpha overflowed, and the
-    overflowed terms, or their differences (inf - inf), say nothing of the true value."""
+    """log(R_alpha + 1) in closed form; +inf when a domain constraint fails.  The Poisson and
+    Bernoulli coordinates use powers such as lambda**alpha where each is normal and the
+    result finite, and elsewhere each power taken relative to member 0.  OverflowError when
+    the value is NaN or +inf: beyond the float range, or undefined in floating point."""
     check_family_triple(f0, f1, f2, alpha)
     with np.errstate(over="ignore", invalid="ignore"):
         try:

@@ -72,9 +72,19 @@ class ExpansionReport:
     inner: float
     coefficient: float  # phi'(1)^2 * inner
     levels: tuple[ExpansionLevel, ...]
-    leading_coeff_v: float  # v_value/(t*s) at the finest level
-    leading_coeff_r: float
     grid_shifts: int = 0  # halvings applied to reach the asymptotic window
+
+    @property
+    def leading_coeff_v(self) -> float:
+        """v_value/(t*s) at the finest level."""
+        ts = self.levels[-1].t * self.levels[-1].s
+        return self.levels[-1].v_value / ts if ts != 0 else 0.0
+
+    @property
+    def leading_coeff_r(self) -> float:
+        """r_value/(t*s) at the finest level."""
+        ts = self.levels[-1].t * self.levels[-1].s
+        return self.levels[-1].r_value / ts if ts != 0 else 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -110,59 +120,37 @@ def geometric_decay_ok(residuals: Sequence[float], ratios: Sequence[float]) -> b
     return True
 
 
-def _run_levels(p0, mu, mu_tilde, phi, coeff, grid):
-    out = []
-    for t, s in grid:
-        p1 = perturb(p0, mu, t)
-        p2 = perturb(p0, mu_tilde, s)
-        v_val = v_phi(p0, p1, p2, phi)
-        r_val = r_phi(p0, p1, p2, phi)
-        predicted = t * s * coeff
-        denom = t * t + s * s
-        v_res = abs(v_val - predicted)
-        r_res = abs(r_val - predicted)
-        out.append(ExpansionLevel(t=t, s=s, v_value=v_val, r_value=r_val,
-                                  v_residual=v_res, r_residual=r_res,
-                                  v_ratio=v_res / denom if denom > 0 else 0.0,
-                                  r_ratio=r_res / denom if denom > 0 else 0.0))
-    return out
-
-
 def expansion_check(p0: DiscreteMeasure, mu: SignedMeasure, mu_tilde: SignedMeasure,
                     phi: PhiFunction, levels: int = 5) -> ExpansionReport:
     """Evaluate both codivergence types on a shrinking (t, s) grid against the
     predicted bilinear term t*s*phi'(1)^2*<mu, mu_tilde>.
 
-    The grid starts at 10% of each direction's validity radius (capped at 1),
-    so every step stays inside it, and halves per level.  A coarse grid can
-    straddle the crossover between the third- and fourth-order remainder terms,
-    where consecutive residual ratios do not yet contract; in that case the
-    whole grid is shifted down (up to 8 halvings) until the asymptotic decay is
-    visible.
+    The steps t_k = t0 * 2^-k, s_k = s0 * 2^-k halve from 10% of each direction's
+    validity radius (capped at 1), so every step stays inside it.  The report is a
+    window of ``levels`` consecutive steps.  A coarse window can straddle the
+    crossover between the third- and fourth-order remainder terms, where
+    consecutive residual ratios do not yet contract; in that case the window slides
+    one step down (up to 8 times) until the asymptotic decay is visible.  Each step
+    is evaluated once, when a window first needs it.
     """
-    pair = PerturbationPair(p0, mu, mu_tilde)
-    inner = fisher_inner(pair)
+    inner = fisher_inner(PerturbationPair(p0, mu, mu_tilde))
     coeff = phi.dphi_at_one ** 2 * inner
-    radius_t = validity_radius(mu, p0)
-    radius_s = validity_radius(mu_tilde, p0)
-
-    def build(levels_list, shifts):
-        t_f, s_f = levels_list[-1].t, levels_list[-1].s
-        ts = t_f * s_f
-        return ExpansionReport(
-            phi_name=phi.name, inner=inner, coefficient=coeff, levels=tuple(levels_list),
-            leading_coeff_v=levels_list[-1].v_value / ts if ts != 0 else 0.0,
-            leading_coeff_r=levels_list[-1].r_value / ts if ts != 0 else 0.0,
-            grid_shifts=shifts,
-        )
-
+    t0 = 0.1 * min(validity_radius(mu, p0), 1.0)
+    s0 = 0.1 * min(validity_radius(mu_tilde, p0), 1.0)
+    steps: list[ExpansionLevel] = []
     for shift in range(9):
-        t0 = 0.1 * min(radius_t, 1.0) * 0.5 ** shift
-        s0 = 0.1 * min(radius_s, 1.0) * 0.5 ** shift
-        grid = [(t0 * 0.5 ** k, s0 * 0.5 ** k) for k in range(levels)]
-        report = build(_run_levels(p0, mu, mu_tilde, phi, coeff, grid), shift)
+        while len(steps) < shift + levels:
+            t, s = t0 * 0.5 ** len(steps), s0 * 0.5 ** len(steps)
+            p1, p2 = perturb(p0, mu, t), perturb(p0, mu_tilde, s)
+            v_val, r_val = v_phi(p0, p1, p2, phi), r_phi(p0, p1, p2, phi)
+            v_res, r_res = abs(v_val - t * s * coeff), abs(r_val - t * s * coeff)
+            denom = t * t + s * s
+            steps.append(ExpansionLevel(t, s, v_val, r_val, v_res, r_res,
+                                        v_res / denom if denom > 0 else 0.0,
+                                        r_res / denom if denom > 0 else 0.0))
+        report = ExpansionReport(phi.name, inner, coeff, tuple(steps[shift:]), shift)
         if report.decay_ok():
-            return report
+            break
     return report
 
 
@@ -233,14 +221,16 @@ def hellinger_off_support_check(p0: DiscreteMeasure, mu1: SignedMeasure, mu2: Si
             raise PreconditionError(f"grid scale {grid_scale!r} exceeds half the positivity "
                                     f"radius {t_max!r} of {name}")
 
-    grid = [(grid_scale * i / grid_n, grid_scale * j / grid_n)
-            for i in range(1, grid_n + 1) for j in range(1, grid_n + 1)]
-    design = []
-    values = []
-    for t, s in grid:
-        root = math.sqrt(t * s)
-        design.append([root, t * s, t * root, s * root])
-        values.append(hellinger_codiv(p0, perturb(p0, mu1, t), perturb(p0, mu2, s)))
+    # rows in (t, s) order; one direction's grid_n perturbed measures are kept at a time
+    steps = [grid_scale * i / grid_n for i in range(1, grid_n + 1)]
+    p2s = [perturb(p0, mu2, s) for s in steps]
+    design, values = [], []
+    for t in steps:
+        p1 = perturb(p0, mu1, t)
+        for s, p2 in zip(steps, p2s):
+            root = math.sqrt(t * s)
+            design.append([root, t * s, t * root, s * root])
+            values.append(hellinger_codiv(p0, p1, p2))
     coef, *_ = np.linalg.lstsq(np.asarray(design), np.asarray(values), rcond=None)
 
     off = ~supp

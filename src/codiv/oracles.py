@@ -203,9 +203,11 @@ def _poisson_r_alpha(params, alpha: float) -> float:
 def _bernoulli_power_sum(params, powers) -> float:
     """Exact two-point sum of prod_j Ber(theta_j)(x)**power_j over x in {0, 1}."""
     thetas = params[:, 0]
-    at_one = math.exp(float(np.dot(powers, np.log(thetas))))
-    at_zero = math.exp(float(np.dot(powers, np.log1p(-thetas))))
-    return at_one + at_zero
+    try:
+        return (math.exp(float(np.dot(powers, np.log(thetas))))
+                + math.exp(float(np.dot(powers, np.log1p(-thetas)))))
+    except OverflowError:
+        raise OracleFailureError("a term of the Bernoulli sum exceeds the float range") from None
 
 
 def _ratio_of_integrals(integral, params, alpha: float) -> float:

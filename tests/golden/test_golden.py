@@ -1,10 +1,13 @@
 """Every golden case still exits with the recorded status and prints the recorded bytes."""
 
 import difflib
+import os
+import subprocess
+import sys
 
 import pytest
 
-from regen import expected_path, load_cases, run_case
+from regen import GOLDEN, expected_path, load_cases, run_case
 
 CASES = load_cases()
 
@@ -18,3 +21,14 @@ def test_golden_case(name):
                                     "expected", "got")
         pytest.fail(f"golden case {name} changed; if that is intended, run "
                     f"tests/golden/regen.py {name} and record why in CHANGES.md\n" + "".join(diff))
+
+
+@pytest.mark.parametrize("name", ["expand-local", "codiv-poisson-overflow"])
+def test_module_entry_point(name):
+    """``python -m codiv``, the command the benchmark times, exits with the golden status
+    and prints the golden bytes."""
+    path = [str(GOLDEN.parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-m", "codiv", *CASES[name]], cwd=GOLDEN, env=env,
+                          capture_output=True, timeout=120)
+    assert f"exit {proc.returncode}\n".encode() + proc.stdout == expected_path(name).read_bytes()

@@ -158,8 +158,8 @@ def _poisson(*rates):
      "alpha:5"),
     # log(R_alpha + 1) overflows to +inf, which is not the "inf" of an outside domain
     (_poisson([1.0], [1e200], [1e200]), "chi2"),
-    # R is about e^692, but theta0^(1 - 2 alpha) overflows
-    ([{"kind": "bernoulli_product", "params": {"theta": [t]}} for t in (1e-300, 0.5, 0.5)],
+    # log(R_alpha + 1) is about -log(theta0) = 713.8, so R is beyond the float range
+    ([{"kind": "bernoulli_product", "params": {"theta": [t]}} for t in (1e-310, 0.5, 0.5)],
      "alpha:2"),
     # one coordinate's term overflows to +inf and the other's to -inf
     (_poisson([1.0, 1.0], [1e300, 1e300], [1e300, 0.5]), "alpha:1.1"),
@@ -175,12 +175,12 @@ def test_overflow_is_a_computational_error(inputs, kind):
     ("poisson_product", "lambda", 1.5),
     ("bernoulli_product", "theta", 0.3),
 ])
-def test_nan_closed_form_is_a_computational_error(family, param, value):
-    # at alpha 1e200 the powers overflow and their differences are inf - inf
+def test_equal_members_at_huge_alpha_give_zero(family, param, value):
+    # at alpha 1e200 the powers overflow, and the form relative to member 0 takes over
     inputs = [{"kind": family, "params": {param: [value]}}] * 3
     text, status = run({"command": "codiv", "inputs": inputs, "options": {"kind": "alpha:1e200"}})
-    assert status == EXIT_COMPUTE
-    assert json.loads(text)["error"]["code"] == "computation"
+    assert status == EXIT_OK
+    assert json.loads(text)["value"] == 0.0
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):

@@ -234,6 +234,44 @@ class TestGammaFirstOrder:
             gamma_first_order(GammaProd([1.0], [1.0]), GammaProd([2.0], [1.0]),
                               GammaProd([1.0], [1.0]), 0.5)
 
+    def test_non_gamma_family_rejected(self):
+        f = PoissonProd([1.0])
+        with pytest.raises(KindMismatchError, match="requires Gamma families"):
+            gamma_first_order(f, f, f, 0.5)
+
+
+def _poisson_log1p_mp(mp, l0, l1, l2, a):
+    return l0 ** (1 - 2 * a) * (l1 ** a - l0 ** a) * (l2 ** a - l0 ** a)
+
+
+def _bernoulli_log1p_mp(mp, t0, t1, t2, a):
+    def power_sum(c0, c1, c2):
+        return (t0 ** c0 * t1 ** c1 * t2 ** c2
+                + (1 - t0) ** c0 * (1 - t1) ** c1 * (1 - t2) ** c2)
+
+    return (mp.log(power_sum(1 - 2 * a, a, a)) - mp.log(power_sum(1 - a, a, 0))
+            - mp.log(power_sum(1 - a, 0, a)))
+
+
+@pytest.mark.parametrize("cls, exact, params, alpha", [
+    # lambda_0^(1 - 2 alpha) underflows to 0
+    (PoissonProd, _poisson_log1p_mp, (278.94, 114.94, 85.83), 70.88),
+    (PoissonProd, _poisson_log1p_mp, (249486.9, 47087.9, 255804.95), 44.5),
+    # lambda_0^(1 - 2 alpha) overflows
+    (PoissonProd, _poisson_log1p_mp, (1.29e-8, 2.35e-9, 1.70e-8), 30.8),
+    # theta_0^(1 - 2 alpha) overflows
+    (BernoulliProd, _bernoulli_log1p_mp, (0.01, 0.02, 0.02), 100.0),
+    (BernoulliProd, _bernoulli_log1p_mp, (1e-300, 0.5, 0.5), 2.0),
+])
+def test_powers_beyond_the_float_range_keep_log1p(cls, exact, params, alpha):
+    """Where a power leaves the normal range, the form relative to member 0 still gives
+    log(R_alpha + 1), checked against a 50-digit evaluation of the same closed form."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        want = float(exact(mpmath, *(mpmath.mpf(x) for x in (*params, alpha))))
+    got = r_alpha_closed_log1p(*(cls([x]) for x in params), alpha)
+    assert got == pytest.approx(want, rel=1e-13)
+
 
 @pytest.mark.parametrize("triple, alpha, log1p_value", [
     ([PoissonProd([x]) for x in (1.0, 100.0, 100.0)], 1.0, "9801.0"),

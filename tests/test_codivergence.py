@@ -19,6 +19,8 @@ P2 = DiscreteMeasure([0.75, 0.25])
 def test_phi_normalization_enforced():
     with pytest.raises(PreconditionError):
         PhiFunction(fn=lambda x: 2.0 * x, dphi_at_one=2.0)
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        PhiFunction(fn=lambda x: 2.0 * x - 1.0, dphi_at_one=2.0)  # phi(0) = -1
     with pytest.raises(PreconditionError):
         phi_alpha(0.0)
 

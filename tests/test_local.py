@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from codiv import (PHI_IDENTITY, PHI_SQRT, DiscreteMeasure, DominationError,
+import codiv.local
+from codiv import (PHI_IDENTITY, PHI_SQRT, DiscreteMeasure, DominationError, ExpansionReport,
                    PerturbationPair, PreconditionError, SignedMeasure,
                    expansion_check, fisher_gram, fisher_inner, geometric_decay_ok,
-                   hellinger_off_support_check, jacobi_eigenvalues, phi_alpha,
-                   validity_radius)
+                   hellinger_off_support_check, jacobi_eigenvalues, perturb, phi_alpha,
+                   r_phi, v_phi, validity_radius)
 from helpers import random_direction, random_probability
 
 
@@ -139,6 +140,32 @@ class TestExpansionCheck:
                 report = expansion_check(p0, mus[i], mus[j], PHI_IDENTITY)
                 assert report.leading_coeff_v == pytest.approx(g[i, j], rel=1e-10, abs=1e-10)
 
+    @pytest.mark.parametrize("decays_at, shifts", [(0, 0), (3, 3), (None, 8)])
+    def test_each_step_is_evaluated_once(self, monkeypatch, decays_at, shifts):
+        """A window that does not decay slides one step down the halving sequence, so
+        ``shifts`` slides cost ``shifts`` more steps; when no window decays (None) the
+        report is the window after 8 slides.  Each level holds the bits of the window
+        evaluated on its own grid t0 * 2^-shifts * 2^-j."""
+        p0 = DiscreteMeasure([0.5, 0.3, 0.2])
+        mu = SignedMeasure([0.10, -0.06, -0.04])
+        nu = SignedMeasure([-0.05, 0.11, -0.06])
+        phi, levels = PHI_SQRT, 5
+        calls = []
+        monkeypatch.setattr(codiv.local, "v_phi", lambda *a: calls.append(a) or v_phi(*a))
+        monkeypatch.setattr(ExpansionReport, "decay_ok",
+                            lambda report: report.grid_shifts == decays_at)
+        report = expansion_check(p0, mu, nu, phi, levels=levels)
+        assert report.grid_shifts == shifts and len(calls) == levels + shifts
+        t0 = 0.1 * min(validity_radius(mu, p0), 1.0) * 0.5 ** shifts
+        s0 = 0.1 * min(validity_radius(nu, p0), 1.0) * 0.5 ** shifts
+        assert len(report.levels) == levels
+        for j, level in enumerate(report.levels):
+            t, s = t0 * 0.5 ** j, s0 * 0.5 ** j
+            p1, p2 = perturb(p0, mu, t), perturb(p0, nu, s)
+            assert (level.t, level.s) == (t, s)
+            assert (level.v_value, level.r_value) == (v_phi(p0, p1, p2, phi),
+                                                      r_phi(p0, p1, p2, phi))
+
 
 def _off_support_instance():
     p0 = DiscreteMeasure([0.6, 0.4, 0.0, 0.0])
@@ -189,6 +216,13 @@ class TestOffSupportCheck:
                      + (report.fitted_cross_t + report.fitted_cross_s) * t * t * t / t)
         actual = hellinger_codiv(p0, perturb(p0, mu1, t), perturb(p0, mu2, t))
         assert predicted == pytest.approx(actual, rel=1e-4)
+
+    @pytest.mark.parametrize("grid_n", [2, 4])
+    def test_each_grid_measure_is_perturbed_once(self, monkeypatch, grid_n):
+        calls = []
+        monkeypatch.setattr(codiv.local, "perturb", lambda *a: calls.append(a) or perturb(*a))
+        hellinger_off_support_check(*_off_support_instance(), grid_n=grid_n)
+        assert len(calls) == 2 * grid_n
 
     def test_precondition_failures(self):
         p0 = DiscreteMeasure([0.6, 0.4, 0.0])

@@ -17,7 +17,7 @@ from codiv import (PHI_IDENTITY, PHI_SQRT, DegeneratePhiError, DiagnosticStatus,
                    jordan_decompose, link_identity_check, oracle_divergence_matrix,
                    phi_alpha, phi_normalizers, push_forward, quadratic_form_check,
                    rank_with_identity)
-from codiv.matrices import MATRIX_KINDS
+from codiv.matrices import MATRIX_KINDS, DivMatrix
 from codiv.serialize import dumps_canonical
 from helpers import random_dominated, random_kernel, random_probability
 
@@ -444,3 +444,22 @@ class TestSerialization:
         mat = divergence_matrix(p0, [bad], "chi2")
         text = matrix_to_csv(mat)
         assert "inf" in text.splitlines()[1]
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"value": math.nan}, "NaN-free"),
+        ({1: 0.0}, "keys must be strings"),
+        ({"value": {0.5}}, "cannot serialize object of type set"),
+    ])
+    def test_rejects_what_a_report_cannot_hold(self, obj, message):
+        with pytest.raises(PreconditionError, match=message):
+            dumps_canonical(obj)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([[0.0, 1.0]], "square"),
+    ([[0.0, math.nan], [math.nan, 0.0]], "NaN-free"),
+    ([[0.0, 1.0], [2.0, 0.0]], "symmetric"),
+])
+def test_div_matrix_rejects_malformed_entries(entries, message):
+    with pytest.raises(PreconditionError, match=message):
+        DivMatrix("chi2", entries)
