@@ -4,7 +4,8 @@ A job is a JSON document {"command": ..., "inputs": [...], "options": {...}};
 the tool validates it, runs the computation and prints a deterministic JSON
 (or CSV) report.  Exit codes: 0 success, 2 validation error, 3 computational
 error (code "internal" for an exception no documented error covers), 4 property
-violation in a check command.
+violation in a check command.  The families, local and oracles modules are imported by the
+handlers that use them, so a job loads only what its command needs.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -19,13 +21,10 @@ import numpy as np
 from . import matrices
 from .codivergence import PhiFunction, chi2_codiv, hellinger_codiv, phi_alpha, r_phi, v_phi
 from .errors import CodivError, DegeneratePhiError, OracleFailureError
-from .families import family_problems, family_set_problems, r_alpha_closed
-from .local import expansion_check, hellinger_off_support_check
 from .matrices import (DivMatrix, MarkovKernel, divergence_matrix, dpi_check, kernel_problems,
                        rank_with_identity)
 from .measures import (DiscreteMeasure, SignedMeasure, direction_problems, exact_sum,
                        measure_problems, support_problems)
-from .oracles import oracle_r_alpha
 from .serialize import dumps_canonical, matrix_to_csv
 
 EXIT_OK = 0
@@ -109,6 +108,8 @@ def validate(job: dict) -> tuple[list, list | None]:
     families = command == "oracle-check" or (
         command == "codiv" and all(isinstance(x, dict) and "kind" in x for x in inputs))
     if families:
+        from .families import family_problems, family_set_problems
+
         members, built_families = [], []
         for i, doc in enumerate(inputs):
             member, found, family = family_problems(doc, f"/inputs/{i}")
@@ -188,6 +189,8 @@ def _run_codiv(options, inputs, tolerance, seed):
                 "rphi": r_phi}[base]
         value = pair(*inputs) if phi is None else pair(*inputs, phi)
     else:
+        from .families import r_alpha_closed
+
         value = r_alpha_closed(*inputs, alpha)
     return {"command": "codiv", "kind": options["kind"], "value": value}
 
@@ -253,6 +256,8 @@ def _run_dpi(options, inputs, tolerance, seed):
 
 
 def _run_expand(options, inputs, tolerance, seed):
+    from .local import expansion_check, hellinger_off_support_check
+
     mode = options.get("mode", "local")
     if mode == "off-support":
         rel_tol = tolerance if tolerance is not None else 0.05
@@ -268,6 +273,9 @@ def _run_expand(options, inputs, tolerance, seed):
 
 
 def _run_oracle_check(options, inputs, tolerance, seed):
+    from .families import r_alpha_closed
+    from .oracles import oracle_r_alpha
+
     rel_tol = tolerance if tolerance is not None else 1e-7
     _, alpha = parse_kind(options["kind"])
     closed = r_alpha_closed(*inputs, alpha)
@@ -366,5 +374,18 @@ def main(argv=None) -> int:
     return status
 
 
+def entry(argv=None):
+    """The ``codiv`` command: run ``main``, flush the report, and end the process at once with
+    its status.  ``os._exit`` skips interpreter teardown, so no ``atexit`` handler runs.  If a
+    flush fails (a closed pipe, say), the process exits through ``sys.exit`` instead."""
+    status = main(argv)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -177,7 +177,8 @@ def _poisson_log1p(f0, f1, f2, alpha) -> float:
     terms = p0 * (q1 - q0) * (q2 - q0)  # not finite where a power overflowed
     e1, e2 = (np.expm1(alpha * (np.log(lj) - np.log(l0))) for lj in (l1, l2))
     direct = (np.minimum.reduce([p0, q0, q1, q2]) >= np.finfo(float).tiny) & np.isfinite(terms)
-    return math.fsum(np.where(direct, terms, l0 * e1 * e2))
+    relative = np.where((e1 == 0) | (e2 == 0), 0.0, l0 * e1 * e2)  # 0, not 0 * inf = NaN
+    return math.fsum(np.where(direct, terms, relative))
 
 
 def _log_mix(w, a, b) -> float:

@@ -50,8 +50,11 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad}  {dumps_canonical(x, indent + 2)}" for x in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):  # so no NaN or inf
+            items = [format(x, ".17g") for x in obj]
+        else:
+            items = [dumps_canonical(x, indent + 2) for x in obj]
+        return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
     raise PreconditionError(f"cannot serialize object of type {type(obj).__name__}")
 
 

@@ -23,12 +23,15 @@ def test_golden_case(name):
                     f"tests/golden/regen.py {name} and record why in CHANGES.md\n" + "".join(diff))
 
 
-@pytest.mark.parametrize("name", ["expand-local", "codiv-poisson-overflow"])
+@pytest.mark.parametrize("name", ["expand-local", "codiv-poisson-overflow", "dpi-not-dominated",
+                                  "oracle-check-poisson-term-ratio-overflow",
+                                  "dpi-property-violation"])
 def test_module_entry_point(name):
     """``python -m codiv``, the command the benchmark times, exits with the golden status
     and prints the golden bytes."""
     path = [str(GOLDEN.parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, which must be flushed before exit
     proc = subprocess.run([sys.executable, "-m", "codiv", *CASES[name]], cwd=GOLDEN, env=env,
                           capture_output=True, timeout=120)
     assert f"exit {proc.returncode}\n".encode() + proc.stdout == expected_path(name).read_bytes()

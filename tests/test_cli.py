@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,3 +461,73 @@ class TestReportContracts:
                             "options": {"kind": "chi2"}})
         assert status == EXIT_COMPUTE
         assert json.loads(text)["error"]["code"] == "computation"
+
+
+class _Stream:
+    """A stand-in for sys.stdout or sys.stderr that logs its flushes, or fails them."""
+
+    def __init__(self, name, events, error=None):
+        self.name, self.events, self.error = name, events, error
+
+    def flush(self):
+        self.events.append(("flush", self.name))
+        if self.error:
+            raise self.error
+
+
+class _Exited(Exception):
+    pass
+
+
+class TestEntry:
+    """``cli.entry``, the ``codiv`` command: run main, flush both streams, then os._exit."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        events = []
+
+        def fake_exit(status):
+            events.append(("_exit", status))
+            raise _Exited
+
+        monkeypatch.setattr(cli, "main", lambda argv=None: EXIT_PROPERTY)
+        monkeypatch.setattr(os, "_exit", fake_exit)
+        return events
+
+    def test_flushes_then_exits_at_once(self, monkeypatch, events):
+        monkeypatch.setattr(sys, "stdout", _Stream("stdout", events))
+        monkeypatch.setattr(sys, "stderr", _Stream("stderr", events))
+        with pytest.raises(_Exited):
+            cli.entry()
+        assert events == [("flush", "stdout"), ("flush", "stderr"), ("_exit", EXIT_PROPERTY)]
+
+    def test_a_failed_flush_exits_through_sys_exit(self, monkeypatch, events):
+        monkeypatch.setattr(sys, "stdout", _Stream("stdout", events, BrokenPipeError(32, "")))
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == EXIT_PROPERTY
+        assert events == [("flush", "stdout")]
+
+    def test_an_exception_from_main_propagates(self, monkeypatch, capsys, events):
+        monkeypatch.setattr(cli, "main", main)
+        with pytest.raises(SystemExit) as exc:  # argparse's, for a missing --input
+            cli.entry([])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "--input" in capsys.readouterr().err
+        assert events == []
+
+
+def test_module_entry_point_prints_a_report_beyond_the_pipe_buffer(tmp_path):
+    """``python -m codiv`` writes all of a 100 x 100 matrix report (more than a 64 KiB pipe
+    holds) to a buffered stdout before the process ends: the same bytes and status as
+    ``run`` in process."""
+    rng = np.random.default_rng(5)
+    job = {"command": "matrix", "options": {"kind": "alpha:0.7"},
+           "inputs": [{"mass": random_probability(rng, 8).mass.tolist()} for _ in range(101)]}
+    text, status = run(job)
+    assert len(text.encode()) > 1 << 16
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-m", "codiv", "--input", write_job(tmp_path, job)],
+                          capture_output=True, env=env, timeout=120)
+    assert (proc.stdout, proc.returncode) == (text.encode(), status)

@@ -273,6 +273,14 @@ def test_powers_beyond_the_float_range_keep_log1p(cls, exact, params, alpha):
     assert got == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize("rates", [([1.5], [1.5], [3.0]), ([1.5], [3.0], [1.5]),
+                                   ([1.5, 2.0], [1.5, 2.5], [3.0, 2.0])])
+def test_poisson_term_is_zero_where_a_member_equals_the_reference(rates):
+    """A coordinate with lambda_j = lambda_0 adds exactly 0, even where the other factor
+    (lambda_k/lambda_0)^alpha is beyond the float range (0 * inf would be NaN)."""
+    assert r_alpha_closed_log1p(*(PoissonProd(r) for r in rates), 1e200) == 0.0
+
+
 @pytest.mark.parametrize("triple, alpha, log1p_value", [
     ([PoissonProd([x]) for x in (1.0, 100.0, 100.0)], 1.0, "9801.0"),
     ([GaussianIso([m], 0.1) for m in (0.0, 1.0, 1.0)], 5.0, "2499.9999999999995"),

@@ -449,10 +449,24 @@ class TestSerialization:
         ({"value": math.nan}, "NaN-free"),
         ({1: 0.0}, "keys must be strings"),
         ({"value": {0.5}}, "cannot serialize object of type set"),
+        ({"values": [0.5, math.nan, 1.0]}, "NaN-free"),
     ])
     def test_rejects_what_a_report_cannot_hold(self, obj, message):
         with pytest.raises(PreconditionError, match=message):
             dumps_canonical(obj)
+
+    @pytest.mark.parametrize("values", [
+        [0.5, -0.0, 5e-324, -1.7976931348623157e308, 1.7976931348623157e308, 0.1],  # sum > max
+        [0.25, 1.0, -3.5e-7],
+        [0.5, math.inf], [math.inf, -math.inf], [0.5, True], [1.0, 2], [0.5, "inf"],
+    ])
+    @pytest.mark.parametrize("indent", [0, 4])
+    def test_list_bytes_equal_the_per_item_form(self, values, indent):
+        """Whether or not a list takes the all-finite-float join, each item is written as
+        it would be on its own, on its own line."""
+        pad = " " * (indent + 2)
+        want = "[\n" + ",\n".join(pad + dumps_canonical(v, indent + 2) for v in values)
+        assert dumps_canonical(values, indent) == want + "\n" + " " * indent + "]"
 
 
 @pytest.mark.parametrize("entries, message", [
