@@ -20,7 +20,7 @@ import numpy as np
 
 from . import matrices
 from .codivergence import PhiFunction, chi2_codiv, hellinger_codiv, phi_alpha, r_phi, v_phi
-from .errors import CodivError, DegeneratePhiError, OracleFailureError
+from .errors import CodivError, DegeneratePhiError, OracleFailureError, check_alpha, is_number
 from .matrices import (DivMatrix, MarkovKernel, divergence_matrix, dpi_check, kernel_problems,
                        rank_with_identity)
 from .measures import (DiscreteMeasure, SignedMeasure, direction_problems, exact_sum,
@@ -40,11 +40,13 @@ COMMANDS = ("codiv", "matrix", "rank", "dpi", "expand", "oracle-check")
 _COUNT_BOUNDS = {"trials": 1000, "support": 2000, "count": 200, "output_support": 2000,
                  "levels": 50, "grid_n": 20}
 _SUITE_WORK = 2 * 10 ** 9
-_SUITE_COUNT, _SUITE_SUPPORT = 3, 6  # a randomized suite's count and support by default
+# The value of each option a job leaves out; output_support defaults to support.
+_DEFAULTS = {"mode": "local", "count": 3, "support": 6, "levels": 5, "grid_n": 4,
+             "grid_scale": 1e-3}
 # Options whose values are counts or scales: name -> (test, what the value must be).
 _OPTION_SCHEMA = {name: (lambda x: type(x) is int and x > 0, "a positive integer")
                   for name in _COUNT_BOUNDS}
-_OPTION_SCHEMA["grid_scale"] = (lambda x: type(x) in (int, float) and 0 < x < math.inf,
+_OPTION_SCHEMA["grid_scale"] = (lambda x: is_number(x) and 0 < x < math.inf,
                                 "a positive finite number")
 
 _INPUT_COUNTS = {"codiv": "codiv needs exactly 3 inputs",
@@ -66,10 +68,7 @@ def parse_kind(text: str) -> tuple[str, float | None]:
                 value = float(text[len(prefix):])
             except ValueError:
                 raise CodivError(f"malformed alpha in kind {text!r}", "/options/kind")
-            if not value > 0:
-                raise CodivError("alpha must be positive", "/options/kind")
-            if value == math.inf:
-                raise CodivError("alpha must be finite", "/options/kind")
+            check_alpha(value, "/options/kind")
             return base, value
     raise CodivError(f"unknown kind {text!r}", "/options/kind")
 
@@ -86,6 +85,11 @@ def _masses(inputs, problems: list, directions=()) -> list:
     return masses
 
 
+def _with_defaults(options: dict) -> dict:
+    """The job's options, with the default of each one it leaves out (defaults go unchecked)."""
+    return {**_DEFAULTS, "output_support": options.get("support", _DEFAULTS["support"]), **options}
+
+
 def validate(job: dict) -> tuple[list, list | None]:
     """Structural validation findings, and the inputs built from what was checked: the job's
     measures, directions or families in order, then the dpi kernel.  The inputs are None
@@ -94,9 +98,10 @@ def validate(job: dict) -> tuple[list, list | None]:
     if command not in COMMANDS:
         return [{"path": "/command", "message": f"unknown command {command!r}"}], None
     inputs = job.get("inputs")
-    options = job.get("options", {})
-    if not isinstance(options, dict):
+    given = job.get("options", {})
+    if not isinstance(given, dict):
         return [{"path": "/options", "message": "options must be an object"}], None
+    options = _with_defaults(given)
     randomized = command in ("dpi", "rank") and "trials" in options
     if not randomized and not (isinstance(inputs, list) and inputs):
         return [{"path": "/inputs", "message": "inputs must be a non-empty list"}], None
@@ -118,16 +123,15 @@ def validate(job: dict) -> tuple[list, list | None]:
             problems += found
         problems += family_set_problems(members, "/inputs")
     elif command == "expand":
-        mode = options.get("mode", "local")
         directions = (1, 2)
         masses = _masses(inputs, problems, directions)
-        if mode not in ("local", "off-support"):
-            problems.append(CodivError(f"unknown mode {mode!r}", "/options/mode"))
+        if options["mode"] not in ("local", "off-support"):
+            problems.append(CodivError(f"unknown mode {options['mode']!r}", "/options/mode"))
         problems += support_problems(masses)
         if not problems:
             for i in directions:
-                problems += direction_problems(masses[i], masses[0], mode == "off-support",
-                                               f"/inputs/{i}")
+                problems += direction_problems(masses[i], masses[0],
+                                               options["mode"] == "off-support", f"/inputs/{i}")
     elif not randomized:  # codiv, matrix, rank and dpi on explicit measures
         masses = _masses(inputs, problems)
         if len(inputs) < 2:
@@ -140,7 +144,7 @@ def validate(job: dict) -> tuple[list, list | None]:
         else:
             kernel, found = kernel_problems(options["kernel"], "/options/kernel")
             problems += found + support_problems(masses, None if kernel is None else len(kernel))
-    if command != "dpi" and (command != "expand" or options.get("mode", "local") == "local"):
+    if command != "dpi" and (command != "expand" or options["mode"] == "local"):
         try:
             if parse_kind(options.get("kind"))[0] == "vphi" and families:
                 raise CodivError("covariance-type closed forms are not available for "
@@ -148,15 +152,14 @@ def validate(job: dict) -> tuple[list, list | None]:
         except CodivError as exc:
             problems.append(exc)
     for name, (test, what) in _OPTION_SCHEMA.items():
-        if name in options and not test(options[name]):
+        if name in given and not test(given[name]):
             problems.append(CodivError(f"{name} must be {what}", f"/options/{name}"))
-        elif options.get(name, 0) > _COUNT_BOUNDS.get(name, math.inf):
+        elif given.get(name, 0) > _COUNT_BOUNDS.get(name, math.inf):
             problems.append(CodivError(f"{name} must be {what} at most {_COUNT_BOUNDS[name]}",
                                        f"/options/{name}"))
     if randomized and not problems:
-        support = options.get("support", _SUITE_SUPPORT)
-        work = (options["trials"] * (options.get("count", _SUITE_COUNT) + 1) * support
-                * options.get("output_support", support))
+        work = (options["trials"] * (options["count"] + 1) * options["support"]
+                * options["output_support"])
         if work > _SUITE_WORK:
             problems.append(CodivError(f"trials x (count + 1) x support x output_support must "
                                        f"be at most {_SUITE_WORK}, got {work}", "/options"))
@@ -169,10 +172,10 @@ def validate(job: dict) -> tuple[list, list | None]:
     return [], built if kernel is None else built + [MarkovKernel(kernel)]
 
 
-def _kind_and_link(options) -> tuple[str, float, PhiFunction | None]:
-    """The base kind and alpha of the kind option, and the link phi of vphi and rphi."""
+def _kind_and_link(options) -> tuple[str, float, PhiFunction]:
+    """The base kind and alpha of the kind option, and the power link of alpha."""
     base, alpha = parse_kind(options["kind"])
-    return base, alpha, phi_alpha(alpha) if base in ("vphi", "rphi") else None
+    return base, alpha, phi_alpha(alpha)
 
 
 def _input_matrix(options, inputs) -> DivMatrix:
@@ -187,7 +190,7 @@ def _run_codiv(options, inputs, tolerance, seed):
         # the one cell, not the matrix: a diagonal cell beyond the float range is no error
         pair = {"chi2": chi2_codiv, "hellinger": hellinger_codiv, "vphi": v_phi,
                 "rphi": r_phi}[base]
-        value = pair(*inputs) if phi is None else pair(*inputs, phi)
+        value = pair(*inputs, phi) if base in ("vphi", "rphi") else pair(*inputs)
     else:
         from .families import r_alpha_closed
 
@@ -224,8 +227,8 @@ def _run_rank(options, inputs, tolerance, seed):
 def _random_dominated_instance(rng, options):
     """A reference and ``count`` measures on ``support`` points, all of full support."""
     measures = []
-    for _ in range(options.get("count", _SUITE_COUNT) + 1):
-        mass = rng.random(options.get("support", _SUITE_SUPPORT)) + 0.05
+    for _ in range(options["count"] + 1):
+        mass = rng.random(options["support"]) + 0.05
         measures.append(DiscreteMeasure(mass / exact_sum(mass)))
     return measures[0], measures[1:]
 
@@ -238,8 +241,7 @@ def _run_dpi(options, inputs, tolerance, seed):
         worst = math.inf
         for _ in range(trials):
             q0, qs = _random_dominated_instance(rng, options)
-            n = q0.support_size
-            rows = rng.random((n, options.get("output_support", n))) + 0.02
+            rows = rng.random((options["support"], options["output_support"])) + 0.02
             kernel = MarkovKernel(rows / rows.sum(axis=1, keepdims=True))
             report = dpi_check(q0, qs, kernel)
             worst = min(worst, report.min_eig_of_difference / report.scale)
@@ -258,16 +260,13 @@ def _run_dpi(options, inputs, tolerance, seed):
 def _run_expand(options, inputs, tolerance, seed):
     from .local import expansion_check, hellinger_off_support_check
 
-    mode = options.get("mode", "local")
-    if mode == "off-support":
+    if options["mode"] == "off-support":
         rel_tol = tolerance if tolerance is not None else 0.05
-        report = hellinger_off_support_check(*inputs,
-                                             grid_scale=float(options.get("grid_scale", 1e-3)),
-                                             grid_n=options.get("grid_n", 4))
-        return {"command": "expand", "mode": mode, "report": report.to_json_dict(),
+        report = hellinger_off_support_check(*inputs, grid_scale=float(options["grid_scale"]),
+                                             grid_n=options["grid_n"])
+        return {"command": "expand", "mode": "off-support", "report": report.to_json_dict(),
                 "passed": report.sqrt_rel_error <= rel_tol and report.bilinear_rel_error <= rel_tol}
-    _, alpha = parse_kind(options["kind"])
-    report = expansion_check(*inputs, phi_alpha(alpha), levels=options.get("levels", 5))
+    report = expansion_check(*inputs, _kind_and_link(options)[2], levels=options["levels"])
     return {"command": "expand", "mode": "local", "report": report.to_json_dict(),
             "passed": report.decay_ok()}
 
@@ -277,7 +276,7 @@ def _run_oracle_check(options, inputs, tolerance, seed):
     from .oracles import oracle_r_alpha
 
     rel_tol = tolerance if tolerance is not None else 1e-7
-    _, alpha = parse_kind(options["kind"])
+    _, alpha, _ = _kind_and_link(options)
     closed = r_alpha_closed(*inputs, alpha)
     numeric = oracle_r_alpha(*inputs, alpha)
     if math.isinf(closed) or math.isinf(numeric):
@@ -326,13 +325,14 @@ def _run(job: dict, fmt: str, tolerance: float | None, seed: int) -> tuple[str, 
         return _error("validation", "job validation failed", findings), EXIT_VALIDATION
     for wrong, message in ((fmt == "csv" and job["command"] != "matrix",
                             "csv format is only available for matrix reports"),
-                           (tolerance is not None and not math.isfinite(tolerance),
+                           (tolerance is not None
+                            and not (is_number(tolerance) and math.isfinite(tolerance)),
                             "tolerance must be a finite number"),
-                           (not (isinstance(seed, int) and seed >= 0),
+                           (not (type(seed) is int and seed >= 0),
                             "seed must be a nonnegative integer")):
         if wrong:
             return _error("validation", message), EXIT_VALIDATION
-    options = job.get("options", {})
+    options = _with_defaults(job.get("options", {}))
     try:
         if fmt == "csv":
             return matrix_to_csv(_input_matrix(options, inputs)), EXIT_OK

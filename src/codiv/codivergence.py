@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegeneratePhiError, PreconditionError
+from .errors import DegeneratePhiError, PreconditionError, check_alpha
 from .measures import DiscreteMeasure, check_probability, check_same_support, exact_sum
 
 MATRIX_KINDS = ("vphi", "rphi", "chi2", "hellinger")
@@ -61,9 +61,8 @@ class PhiFunction:
 
 
 def phi_alpha(alpha: float) -> PhiFunction:
-    """The power link x -> x**alpha, alpha > 0."""
-    if not alpha > 0:
-        raise PreconditionError("alpha must be positive")
+    """The power link x -> x**alpha, alpha positive and finite."""
+    check_alpha(alpha)
     return PhiFunction(
         fn=lambda x: x ** alpha,
         dphi_at_one=alpha,

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all codiv modules, and the number test of the input checks.
+"""Exception hierarchy shared by all codiv modules, and the number and alpha input rules.
 
 Each input rule is written once, as a checker returning its problems as errors
 that carry a JSON path; the constructors raise the first, the CLI reports all.
@@ -58,6 +58,14 @@ def is_number(x) -> bool:
     if isinstance(x, float):
         return True
     return getattr(getattr(x, "dtype", None), "kind", "") in ("i", "u", "f")
+
+
+def check_alpha(alpha, path: str = "") -> None:
+    """PreconditionError, at ``path``, unless the power alpha of a link is positive and finite."""
+    if not alpha > 0:
+        raise PreconditionError("alpha must be positive", path)
+    if alpha == float("inf"):
+        raise PreconditionError("alpha must be finite", path)
 
 
 def numbers(values):

@@ -15,8 +15,8 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, KindMismatchError, PreconditionError, is_number,
-                     numbers, raise_first)
+from .errors import (DimensionMismatchError, KindMismatchError, PreconditionError, check_alpha,
+                     is_number, numbers, raise_first)
 
 # rule of a vector parameter -> (test its finite entries pass, message for one that fails)
 _VECTOR_RULES = {
@@ -141,9 +141,9 @@ def family_set_problems(members, path: str = "") -> list:
 
 
 def check_family_triple(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: float) -> None:
-    """PreconditionError unless alpha > 0, then the first set rule the triple breaks."""
-    if not alpha > 0:
-        raise PreconditionError("alpha must be positive")
+    """PreconditionError unless alpha is positive and finite, then the first set rule the
+    triple breaks."""
+    check_alpha(alpha)
     members = []
     for f in (f0, f1, f2):
         shared = FAMILIES[type(f)].shared

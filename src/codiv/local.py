@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .codivergence import PhiFunction, _finite_gram, hellinger_codiv, r_phi, v_phi
-from .errors import PreconditionError, raise_first
-from .measures import (DiscreteMeasure, SignedMeasure, check_same_support, direction_problems,
-                       exact_sum, measure_problems, perturb, validity_radius)
+from .errors import PreconditionError
+from .measures import (DiscreteMeasure, SignedMeasure, check_direction, exact_sum, perturb,
+                       validity_radius)
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,8 @@ class PerturbationPair:
     mu_tilde: SignedMeasure
 
     def __post_init__(self):
-        check_same_support(self.reference, self.mu, self.mu_tilde)
         for m in (self.mu, self.mu_tilde):
-            raise_first(measure_problems({"mass": m.mass}, signed=True, normalized=True)[1]
-                        + direction_problems(m.mass, self.reference.mass))
+            check_direction(m, self.reference)
 
 
 def fisher_inner(pair: PerturbationPair) -> float:
@@ -47,7 +45,7 @@ def fisher_gram(p0: DiscreteMeasure, mus: Sequence[SignedMeasure]) -> np.ndarray
     """Gram matrix of the Fisher inner product over the given directions: H H' with
     rows mu_i / sqrt(p0) on supp(p0)."""
     for m in mus:
-        PerturbationPair(p0, m, m)  # validates the direction
+        check_direction(m, p0)
     pos = p0.mass > 0
     root0 = np.sqrt(p0.mass[pos])
     rows = np.array([m.mass[pos] / root0 for m in mus]).reshape(len(mus), root0.size)
@@ -207,14 +205,11 @@ def hellinger_off_support_check(p0: DiscreteMeasure, mu1: SignedMeasure, mu2: Si
     outside supp(p0) and that overlap supp(p0); the grid must stay inside the
     positivity region of p0 + t*mu_i.
     """
-    check_same_support(p0, mu1, mu2)
     supp = p0.mass > 0
     for name, mu in (("mu1", mu1), ("mu2", mu2)):
-        raise_first(measure_problems({"mass": mu.mass}, signed=True, normalized=True)[1]
-                    + direction_problems(mu.mass, p0.mass, off_support=True))
+        check_direction(mu, p0, off_support=True)
         if not np.any(supp & (mu.mass != 0)):
             raise PreconditionError(f"{name} must overlap supp(p0)")
-    for name, mu in (("mu1", mu1), ("mu2", mu2)):
         neg = supp & (mu.mass < 0)
         t_max = float(np.min(p0.mass[neg] / -mu.mass[neg])) if np.any(neg) else math.inf
         if grid_scale > 0.5 * t_max:

@@ -281,10 +281,6 @@ class MarkovKernel:
     def rows(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def cols(self) -> int:
-        return self.matrix.shape[1]
-
     @classmethod
     def identity(cls, n: int) -> "MarkovKernel":
         return cls(np.eye(n))

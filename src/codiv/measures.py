@@ -189,10 +189,9 @@ def check_probability(*measures) -> None:
 
 
 def dominated_by(mu, p0: DiscreteMeasure) -> bool:
-    """True iff mu puts zero mass on every p0-null support point."""
+    """True iff mu puts zero mass on every p0-null support point: the local direction rule."""
     check_same_support(mu, p0)
-    null = p0.mass == 0
-    return bool(np.all(mu.mass[null] == 0))
+    return not direction_problems(mu.mass, p0.mass)
 
 
 def jordan_decompose(mu: SignedMeasure) -> JordanDecomposition:
@@ -211,11 +210,16 @@ def jordan_decompose(mu: SignedMeasure) -> JordanDecomposition:
     return JordanDecomposition(alpha_plus, mu_plus, alpha_minus, mu_minus)
 
 
-def ess_sup_ratio(mu: SignedMeasure, p0: DiscreteMeasure) -> float:
-    """Essential supremum of |d(mu)/d(p0)| for a zero-mass direction mu dominated by p0."""
+def check_direction(mu, p0: DiscreteMeasure, off_support: bool = False) -> None:
+    """Raise the first rule mu breaks as a direction around p0: support, zero mass, sign."""
     check_same_support(mu, p0)
     raise_first(measure_problems({"mass": mu.mass}, signed=True, normalized=True)[1]
-                + direction_problems(mu.mass, p0.mass))
+                + direction_problems(mu.mass, p0.mass, off_support))
+
+
+def ess_sup_ratio(mu: SignedMeasure, p0: DiscreteMeasure) -> float:
+    """Essential supremum of |d(mu)/d(p0)| for a zero-mass direction mu dominated by p0."""
+    check_direction(mu, p0)
     pos = p0.mass > 0
     if not np.any(pos):
         return 0.0

@@ -80,17 +80,13 @@ def adaptive_gauss_legendre(f, lo: float, hi: float) -> float:
 def _log_window(log_g, y_star: float, first_step: float = 1.0) -> tuple[float, float]:
     """Bracket [y_lo, y_hi] where log_g has dropped _TAIL_DROP below its peak at y_star."""
     target = log_g(y_star) - _TAIL_DROP
-    step = first_step
-    y_lo = y_star - step
-    while log_g(y_lo) > target:
-        step *= 1.5
-        y_lo = y_star - step
-    step = first_step
-    y_hi = y_star + step
-    while log_g(y_hi) > target:
-        step *= 1.5
-        y_hi = y_star + step
-    return y_lo, y_hi
+    ends = []
+    for sign in (-1.0, 1.0):
+        step = first_step
+        while log_g(y_star + sign * step) > target:
+            step *= 1.5
+        ends.append(y_star + sign * step)
+    return tuple(ends)
 
 
 def _gaussian_power_integral(params, powers) -> float:

@@ -8,8 +8,6 @@ RFC 4180 (CRLF, minimal quoting) with "inf" cells.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 
@@ -60,9 +58,12 @@ def dumps_canonical(obj, indent: int = 0) -> str:
 
 def matrix_to_csv(mat: DivMatrix) -> str:
     """RFC-4180 CSV of the matrix entries, one row per line, "inf" cells allowed."""
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
     writer.writerow(["kind", mat.kind, "size", mat.size, "reference", mat.reference])
-    for row in mat.entries:
-        writer.writerow([format_float(float(x)).strip('"') for x in row])
+    for row in mat.entries.tolist():  # a DivMatrix is NaN-free
+        writer.writerow([format(x, ".17g") for x in row])
     return buf.getvalue()

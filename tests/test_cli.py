@@ -13,13 +13,14 @@ from codiv.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, ma
                        parse_kind, run, validate)
 from codiv.errors import CodivError, DegeneratePhiError
 from codiv.families import BernoulliProd
-from codiv.local import PerturbationPair, hellinger_off_support_check
+from codiv.local import PerturbationPair, fisher_gram, hellinger_off_support_check
 from codiv.matrices import MarkovKernel
 from codiv.measures import DiscreteMeasure, SignedMeasure, ess_sup_ratio
 from helpers import random_dominated, random_probability
 
 UNIFORM = {"support": 2, "mass": [0.5, 0.5]}
 TILTED = {"support": 2, "mass": [0.25, 0.75]}
+RANK_JOB = {"command": "rank", "inputs": [UNIFORM, TILTED], "options": {"kind": "chi2"}}
 
 
 def write_job(tmp_path, job, name="job.json"):
@@ -242,6 +243,7 @@ LOCAL_JOB = {"command": "expand", "options": {"kind": "chi2"},
                                          SignedMeasure(NEGATIVE_OFF)),
      {"command": "expand", "options": {"mode": "off-support"},
       "inputs": [{"mass": NULL_POINT}, {"mass": NEGATIVE_OFF}, {"mass": NEGATIVE_OFF}]}),
+    (lambda: fisher_gram(DiscreteMeasure(NULL_POINT), [SignedMeasure(ON_NULL_POINT)]), LOCAL_JOB),
 ])
 def test_constructors_raise_the_first_finding(construct, job):
     with pytest.raises(CodivError) as raised:
@@ -436,6 +438,20 @@ class TestReportContracts:
         status, out = run_main(capsys, ["--input", write_job(tmp_path, job), *flags])
         assert status == EXIT_VALIDATION
         assert json.loads(out) == {"error": {"code": "validation", "message": message}}
+
+    @pytest.mark.parametrize("job, tolerance, seed, message", [
+        (RANK_JOB, 10 ** 400, 0, "tolerance must be a finite number"),
+        (RANK_JOB, "0.1", 0, "tolerance must be a finite number"),
+        (RANK_JOB, True, 0, "tolerance must be a finite number"),
+        ({"command": "dpi", "options": {"trials": 2}}, None, True,
+         "seed must be a nonnegative integer"),
+    ], ids=["tolerance-beyond-float-range", "tolerance-string", "tolerance-bool", "seed-bool"])
+    def test_run_arguments_follow_the_flag_rules(self, job, tolerance, seed, message):
+        """``run`` takes Python values, not flag text: a tolerance beyond the float range, a
+        string or a boolean, and a boolean seed, are rejected as the flags would be."""
+        text, status = run(job, tolerance=tolerance, seed=seed)
+        assert status == EXIT_VALIDATION
+        assert json.loads(text) == {"error": {"code": "validation", "message": message}}
 
     def test_missing_input_file(self, capsys):
         status, out = run_main(capsys, ["--input", "/nonexistent/job.json"])

@@ -6,7 +6,8 @@ import pytest
 from codiv import (BernoulliProd, DimensionMismatchError, ExponentialProd, GammaProd,
                    GaussianIso, KindMismatchError, PoissonProd, PreconditionError,
                    family_from_json_dict, gamma_first_order, oracle_natural_r_alpha,
-                   oracle_r_alpha, r_alpha_closed, r_alpha_closed_log1p, r_alpha_product)
+                   oracle_r_alpha, phi_alpha, r_alpha_closed, r_alpha_closed_log1p,
+                   r_alpha_product)
 from codiv.families import FAMILIES
 
 
@@ -328,6 +329,17 @@ def test_alpha_must_be_positive(route, alpha):
     f = GammaProd([1.5], [2.0])
     with pytest.raises(PreconditionError, match="^alpha must be positive$"):
         route(f, f, f, alpha)
+
+
+@pytest.mark.parametrize("route", [phi_alpha, r_alpha_closed_log1p, r_alpha_closed,
+                                   oracle_r_alpha, oracle_natural_r_alpha, gamma_first_order],
+                         ids=lambda f: f.__name__)
+def test_alpha_must_be_finite(route):
+    """An infinite power is no link; without the rule the routes gave nan, inf or an
+    oracle failure."""
+    triple = () if route is phi_alpha else [GammaProd([1.5], [rate]) for rate in (1.0, 2.0, 3.0)]
+    with pytest.raises(PreconditionError, match="^alpha must be finite$"):
+        route(*triple, math.inf)
 
 
 def test_family_json_round_trip():

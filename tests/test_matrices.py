@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from codiv import (PHI_IDENTITY, PHI_SQRT, DegeneratePhiError, DiagnosticStatus,
-                   DiscreteMeasure, DominationError, MarkovKernel,
+                   DimensionMismatchError, DiscreteMeasure, DominationError, MarkovKernel,
                    OracleFailureError, PhiFunction, PreconditionError, SignedMeasure,
                    chi2_signed, chi2_signed_decomposition_check,
                    divergence_matrix, dpi_check, eigen_summary, features, jacobi_eigenvalues,
@@ -455,6 +455,9 @@ class TestSerialization:
         with pytest.raises(PreconditionError, match=message):
             dumps_canonical(obj)
 
+    def test_none_and_empty_containers(self):
+        assert [dumps_canonical(x) for x in (None, {}, [])] == ["null", "{}", "[]"]
+
     @pytest.mark.parametrize("values", [
         [0.5, -0.0, 5e-324, -1.7976931348623157e308, 1.7976931348623157e308, 0.1],  # sum > max
         [0.25, 1.0, -3.5e-7],
@@ -477,3 +480,29 @@ class TestSerialization:
 def test_div_matrix_rejects_malformed_entries(entries, message):
     with pytest.raises(PreconditionError, match=message):
         DivMatrix("chi2", entries)
+
+
+NULL0 = DiscreteMeasure([1.0, 0.0])  # P1 and P2 put mass on its null point
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: DivMatrix("kl", [[0.0]]), PreconditionError, "unknown matrix kind 'kl'"),
+    (lambda: jacobi_eigenvalues(np.zeros((2, 3))), PreconditionError, "square"),
+    (lambda: link_identity_check(divergence_matrix(P0, [P1], "chi2"), [1.0]),
+     PreconditionError, "starts from a covariance-type matrix"),
+    (lambda: link_identity_check(divergence_matrix(NULL0, [P1], "vphi", phi=PHI_IDENTITY), [1.0]),
+     PreconditionError, "needs a finite matrix"),
+    (lambda: link_identity_check(divergence_matrix(P0, [P1], "vphi", phi=PHI_IDENTITY),
+                                 [1.0, 1.0]),
+     DimensionMismatchError, "denominator count"),
+    (lambda: quadratic_form_check(P0, [P1], [1.0], kind="rphi"),
+     PreconditionError, "supports chi2/hellinger, not 'rphi'"),
+    (lambda: quadratic_form_check(P0, [P1], [1.0, 2.0]), DimensionMismatchError, "weight vector"),
+    (lambda: quadratic_form_check(NULL0, [P1], [1.0]), DominationError, "dominated measures"),
+    (lambda: quadratic_form_check(NULL0, [DiscreteMeasure([0.0, 1.0])], [1.0], kind="hellinger"),
+     PreconditionError, "positive affinities"),
+    (lambda: phi_normalizers(NULL0, [P1], PHI_IDENTITY), DominationError, "normalizers need"),
+])
+def test_guards_name_the_broken_rule(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

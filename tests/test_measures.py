@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from codiv import (DiscreteMeasure, DimensionMismatchError, DominationError,
                    PreconditionError, SignedMeasure, divergence_matrix, dominated_by,
                    ess_sup_ratio, features, jordan_decompose, perturb, validity_radius)
+from codiv.errors import numbers
 from codiv.measures import measure_problems
 from helpers import perturbs_to_probability, random_direction, random_probability
 
@@ -161,6 +162,8 @@ def test_measure_validation():
     assert DiscreteMeasure([2 ** 1024 - 2 ** 970 - 1, 0]).mass[0] == np.finfo(float).max
     with pytest.raises(PreconditionError, match="finite number"):
         SignedMeasure([2 ** 1024 - 2 ** 970, 0])
+    # an array must be 1-D and non-empty, as a list must be non-empty
+    assert numbers(np.zeros((1, 2))) is None and numbers(np.array([])) is None
 
 
 def test_json_round_trip():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from codiv import (PHI_SQRT, BernoulliProd, DiscreteMeasure, ExponentialProd,
-                   GammaProd, GaussianIso, OracleFailureError, PoissonProd,
+                   GammaProd, GaussianIso, OracleFailureError, PoissonProd, PreconditionError,
                    adaptive_gauss_legendre, oracle_divergence_matrix, oracle_r_alpha,
                    phi_alpha, r_alpha_closed, r_alpha_product, r_phi)
 from codiv.oracles import _poisson_log_series
@@ -16,6 +16,10 @@ class TestAdaptiveQuadrature:
     def test_polynomial_is_exact(self):
         value = adaptive_gauss_legendre(lambda x: 3.0 * x ** 2, 0.0, 2.0)
         assert value == pytest.approx(8.0, rel=1e-14)
+
+    def test_empty_interval_is_rejected(self):
+        with pytest.raises(PreconditionError, match="empty integration interval"):
+            adaptive_gauss_legendre(lambda x: x, 1.0, 1.0)
 
     def test_failure_is_reported(self):
         # no panel edge ever falls on the jump at an irrational point, so the panel budget
