@@ -24,7 +24,7 @@ from .errors import CodivError, DegeneratePhiError, OracleFailureError, check_al
 from .matrices import (DivMatrix, MarkovKernel, divergence_matrix, dpi_check, kernel_problems,
                        rank_with_identity)
 from .measures import (DiscreteMeasure, SignedMeasure, direction_problems, exact_sum,
-                       measure_problems, support_problems)
+                       mass_array_hook, measure_problems, support_problems)
 from .serialize import dumps_canonical, matrix_to_csv
 
 EXIT_OK = 0
@@ -288,14 +288,8 @@ def _run_oracle_check(options, inputs, tolerance, seed):
             "passed": rel_err <= rel_tol}
 
 
-_HANDLERS = {
-    "codiv": _run_codiv,
-    "matrix": _run_matrix,
-    "rank": _run_rank,
-    "dpi": _run_dpi,
-    "expand": _run_expand,
-    "oracle-check": _run_oracle_check,
-}
+_HANDLERS = {"codiv": _run_codiv, "matrix": _run_matrix, "rank": _run_rank, "dpi": _run_dpi,
+             "expand": _run_expand, "oracle-check": _run_oracle_check}
 
 
 def _error(code: str, message: str, findings: list | None = None) -> str:
@@ -359,7 +353,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
-            job = json.load(fh)
+            job = json.load(fh, object_hook=mass_array_hook)
     except (OSError, json.JSONDecodeError) as exc:
         sys.stdout.write(_error("validation", f"cannot read job: {exc}"))
         return EXIT_VALIDATION

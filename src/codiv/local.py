@@ -131,10 +131,9 @@ def expansion_check(p0: DiscreteMeasure, mu: SignedMeasure, mu_tilde: SignedMeas
     one step down (up to 8 times) until the asymptotic decay is visible.  Each step
     is evaluated once, when a window first needs it.
     """
-    inner = fisher_inner(PerturbationPair(p0, mu, mu_tilde))
+    inner = fisher_inner(PerturbationPair(p0, mu, mu_tilde))  # checks both directions
     coeff = phi.dphi_at_one ** 2 * inner
-    t0 = 0.1 * min(validity_radius(mu, p0), 1.0)
-    s0 = 0.1 * min(validity_radius(mu_tilde, p0), 1.0)
+    t0, s0 = (0.1 * min(validity_radius(m, p0, checked=True), 1.0) for m in (mu, mu_tilde))
     steps: list[ExpansionLevel] = []
     for shift in range(9):
         while len(steps) < shift + levels:

@@ -6,11 +6,10 @@ centred feature matrix H, one row per measure, and the matrix is H H', whose
 cell (j, k) is bit for bit the pair codivergence of ps[j] and ps[k].  For chi2,
 vphi and rphi row j is the centred phi(dP_j/dP0) weighted by sqrt(p0), so
 entry (j, k) is an inner product in L2(p0); for hellinger it is the centred
-root density.  The
-identity holds for probability measures only, which ``divergence_matrix``
-therefore requires for every kind.  Finite matrices are PSD, their rank
-matches the rank of the underlying functions, and the chi-square matrix
-contracts under Markov kernels in the PSD order.  Eigenvalues come from
+root density.  The identity holds for probability measures only, which
+``divergence_matrix`` therefore requires for every kind.  Finite matrices are
+PSD, their rank matches the rank of the underlying functions, and the chi-square
+matrix contracts under Markov kernels in the PSD order.  Eigenvalues come from
 ``np.linalg.eigvalsh``; the function-rank side takes an SVD of the uncentred
 functions, so the two routes of the rank identity stay independent.
 
@@ -47,12 +46,10 @@ def jacobi_eigenvalues(a: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise PreconditionError("jacobi_eigenvalues needs a square matrix")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(a))))):
+    scale = max(1.0, float(np.max(np.abs(a))))
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * scale):
         raise PreconditionError("jacobi_eigenvalues needs a symmetric matrix")
     n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy()
-    scale = max(1.0, float(np.max(np.abs(a))))
     sweeps = 0
     while (off := math.sqrt(float(np.sum(np.tril(a, -1) ** 2)))) > 1e-15 * scale:
         if sweeps == max_sweeps:
@@ -69,16 +66,13 @@ def jacobi_eigenvalues(a: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
                 t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
+                rp, rq = a[p, :].copy(), a[q, :].copy()
                 a[p, :] = c * rp - s * rq
                 a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
+                cp, cq = a[:, p].copy(), a[:, q].copy()
                 a[:, p] = c * cp - s * cq
                 a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
+                a[p, q] = a[q, p] = 0.0
     return np.sort(a.diagonal())
 
 

@@ -96,6 +96,15 @@ def measure_problems(doc, signed: bool = False, normalized: bool = False,
     return mass, problems
 
 
+def mass_array_hook(obj: dict) -> dict:
+    """A ``json.load`` object hook: a "mass" that is a non-empty list becomes the float array
+    ``measure_problems`` builds from it, so a parsed job holds each mass once."""
+    values = numbers(obj.get("mass"))
+    if values is not None:
+        obj["mass"] = np.array(values, dtype=float)
+    return obj
+
+
 def direction_problems(mass: np.ndarray, p0_mass: np.ndarray, off_support: bool = False,
                        path: str = "") -> list:
     """The direction rule for a direction's mass array around a reference's, with paths under
@@ -217,21 +226,23 @@ def check_direction(mu, p0: DiscreteMeasure, off_support: bool = False) -> None:
                 + direction_problems(mu.mass, p0.mass, off_support))
 
 
-def ess_sup_ratio(mu: SignedMeasure, p0: DiscreteMeasure) -> float:
-    """Essential supremum of |d(mu)/d(p0)| for a zero-mass direction mu dominated by p0."""
-    check_direction(mu, p0)
+def ess_sup_ratio(mu: SignedMeasure, p0: DiscreteMeasure, checked: bool = False) -> float:
+    """Essential supremum of |d(mu)/d(p0)| for a zero-mass direction mu dominated by p0;
+    ``checked`` skips ``check_direction``, for a direction that already passed it."""
+    if not checked:
+        check_direction(mu, p0)
     pos = p0.mass > 0
     if not np.any(pos):
         return 0.0
     return float(np.max(np.abs(mu.mass[pos]) / p0.mass[pos]))
 
 
-def validity_radius(mu: SignedMeasure, p0: DiscreteMeasure) -> float:
+def validity_radius(mu: SignedMeasure, p0: DiscreteMeasure, checked: bool = False) -> float:
     """Largest a such that p0 + t*mu is a probability measure for all |t| <= a.
 
     Equals the reciprocal of ess_sup_ratio, with 1/0 = +inf.
     """
-    sup = ess_sup_ratio(mu, p0)
+    sup = ess_sup_ratio(mu, p0, checked)
     return math.inf if sup == 0 else 1.0 / sup
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ from codiv.errors import CodivError, DegeneratePhiError
 from codiv.families import BernoulliProd
 from codiv.local import PerturbationPair, fisher_gram, hellinger_off_support_check
 from codiv.matrices import MarkovKernel
-from codiv.measures import DiscreteMeasure, SignedMeasure, ess_sup_ratio
+from codiv.measures import DiscreteMeasure, SignedMeasure, ess_sup_ratio, mass_array_hook
+from golden.regen import load_cases, run_case
 from helpers import random_dominated, random_probability
 
 UNIFORM = {"support": 2, "mass": [0.5, 0.5]}
@@ -547,3 +549,96 @@ def test_module_entry_point_prints_a_report_beyond_the_pipe_buffer(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "codiv", "--input", write_job(tmp_path, job)],
                           capture_output=True, env=env, timeout=120)
     assert (proc.stdout, proc.returncode) == (text.encode(), status)
+
+
+class TestMassArrayHook:
+    """``measures.mass_array_hook``, through which ``main`` parses a job: each mass list
+    becomes the float array that ``measure_problems`` would build from it."""
+
+    @pytest.mark.parametrize("mass", [[0.2, 0.3, 0.5], [1, 0.5, 2 ** 60, -3]])
+    def test_numbers_become_their_float_array(self, mass):
+        got = mass_array_hook({"support": len(mass), "mass": list(mass)})
+        assert type(got["mass"]) is np.ndarray and got["mass"].dtype == np.float64
+        np.testing.assert_array_equal(got["mass"], np.array(mass, dtype=float))
+        assert got["support"] == len(mass)
+
+    @pytest.mark.parametrize("entry", [True, "0.5", None, 2 ** 1024, [0.5], {"mass": 1}])
+    def test_a_non_number_becomes_nan_at_its_index(self, entry):
+        got = mass_array_hook({"mass": [0.25, entry, 0.75]})["mass"]
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, [0.25, math.nan, 0.75])
+
+    @pytest.mark.parametrize("obj", [{"mass": []}, {"mass": 0.5}, {"mass": "0.5"},
+                                     {"mass": {"0": 0.5}}, {"mass": None}, {"support": 2},
+                                     {}])
+    def test_other_objects_are_unchanged(self, obj):
+        before = json.loads(json.dumps(obj))
+        assert mass_array_hook(obj) is obj
+        assert obj == before
+
+    def test_family_params_and_kernels_are_not_touched(self):
+        family = {"kind": "poisson_product", "params": {"lambda": [1.0, 2]}}
+        job = {"command": "codiv", "inputs": [family] * 3, "options": {"kind": "chi2"}}
+        assert json.loads(json.dumps(job), object_hook=mass_array_hook) == job
+        kernel = {"rows": 2, "cols": 2, "matrix": [[1, 0.0], [0.5, 0.5]]}
+        job = {"command": "dpi", "inputs": [UNIFORM, TILTED], "options": {"kernel": kernel}}
+        parsed = json.loads(json.dumps(job), object_hook=mass_array_hook)
+        assert parsed["options"] == job["options"]
+        assert type(parsed["options"]["kernel"]["matrix"][0]) is list
+
+    @pytest.mark.parametrize("flags", [[], ["--command", "matrix"]])
+    def test_main_passes_arrays_to_run(self, tmp_path, monkeypatch, flags):
+        seen = []
+
+        def fake_run(job, **kwargs):
+            seen.append(job)
+            return "", EXIT_OK
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        job = {"command": "codiv", "inputs": [UNIFORM, TILTED, {"mass": [1, 0]}],
+               "options": {"kind": "chi2"}}
+        assert main(["--input", write_job(tmp_path, job), *flags]) == EXIT_OK
+        (got,) = seen
+        assert got["command"] == (flags[1] if flags else "codiv")
+        for doc, want in zip(got["inputs"], job["inputs"]):
+            assert type(doc["mass"]) is np.ndarray and doc["mass"].dtype == np.float64
+            np.testing.assert_array_equal(doc["mass"], want["mass"])
+
+
+GOLDEN_CASES = load_cases()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_mass_arrays_change_no_golden_report(monkeypatch, name):
+    """Every golden case prints the same bytes with the same status whether ``main`` parses
+    its masses into arrays or leaves them as the lists ``json`` makes."""
+    shipped = run_case(GOLDEN_CASES[name])
+    monkeypatch.setattr(cli, "mass_array_hook", lambda obj: obj)
+    assert run_case(GOLDEN_CASES[name]) == shipped
+
+
+def test_golden_cases_cover_each_mass_rule():
+    assert {"invalid-mass-boolean", "invalid-mass-int-beyond-float", "invalid-mass-not-number",
+            "invalid-mass-infinite", "invalid-mass-missing"} <= GOLDEN_CASES.keys()
+
+
+def test_a_parsed_job_holds_each_mass_once(tmp_path, capsys):
+    """The tracemalloc peak of ``main`` on a 3 x 1e5-point codiv job stays below 2.2 times
+    the job file.  Reading the file takes about 2 (its bytes, then its text); a mass held
+    as a list of Python floats until ``validate`` takes about 32 bytes a number, which
+    brought the peak to about 2.5."""
+    rng = np.random.default_rng(17)
+    inputs = [{"support": 10 ** 5, "mass": random_probability(rng, 10 ** 5).mass.tolist()}
+              for _ in range(3)]
+    path = write_job(tmp_path, {"command": "codiv", "inputs": inputs,
+                                "options": {"kind": "alpha:0.5"}})
+    del inputs
+    tracemalloc.start()
+    try:
+        status = main(["--input", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == EXIT_OK and json.loads(capsys.readouterr().out)["command"] == "codiv"
+    size = os.path.getsize(path)
+    assert peak < 2.2 * size, f"peak {peak / size:.2f} x the job file of {size} bytes"

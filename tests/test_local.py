@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import codiv.local
+import codiv.measures
 from codiv import (PHI_IDENTITY, PHI_SQRT, DiscreteMeasure, DominationError, ExpansionReport,
                    PerturbationPair, PreconditionError, SignedMeasure,
                    expansion_check, fisher_gram, fisher_inner, geometric_decay_ok,
                    hellinger_off_support_check, jacobi_eigenvalues, perturb, phi_alpha,
                    r_phi, v_phi, validity_radius)
+from codiv.measures import check_direction
 from helpers import random_direction, random_probability
 
 
@@ -139,6 +141,24 @@ class TestExpansionCheck:
             for j in range(2):
                 report = expansion_check(p0, mus[i], mus[j], PHI_IDENTITY)
                 assert report.leading_coeff_v == pytest.approx(g[i, j], rel=1e-10, abs=1e-10)
+
+    def test_each_direction_is_checked_once(self, monkeypatch):
+        """``PerturbationPair`` checks both directions and the step radii reuse that check;
+        ``validity_radius`` called on its own still checks its direction."""
+        checked = []
+
+        def spy(mu, p0, off_support=False):
+            checked.append(mu)
+            return check_direction(mu, p0, off_support)
+
+        monkeypatch.setattr(codiv.local, "check_direction", spy)
+        monkeypatch.setattr(codiv.measures, "check_direction", spy)
+        p0 = DiscreteMeasure([0.5, 0.3, 0.2])
+        mu, nu = SignedMeasure([0.10, -0.06, -0.04]), SignedMeasure([-0.05, 0.11, -0.06])
+        expansion_check(p0, mu, nu, PHI_SQRT)
+        assert [id(m) for m in checked] == [id(mu), id(nu)]
+        with pytest.raises(PreconditionError, match="zero total mass"):
+            validity_radius(SignedMeasure([0.1, -0.05, 0.0]), p0)
 
     @pytest.mark.parametrize("decays_at, shifts", [(0, 0), (3, 3), (None, 8)])
     def test_each_step_is_evaluated_once(self, monkeypatch, decays_at, shifts):
