@@ -240,7 +240,7 @@ def ess_sup_ratio(mu: SignedMeasure, p0: DiscreteMeasure, checked: bool = False)
 def validity_radius(mu: SignedMeasure, p0: DiscreteMeasure, checked: bool = False) -> float:
     """Largest a such that p0 + t*mu is a probability measure for all |t| <= a.
 
-    Equals the reciprocal of ess_sup_ratio, with 1/0 = +inf.
+    Equals the reciprocal of ess_sup_ratio (``checked`` as there), with 1/0 = +inf.
     """
     sup = ess_sup_ratio(mu, p0, checked)
     return math.inf if sup == 0 else 1.0 / sup
