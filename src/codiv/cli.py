@@ -58,10 +58,8 @@ def parse_kind(text: str) -> tuple[str, float | None]:
     """Split a kind/phi option into (base kind, alpha)."""
     if not isinstance(text, str):
         raise CodivError("kind option is required", "/options/kind")
-    if text == "chi2":
-        return "chi2", 1.0
-    if text == "hellinger":
-        return "hellinger", 0.5
+    if text in ("chi2", "hellinger"):
+        return text, 1.0 if text == "chi2" else 0.5
     for prefix, base in (("alpha:", "rphi"), ("valpha:", "vphi")):
         if text.startswith(prefix):
             try:
@@ -301,9 +299,9 @@ def _error(code: str, message: str, findings: list | None = None) -> str:
 
 def run(job: dict, fmt: str = "json", tolerance: float | None = None,
         seed: int = 0) -> tuple[str, int]:
-    """Validate and execute a job; returns (report text, exit status).  An exception that no
-    documented error covers is exit 3 with code "internal", naming its type; its traceback
-    goes to stderr."""
+    """Validate and execute a job; returns (report text, exit status).  A job that is not a
+    dict, or a format other than "json" or "csv", is exit 2.  An exception that no documented
+    error covers is exit 3 with code "internal", naming its type; its traceback to stderr."""
     try:
         return _run(job, fmt, tolerance, seed)
     except Exception as exc:  # the last resort: a job never ends in a traceback
@@ -314,10 +312,13 @@ def run(job: dict, fmt: str = "json", tolerance: float | None = None,
 
 
 def _run(job: dict, fmt: str, tolerance: float | None, seed: int) -> tuple[str, int]:
+    if not isinstance(job, dict):
+        return _error("validation", "job must be a JSON object"), EXIT_VALIDATION
     findings, inputs = validate(job)
     if findings:
         return _error("validation", "job validation failed", findings), EXIT_VALIDATION
-    for wrong, message in ((fmt == "csv" and job["command"] != "matrix",
+    for wrong, message in ((fmt not in ("json", "csv"), "format must be json or csv"),
+                           (fmt == "csv" and job["command"] != "matrix",
                             "csv format is only available for matrix reports"),
                            (tolerance is not None
                             and not (is_number(tolerance) and math.isfinite(tolerance)),
@@ -357,12 +358,8 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         sys.stdout.write(_error("validation", f"cannot read job: {exc}"))
         return EXIT_VALIDATION
-    if not isinstance(job, dict):
-        sys.stdout.write(_error("validation", "job must be a JSON object"))
-        return EXIT_VALIDATION
-    if args.command:
-        job = dict(job)
-        job["command"] = args.command
+    if args.command and isinstance(job, dict):  # run reports a job that is not an object
+        job = {**job, "command": args.command}
     text, status = run(job, fmt=args.fmt, tolerance=args.tolerance, seed=args.seed)
     sys.stdout.write(text)
     return status

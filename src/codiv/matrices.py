@@ -106,7 +106,8 @@ class DivMatrix:
         return bool(np.all(np.isfinite(self.entries)))
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "size": self.size, "entries": self.entries.ravel().tolist(),
+        """The report form; "entries" is the row-major float64 view ``entries.ravel()``."""
+        return {"kind": self.kind, "size": self.size, "entries": self.entries.ravel(),
                 "reference": self.reference}
 
 class DiagnosticStatus(enum.Enum):
@@ -236,22 +237,23 @@ def kernel_problems(doc, path: str = "") -> tuple[np.ndarray | None, list]:
     at = f"{path}/matrix"
     if not isinstance(matrix, (list, tuple, np.ndarray)) or len(matrix) == 0:
         return None, [PreconditionError("kernel matrix is required", at)]
-    rows, problems = [], []
-    for r, entries in enumerate(matrix):
-        values = numbers(entries)
-        row = None if values is None else np.asarray(values, dtype=float)
-        if row is None or not np.all(np.isfinite(row)):
-            return None, problems + [PreconditionError("row must be a list of numbers", f"{at}/{r}")]
-        if rows and row.size != rows[0].size:
-            return None, problems + [PreconditionError("ragged kernel matrix", f"{at}/{r}")]
-        if np.any(row < 0):
+    # a row that is not a list of numbers stands as one non-number, which fails each test
+    rows = [[math.nan] if row is None else row for row in map(numbers, matrix)]
+    ragged_at = next((r for r, row in enumerate(rows) if len(row) != len(rows[0])), len(rows))
+    matrix = np.array(rows[:ragged_at], dtype=float)  # the rows before it, converted at once
+    bad_at = next(iter(np.flatnonzero(~np.isfinite(matrix).all(axis=1))), ragged_at)
+    problems = []
+    for r, negative in enumerate((matrix[:bad_at] < 0).any(axis=1)):
+        if negative:
             problems.append(PreconditionError("kernel entries must be nonnegative", f"{at}/{r}"))
-        total = exact_sum(row)
+        total = exact_sum(matrix[r])
         if abs(total - 1.0) > PROBABILITY_TOL:
             problems.append(PreconditionError(f"not row-stochastic: row sums to {total!r}",
                                               f"{at}/{r}"))
-        rows.append(row)
-    matrix = np.array(rows)
+    if bad_at < len(rows):
+        ragged = bad_at == ragged_at and np.isfinite(np.asarray(rows[bad_at], dtype=float)).all()
+        message = "ragged kernel matrix" if ragged else "row must be a list of numbers"
+        return None, problems + [PreconditionError(message, f"{at}/{bad_at}")]
     matrix.flags.writeable = False
     for key, what, size in (("rows", "row", matrix.shape[0]), ("cols", "column", matrix.shape[1])):
         if doc.get(key, size) != size:
@@ -271,10 +273,6 @@ class MarkovKernel:
         raise_first(problems)
         object.__setattr__(self, "matrix", matrix)
 
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
-
     @classmethod
     def identity(cls, n: int) -> "MarkovKernel":
         return cls(np.eye(n))
@@ -282,7 +280,7 @@ class MarkovKernel:
 
 def push_forward(k: MarkovKernel, p):
     """Push a (signed) measure through the kernel: out[y] = sum_x mass[x]*k[x, y]."""
-    raise_first(support_problems([p.mass], k.rows))
+    raise_first(support_problems([p.mass], k.matrix.shape[0]))
     return type(p)(p.mass @ k.matrix)
 
 

@@ -184,11 +184,8 @@ class JordanDecomposition(NamedTuple):
     mu_minus: DiscreteMeasure
 
 
-def check_same_support(*measures) -> int:
-    sizes = {m.support_size for m in measures}
-    if len(sizes) != 1:
-        raise_first(support_problems([m.mass for m in measures]))
-    return sizes.pop()
+def check_same_support(*measures) -> None:
+    raise_first(support_problems([m.mass for m in measures]))
 
 
 def check_probability(*measures) -> None:
@@ -250,8 +247,7 @@ def perturb(p0: DiscreteMeasure, mu: SignedMeasure, t: float) -> DiscreteMeasure
     """Return p0 + t*mu as a measure, clamping only floating dust in [-1e-12, 0)."""
     check_same_support(mu, p0)
     mass = p0.mass + t * mu.mass
-    dust = (mass < 0) & (mass >= -PROBABILITY_TOL)
     if np.any(mass < -PROBABILITY_TOL):
         raise PreconditionError(f"p0 + {t!r}*mu has negative mass; outside the validity radius")
-    mass[dust] = 0.0
+    mass[mass < 0] = 0.0  # what is left below 0 is floating dust
     return DiscreteMeasure(mass)

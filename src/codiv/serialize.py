@@ -10,9 +10,15 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import repeat
+
+import numpy as np
 
 from .errors import PreconditionError
 from .matrices import DivMatrix
+
+# Floats per formatting chunk: a report holds this many as Python floats, never a matrix's.
+FLOAT_CHUNK = 4096
 
 
 def format_float(x: float) -> str:
@@ -24,36 +30,41 @@ def format_float(x: float) -> str:
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
-    """Canonical JSON text for dicts/lists/str/bool/int/float/None."""
-    pad = " " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
+    """Canonical JSON text for dicts/lists/str/bool/int/float/None, and for a 1-D float64
+    array, written as the list of its floats.  Every piece goes to one list, joined once."""
+    out: list[str] = []
+    _write(obj, " " * indent, out)
+    return "".join(out)
+
+
+def _write(obj, pad: str, out: list) -> None:
     if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key in sorted(obj):
+        out.append(format_float(obj))
+    elif obj is None or isinstance(obj, (bool, int, str)):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        for i, key in enumerate(sorted(obj)):
             if not isinstance(key, str):
                 raise PreconditionError("report keys must be strings")
-            items.append(f'{pad}  {json.dumps(key)}: {dumps_canonical(obj[key], indent + 2)}')
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):  # so no NaN or inf
-            items = [format(x, ".17g") for x in obj]
-        else:
-            items = [dumps_canonical(x, indent + 2) for x in obj]
-        return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
-    raise PreconditionError(f"cannot serialize object of type {type(obj).__name__}")
+            out.append(("," if i else "{") + f"\n{pad}  {json.dumps(key)}: ")
+            _write(obj[key], pad + "  ", out)
+        out.append(f"\n{pad}}}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)) and set(map(type, obj)) != {float}:
+        for i, item in enumerate(obj):
+            out.append(f",\n{pad}  " if i else f"[\n{pad}  ")
+            _write(item, pad + "  ", out)
+        out.append(f"\n{pad}]" if obj else "[]")
+    elif isinstance(obj, (list, tuple)) or (
+            type(obj) is np.ndarray and obj.ndim == 1 and obj.dtype == np.float64):
+        run = np.asarray(obj)  # a run of floats: formatted a chunk at a time
+        for start in range(0, run.size, FLOAT_CHUNK):
+            chunk = run[start:start + FLOAT_CHUNK].tolist()
+            finite = math.isfinite(sum(chunk))  # no NaN or inf; an overflow only costs speed
+            items = [format(x, ".17g") for x in chunk] if finite else map(format_float, chunk)
+            out.append((f",\n{pad}  " if start else f"[\n{pad}  ") + f",\n{pad}  ".join(items))
+        out.append(f"\n{pad}]" if run.size else "[]")
+    else:
+        raise PreconditionError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def matrix_to_csv(mat: DivMatrix) -> str:
@@ -64,6 +75,6 @@ def matrix_to_csv(mat: DivMatrix) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
     writer.writerow(["kind", mat.kind, "size", mat.size, "reference", mat.reference])
-    for row in mat.entries.tolist():  # a DivMatrix is NaN-free
-        writer.writerow([format(x, ".17g") for x in row])
+    # row by row, from the float array; a DivMatrix is NaN-free
+    writer.writerows(map(format, row.tolist(), repeat(".17g")) for row in mat.entries)
     return buf.getvalue()

@@ -455,6 +455,28 @@ class TestReportContracts:
         assert status == EXIT_VALIDATION
         assert json.loads(text) == {"error": {"code": "validation", "message": message}}
 
+    @pytest.mark.parametrize("job", [[], "x", None, 3, [["command", "matrix"]]])
+    @pytest.mark.parametrize("fmt", ["json", "xml"])
+    def test_run_rejects_a_job_that_is_not_an_object(self, capsys, job, fmt):
+        text, status = run(job, fmt=fmt)
+        assert status == EXIT_VALIDATION and capsys.readouterr().err == ""
+        assert json.loads(text) == {"error": {"code": "validation",
+                                              "message": "job must be a JSON object"}}
+
+    @pytest.mark.parametrize("fmt", ["xml", None, "CSV", "", ["json"]])
+    def test_run_rejects_a_format_other_than_json_or_csv(self, fmt):
+        text, status = run(RANK_JOB, fmt=fmt)
+        assert status == EXIT_VALIDATION
+        assert json.loads(text) == {"error": {"code": "validation",
+                                              "message": "format must be json or csv"}}
+
+    @pytest.mark.parametrize("flags", [[], ["--command", "matrix"]])
+    def test_main_reports_a_job_that_is_not_an_object(self, tmp_path, capsys, flags):
+        """``run`` holds the rule; ``main`` with or without a command override reaches it."""
+        status, out = run_main(capsys, ["--input", write_job(tmp_path, [[0, 1]]), *flags])
+        assert status == EXIT_VALIDATION
+        assert out == run([[0, 1]])[0]
+
     def test_missing_input_file(self, capsys):
         status, out = run_main(capsys, ["--input", "/nonexistent/job.json"])
         assert status == EXIT_VALIDATION
@@ -642,3 +664,21 @@ def test_a_parsed_job_holds_each_mass_once(tmp_path, capsys):
     assert status == EXIT_OK and json.loads(capsys.readouterr().out)["command"] == "codiv"
     size = os.path.getsize(path)
     assert peak < 2.2 * size, f"peak {peak / size:.2f} x the job file of {size} bytes"
+
+
+def test_a_matrix_report_is_written_within_three_times_its_size():
+    """The tracemalloc peak of ``run`` on a 300-measure matrix job stays at or below 3 times
+    the report: the entries are formatted from their float array a chunk at a time, and the
+    report's pieces are joined once.  Nested strings and a list of every entry as a Python
+    float took about 6 times."""
+    rng = np.random.default_rng(19)
+    inputs = [{"mass": random_probability(rng, 20).mass} for _ in range(301)]
+    job = {"command": "matrix", "inputs": inputs, "options": {"kind": "alpha:0.7"}}
+    tracemalloc.start()
+    try:
+        text, status = run(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == EXIT_OK and len(text) > 2 * 10 ** 6
+    assert peak <= 3 * len(text), f"peak {peak / len(text):.2f} x the report of {len(text)} bytes"

@@ -17,8 +17,9 @@ from codiv import (PHI_IDENTITY, PHI_SQRT, DegeneratePhiError, DiagnosticStatus,
                    jordan_decompose, link_identity_check, oracle_divergence_matrix,
                    phi_alpha, phi_normalizers, push_forward, quadratic_form_check,
                    rank_with_identity)
-from codiv.matrices import MATRIX_KINDS, DivMatrix
-from codiv.serialize import dumps_canonical
+from codiv.errors import numbers
+from codiv.matrices import MATRIX_KINDS, DivMatrix, kernel_problems
+from codiv.serialize import FLOAT_CHUNK, dumps_canonical
 from helpers import random_dominated, random_kernel, random_probability
 
 P0 = DiscreteMeasure([0.5, 0.5])
@@ -282,6 +283,76 @@ class TestQuadraticForm:
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
+def _kernel_problems_by_row(doc, path=""):
+    """The reference for ``kernel_problems``: each row converted and tested on its own, in
+    order, stopping at the first row that is not a list of numbers or is ragged."""
+    at = f"{path}/matrix"
+    rows, problems = [], []
+    for r, entries in enumerate(doc["matrix"]):
+        values = numbers(entries)
+        row = None if values is None else np.asarray(values, dtype=float)
+        if row is None or not np.all(np.isfinite(row)):
+            return None, problems + [PreconditionError("row must be a list of numbers", f"{at}/{r}")]
+        if rows and row.size != rows[0].size:
+            return None, problems + [PreconditionError("ragged kernel matrix", f"{at}/{r}")]
+        if np.any(row < 0):
+            problems.append(PreconditionError("kernel entries must be nonnegative", f"{at}/{r}"))
+        total = math.fsum(row)
+        if abs(total - 1.0) > 1e-12:
+            problems.append(PreconditionError(f"not row-stochastic: row sums to {total!r}",
+                                              f"{at}/{r}"))
+        rows.append(row)
+    matrix = np.array(rows)
+    for key, what, size in (("rows", "row", matrix.shape[0]), ("cols", "column", matrix.shape[1])):
+        if doc.get(key, size) != size:
+            problems.append(PreconditionError(f"declared {what} count does not match matrix",
+                                              f"{path}/{key}"))
+    return matrix, problems
+
+
+def _random_kernel_row(rng, width):
+    """A kernel row of the given width, or of another, holding numbers, negative entries,
+    non-finite entries, non-numbers or nothing, or a row that is not a list at all."""
+    pick = rng.random()
+    if pick < 0.1:
+        return [None, [], "ab", {"x": 1}][int(rng.integers(4))]
+    width = int(rng.integers(1, 5)) if pick < 0.25 else width
+    odd = [-0.1, 0.0, 1.0, True, "x", None, math.nan, math.inf, 2, 10 ** 400, [0.5]]
+    row = [float(x) if rng.random() < 0.8 else odd[int(rng.integers(len(odd)))]
+           for x in rng.random(width)]
+    if rng.random() < 0.5 and all(type(x) is float for x in row) and sum(row) > 0:
+        row = [x / math.fsum(row) for x in row]
+    return np.array(row) if rng.random() < 0.2 and all(type(x) is float for x in row) else row
+
+
+def test_kernel_problems_match_the_row_by_row_reference():
+    """The whole-matrix tests give the findings, paths, order and matrix of the row loop."""
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for _ in range(3000):
+        width = int(rng.integers(1, 5))
+        doc = {"matrix": [_random_kernel_row(rng, width) for _ in range(rng.integers(1, 6))]}
+        for key in ("rows", "cols"):
+            if rng.random() < 0.2:
+                doc[key] = int(rng.integers(1, 6))
+        if rng.random() < 0.1 and all(isinstance(row, list) and len(row) == width
+                                      and all(type(x) is float for x in row)
+                                      for row in doc["matrix"]):
+            doc["matrix"] = np.array(doc["matrix"])
+        got, want = kernel_problems(doc, "/k"), _kernel_problems_by_row(doc, "/k")
+        assert [(type(p), str(p), p.path) for p in got[1]] == \
+            [(type(p), str(p), p.path) for p in want[1]], doc
+        if want[0] is None:
+            assert got[0] is None
+        else:
+            np.testing.assert_array_equal(got[0], want[0])
+            assert not got[0].flags.writeable
+        seen.update(str(p).split(":")[0] for p in want[1])
+    assert seen >= {"row must be a list of numbers", "ragged kernel matrix", "not row-stochastic",
+                    "kernel entries must be nonnegative", "declared row count does not match matrix",
+                    "declared column count does not match matrix"}
+
+
 class TestPushForward:
     def test_identity_kernel(self):
         out = push_forward(MarkovKernel.identity(2), P1)
@@ -348,6 +419,33 @@ class TestDpi:
         bad = DiscreteMeasure([0.5, 0.5])
         with pytest.raises(DominationError):
             dpi_check(q0, [bad], MarkovKernel.identity(2))
+
+    # Two instances ([q0, q1, q2], kernel) on two points, found by a seeded search over masses
+    # on a 1/20 grid with N, M and N' at most 6; the first breaks the PSD order for
+    # hellinger, alpha:0.5 and valpha:2, the second for alpha:2.
+    SMALL = ([[0.6, 0.4], [0.8, 0.2], [0.35, 0.65]], [[0.5, 0.5], [0.8, 0.2]])
+    SMALL_ALPHA2 = ([[0.3, 0.7], [0.45, 0.55], [0.7, 0.3]], [[0.5, 0.5], [0.2, 0.8]])
+
+    @pytest.mark.parametrize("kind, phi, instance, below", [
+        ("hellinger", None, SMALL, -3e-5),
+        ("rphi", phi_alpha(0.5), SMALL, -3e-5),
+        ("rphi", phi_alpha(2.0), SMALL_ALPHA2, -1e-3),
+        ("vphi", phi_alpha(2.0), SMALL, -1e-3),
+    ], ids=["hellinger", "alpha:0.5", "alpha:2", "valpha:2"])
+    def test_only_chi2_contracts(self, kind, phi, instance, below):
+        """The data-processing inequality in the PSD order is a chi2 property: on these
+        instances the scaled smallest eigenvalue of before - after is far below the -1e-9
+        floor for the other kinds, while the chi2 matrices contract."""
+        q0, *qs = map(DiscreteMeasure, instance[0])
+        kernel = MarkovKernel(instance[1])
+        pushed = [push_forward(kernel, q) for q in (q0, *qs)]
+        pushed = [DiscreteMeasure(p.mass / p.total) for p in pushed]
+        before = divergence_matrix(q0, qs, kind, phi=phi)
+        after = divergence_matrix(pushed[0], pushed[1:], kind, phi=phi)
+        scale = max(1.0, eigen_summary(before).max_eigenvalue)
+        assert np.linalg.eigvalsh(before.entries - after.entries)[0] / scale < below
+        chi2 = dpi_check(q0, qs, kernel)
+        assert chi2.min_eig_of_difference >= -1e-9 * chi2.scale
 
     def test_pushed_totals_within_both_tolerances(self):
         """Masses and kernel rows each 9e-13 above 1 push to totals 1.8e-12 above 1,
@@ -450,26 +548,46 @@ class TestSerialization:
         ({1: 0.0}, "keys must be strings"),
         ({"value": {0.5}}, "cannot serialize object of type set"),
         ({"values": [0.5, math.nan, 1.0]}, "NaN-free"),
+        ({"values": np.array([0.5, math.nan, 1.0])}, "NaN-free"),
+        ({"values": np.array([0.5] * FLOAT_CHUNK + [math.nan])}, "NaN-free"),  # second chunk
+        ({"values": np.zeros((2, 2))}, "cannot serialize object of type ndarray"),
+        ({"values": np.zeros(2, dtype=np.float32)}, "cannot serialize object of type ndarray"),
+        ({"values": np.zeros(2, dtype=int)}, "cannot serialize object of type ndarray"),
     ])
     def test_rejects_what_a_report_cannot_hold(self, obj, message):
         with pytest.raises(PreconditionError, match=message):
             dumps_canonical(obj)
 
     def test_none_and_empty_containers(self):
-        assert [dumps_canonical(x) for x in (None, {}, [])] == ["null", "{}", "[]"]
+        assert [dumps_canonical(x) for x in (None, {}, [], np.array([]))] == \
+            ["null", "{}", "[]", "[]"]
 
     @pytest.mark.parametrize("values", [
         [0.5, -0.0, 5e-324, -1.7976931348623157e308, 1.7976931348623157e308, 0.1],  # sum > max
         [0.25, 1.0, -3.5e-7],
         [0.5, math.inf], [math.inf, -math.inf], [0.5, True], [1.0, 2], [0.5, "inf"],
+        [1.7976931348623157e308, 1.7976931348623157e308, -0.0],  # a sum that overflows
+        [-0.0, 1e-310, -5e-324, 2.2250738585072014e-308],  # subnormals and the least normal
+        [i / 7 for i in range(2 * FLOAT_CHUNK + 1)],  # three chunks, all finite
+        [i / 7 for i in range(FLOAT_CHUNK + 1)] + [-math.inf, 0.5],  # inf in the second chunk
     ])
     @pytest.mark.parametrize("indent", [0, 4])
     def test_list_bytes_equal_the_per_item_form(self, values, indent):
-        """Whether or not a list takes the all-finite-float join, each item is written as
-        it would be on its own, on its own line."""
+        """Whether or not a list, or the 1-D float64 array of a list of floats, takes the
+        chunked float join, each item is written as it would be on its own, on its own
+        line."""
         pad = " " * (indent + 2)
         want = "[\n" + ",\n".join(pad + dumps_canonical(v, indent + 2) for v in values)
-        assert dumps_canonical(values, indent) == want + "\n" + " " * indent + "]"
+        want += "\n" + " " * indent + "]"
+        assert dumps_canonical(values, indent) == want
+        if all(type(v) is float for v in values):
+            assert dumps_canonical(np.array(values), indent) == want
+
+    def test_matrix_entries_are_a_view(self):
+        mat = divergence_matrix(P0, [P1, P2], "chi2")
+        entries = mat.to_json_dict()["entries"]
+        assert entries.ndim == 1 and np.shares_memory(entries, mat.entries)
+        assert dumps_canonical(entries) == dumps_canonical(mat.entries.ravel().tolist())
 
 
 @pytest.mark.parametrize("entries, message", [
