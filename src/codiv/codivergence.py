@@ -135,7 +135,10 @@ def features(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind: str,
         if kind != "chi2":
             with np.errstate(over="ignore"):
                 row[:] = phi.apply(row)
-            normalizers[j] = mean = _phi_mean(row, w, phi)
+            normalizers[j] = mean = exact_sum(row * w)
+            if not math.isfinite(mean):  # also where a phi value is not finite
+                raise OverflowError(f"phi {phi.name} of a density ratio, or its integral "
+                                    f"against p0, exceeds the float range")
             if kind == "vphi":
                 centre = mean
             elif mean <= 0:
@@ -145,18 +148,6 @@ def features(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind: str,
         row -= centre
         row *= root0
     return Features(h, finite, normalizers)
-
-
-def _phi_mean(values: np.ndarray, w: np.ndarray, phi: PhiFunction) -> float:
-    """The integral of the phi values against p0's masses w; OverflowError naming the link
-    when a value or the integral is not finite."""
-    if np.isfinite(values).all():
-        try:
-            return exact_sum(values * w)
-        except OverflowError:  # the integral exceeds the float range
-            pass
-    raise OverflowError(f"phi {phi.name} of a density ratio, or its integral against p0, "
-                        f"exceeds the float range")
 
 
 _GRAM_OVERFLOW = "a cell of the Gram matrix H H' exceeds the float range"

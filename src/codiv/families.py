@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, KindMismatchError, PreconditionError, check_alpha,
                      is_number, numbers, raise_first)
+from .measures import exact_sum
 
 # rule of a vector parameter -> (test its finite entries pass, message for one that fails)
 _VECTOR_RULES = {
@@ -157,12 +158,8 @@ def _gaussian_log1p(f0, f1, f2, alpha) -> float:
     cannot underflow.  OverflowError when the value is above the float range."""
     _, exponent = math.frexp(f0.sigma)
     sigma = math.ldexp(f0.sigma, -exponent)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.ldexp(f1.mean - f0.mean, -exponent) * np.ldexp(f2.mean - f0.mean, -exponent)
-    try:
-        inner = math.fsum(terms)
-    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
-        inner = math.nan
+    terms = np.ldexp(f1.mean - f0.mean, -exponent) * np.ldexp(f2.mean - f0.mean, -exponent)
+    inner = exact_sum(terms)
     if inner == 0:  # orthogonal shifts give 0 even when alpha^2 overflows
         return 0.0
     value = alpha * alpha * inner / (sigma * sigma)
@@ -178,7 +175,7 @@ def _poisson_log1p(f0, f1, f2, alpha) -> float:
     e1, e2 = (np.expm1(alpha * (np.log(lj) - np.log(l0))) for lj in (l1, l2))
     direct = (np.minimum.reduce([p0, q0, q1, q2]) >= np.finfo(float).tiny) & np.isfinite(terms)
     relative = np.where((e1 == 0) | (e2 == 0), 0.0, l0 * e1 * e2)  # 0, not 0 * inf = NaN
-    return math.fsum(np.where(direct, terms, relative))
+    return exact_sum(np.where(direct, terms, relative))
 
 
 def _log_mix(w, a, b) -> float:
@@ -290,10 +287,7 @@ def r_alpha_closed_log1p(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
     the value is NaN or +inf: beyond the float range, or undefined in floating point."""
     check_family_triple(f0, f1, f2, alpha)
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            value = FAMILIES[type(f0)].log1p(f0, f1, f2, alpha)
-        except ValueError:  # math.fsum of +inf and -inf terms
-            value = math.nan
+        value = FAMILIES[type(f0)].log1p(f0, f1, f2, alpha)
     if value is None:
         return math.inf
     if math.isnan(value) or value == math.inf:
@@ -328,7 +322,7 @@ def gamma_first_order(f0: GammaProd, f1: GammaProd, f2: GammaProd, alpha: float)
     (a0, b0), (a1, b1), (a2, b2) = (spec.coords(f) for f in (f0, f1, f2))
     if not (np.array_equal(a0, a1) and np.array_equal(a0, a2)):
         raise DimensionMismatchError("the three families must share their shape vector")
-    quad = math.fsum(a0 * (b1 - b0) * (b2 - b0) / (b0 * b0))
+    quad = exact_sum(a0 * (b1 - b0) * (b2 - b0) / (b0 * b0))
     return math.expm1(alpha * alpha * quad)
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .codivergence import PhiFunction, _finite_gram, hellinger_codiv, r_phi, v_phi
 from .errors import PreconditionError
-from .measures import (DiscreteMeasure, SignedMeasure, check_direction, exact_sum, perturb,
-                       validity_radius)
+from .measures import (DiscreteMeasure, SignedMeasure, _sup_ratio, check_direction, exact_sum,
+                       perturb)
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,12 @@ class PerturbationPair:
 
 
 def fisher_inner(pair: PerturbationPair) -> float:
-    """Nonparametric Fisher information inner product of the pair's directions."""
+    """Nonparametric Fisher inner product of the pair's directions; OverflowError if not finite."""
     pos = pair.reference.mass > 0
-    return exact_sum(pair.mu.mass[pos] * pair.mu_tilde.mass[pos] / pair.reference.mass[pos])
+    inner = exact_sum(pair.mu.mass[pos] * pair.mu_tilde.mass[pos] / pair.reference.mass[pos])
+    if not math.isfinite(inner):
+        raise OverflowError("the Fisher inner product of the directions exceeds the float range")
+    return inner
 
 
 def fisher_gram(p0: DiscreteMeasure, mus: Sequence[SignedMeasure]) -> np.ndarray:
@@ -133,7 +136,8 @@ def expansion_check(p0: DiscreteMeasure, mu: SignedMeasure, mu_tilde: SignedMeas
     """
     inner = fisher_inner(PerturbationPair(p0, mu, mu_tilde))  # checks both directions
     coeff = phi.dphi_at_one ** 2 * inner
-    t0, s0 = (0.1 * min(validity_radius(m, p0, checked=True), 1.0) for m in (mu, mu_tilde))
+    t0, s0 = (0.1 * min(1.0 / sup, 1.0) if sup else 0.1
+              for sup in (_sup_ratio(m, p0) for m in (mu, mu_tilde)))
     steps: list[ExpansionLevel] = []
     for shift in range(9):
         while len(steps) < shift + levels:
@@ -230,8 +234,7 @@ def hellinger_off_support_check(p0: DiscreteMeasure, mu1: SignedMeasure, mu2: Si
     off = ~supp
     c_sqrt = exact_sum(np.sqrt(np.maximum(mu1.mass[off], 0.0) * np.maximum(mu2.mass[off], 0.0)))
     inner_supp = exact_sum(mu1.mass[supp] * mu2.mass[supp] / p0.mass[supp])
-    m1 = exact_sum(mu1.mass[supp])
-    m2 = exact_sum(mu2.mass[supp])
+    m1, m2 = (exact_sum(mu.mass[supp]) for mu in (mu1, mu2))
     return OffSupportReport(
         fitted_sqrt=float(coef[0]), fitted_bilinear=float(coef[1]),
         fitted_cross_t=float(coef[2]), fitted_cross_s=float(coef[3]),

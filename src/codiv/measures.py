@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, DominationError, PreconditionError, numbers,
-                     raise_first)
+from .errors import (_INT_LIMIT, DimensionMismatchError, DominationError, PreconditionError,
+                     numbers, raise_first)
 
 PROBABILITY_TOL = 1e-12
 
@@ -37,10 +37,11 @@ def exact_sum(values: np.ndarray) -> float:
     2**-53 * sigma whose sum stays below sigma, so ``np.sum(q)`` is exact in any order.
     Each pass moves the top 53 - log2(n + 2) bits of the residual r into one such exact
     partial sum; once r is zero, ``math.fsum`` of the partial sums is the correctly
-    rounded total.  ``math.fsum`` of the array itself, with its NaN, inf and
-    OverflowError behaviour, handles short arrays, arrays of 2**26 entries or more (where
-    the bound on the partial sums fails), non-finite entries, residuals outside
-    [2**-900, 2**900] (all zeros included) and residuals that 8 passes do not clear.
+    rounded total.  ``math.fsum`` of the array itself handles short arrays, arrays of
+    2**26 entries or more (where the bound on the partial sums fails), non-finite entries,
+    residuals outside [2**-900, 2**900] (all zeros included) and residuals that 8 passes
+    do not clear; where it raises, the exact sum is rounded as ``fractions.Fraction`` rounds
+    it (+-inf from ``_INT_LIMIT`` on, NaN for +inf plus -inf), so this never raises.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
@@ -64,7 +65,18 @@ def exact_sum(values: np.ndarray) -> float:
             top = max(float(r.max()), -float(r.min()))
             if top == 0.0:
                 return math.fsum(partials)
-    return math.fsum(x.tolist())
+    entries = x.tolist()
+    try:
+        return math.fsum(entries)
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        special = [v for v in entries if not math.isfinite(v)]
+    if special:  # that infinity, or NaN for a NaN (NaN != NaN) or infinities of both signs
+        return special[0] if all(v == special[0] for v in special) else math.nan
+    # the exact sum in units of 2**-1074, the smallest subnormal: int division rounds it
+    ulps = sum(k << 1075 - d.bit_length() for k, d in map(float.as_integer_ratio, entries))
+    if abs(ulps) >= _INT_LIMIT << 1074:
+        return math.inf if ulps > 0 else -math.inf
+    return ulps / (1 << 1074)
 
 
 def measure_problems(doc, signed: bool = False, normalized: bool = False,
@@ -223,23 +235,22 @@ def check_direction(mu, p0: DiscreteMeasure, off_support: bool = False) -> None:
                 + direction_problems(mu.mass, p0.mass, off_support))
 
 
-def ess_sup_ratio(mu: SignedMeasure, p0: DiscreteMeasure, checked: bool = False) -> float:
-    """Essential supremum of |d(mu)/d(p0)| for a zero-mass direction mu dominated by p0;
-    ``checked`` skips ``check_direction``, for a direction that already passed it."""
-    if not checked:
-        check_direction(mu, p0)
+def ess_sup_ratio(mu: SignedMeasure, p0: DiscreteMeasure) -> float:
+    """Essential supremum of |d(mu)/d(p0)| for a zero-mass direction mu dominated by p0."""
+    check_direction(mu, p0)
+    return _sup_ratio(mu, p0)
+
+
+def _sup_ratio(mu: SignedMeasure, p0: DiscreteMeasure) -> float:
+    """``ess_sup_ratio`` of a direction that already passed ``check_direction``."""
     pos = p0.mass > 0
-    if not np.any(pos):
-        return 0.0
-    return float(np.max(np.abs(mu.mass[pos]) / p0.mass[pos]))
+    return float(np.max(np.abs(mu.mass[pos]) / p0.mass[pos], initial=0.0))
 
 
-def validity_radius(mu: SignedMeasure, p0: DiscreteMeasure, checked: bool = False) -> float:
-    """Largest a such that p0 + t*mu is a probability measure for all |t| <= a.
-
-    Equals the reciprocal of ess_sup_ratio (``checked`` as there), with 1/0 = +inf.
-    """
-    sup = ess_sup_ratio(mu, p0, checked)
+def validity_radius(mu: SignedMeasure, p0: DiscreteMeasure) -> float:
+    """Largest a such that p0 + t*mu is a probability measure for all |t| <= a: the
+    reciprocal of ess_sup_ratio, with 1/0 = +inf."""
+    sup = ess_sup_ratio(mu, p0)
     return math.inf if sup == 0 else 1.0 / sup
 
 

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codiv import cli
 from codiv.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, main,
                        parse_kind, run, validate)
 from codiv.errors import CodivError, DegeneratePhiError
-from codiv.families import BernoulliProd
+from codiv.families import FAMILIES, BernoulliProd
 from codiv.local import PerturbationPair, fisher_gram, hellinger_off_support_check
 from codiv.matrices import MarkovKernel
 from codiv.measures import DiscreteMeasure, SignedMeasure, ess_sup_ratio, mass_array_hook
@@ -201,6 +203,66 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     assert json.loads(text) == {"error": {
         "code": "internal", "message": "internal error: IndexError: list index out of range"}}
     assert "Traceback" in capsys.readouterr().err
+
+
+# Entries of a malformed job: numbers at the edges of the float range among ordinary ones,
+# three times as often as values of the wrong type.
+_NUMBERS = st.sampled_from([0.0, 0.25, 0.5, -0.25, -0.5, 1e308, -1e308, 5e-324])
+_WRONG = st.sampled_from([True, None, "x", [0.5], 2])
+_VALUES = st.one_of(st.lists(_NUMBERS, min_size=4, max_size=4),
+                    st.lists(st.one_of(_NUMBERS, _NUMBERS, _NUMBERS, _WRONG), max_size=4),
+                    _WRONG, st.just({}))
+# Valid values for each role, some at the edges of the float range, so that jobs also get
+# past validation: measures on 4 points, directions, kernel rows and family parameters.
+_PROBABILITY = st.sampled_from([[0.25] * 4, [0.5, 0.5, 0.0, 0.0], [0.0, 0.25, 0.25, 0.5]])
+_DIRECTION = st.sampled_from([[0.5, -0.5, 0.0, 0.0], [0.25, -0.25, 0.25, -0.25],
+                              [1e308, 1e308, -1e308, -1e308], [1e308, -1e308, 5e-324, -5e-324]])
+_ROW = st.sampled_from([[0.25] * 4, [1.0, 0.0, 0.0, 0.0], [5e-324, 0.5, 0.5, 0.0]])
+_PARAM = st.one_of(st.sampled_from([0.25, 1e308, 5e-324]),
+                   st.lists(st.sampled_from([0.25, 0.5, 1e308, 5e-324]), min_size=2, max_size=2))
+
+
+@st.composite
+def malformed_jobs(draw):
+    """Jobs whose masses, kernel rows and family parameters are valid values, some at the
+    edges of the float range, except for at most one value drawn from _VALUES.  Families
+    go to ``codiv``, whose closed forms are immediate; the quadrature of ``oracle-check``
+    can take a second on one extreme triple."""
+    command = draw(st.sampled_from(["codiv", "matrix", "rank", "dpi", "expand"]))
+    options = {"kind": draw(st.sampled_from(["chi2", "hellinger", "alpha:0.5", "valpha:2"]))}
+    families = command == "codiv" and draw(st.booleans())
+    if families:
+        spec = draw(st.sampled_from(list(FAMILIES.values())))
+        roles = [((i, name), _PARAM) for i in range(3) for name, _, _ in spec.params]
+    elif command == "expand":
+        roles = [(0, _PROBABILITY), (1, _DIRECTION), (2, _DIRECTION)]
+        if draw(st.booleans()):
+            options = {"mode": "off-support"}
+    else:
+        count = 3 if command == "codiv" else draw(st.integers(2, 3))
+        roles = [(i, _PROBABILITY) for i in range(count)]
+    if command == "dpi":
+        roles += [("row", _ROW)] * 4
+    bad = draw(st.integers(-1, len(roles) - 1))  # the role whose value is malformed, or none
+    values = [draw(_VALUES if k == bad else valid) for k, (_, valid) in enumerate(roles)]
+    if families:
+        inputs = [{"kind": spec.kind, "params": {}} for _ in range(3)]
+        for ((i, name), _), value in zip(roles, values):
+            inputs[i]["params"][name] = value
+        options["kind"] = options["kind"].lstrip("v")
+    else:
+        inputs = [{"mass": value} for (i, _), value in zip(roles, values) if i != "row"]
+    if command == "dpi":
+        options = {"kernel": {"matrix": values[len(inputs):]}}
+    return {"command": command, "inputs": inputs, "options": options}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(malformed_jobs())
+def test_no_malformed_job_is_an_internal_error(job):
+    text, status = run(job)
+    assert status in (EXIT_OK, EXIT_VALIDATION, EXIT_COMPUTE, EXIT_PROPERTY)
+    assert '"code": "internal"' not in text, (job, text)
 
 
 @pytest.mark.parametrize("kind", ["chi2", "hellinger", "alpha:0.7", "valpha:1.5"])

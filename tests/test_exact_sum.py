@@ -1,14 +1,17 @@
-"""``exact_sum`` returns the bits of ``math.fsum``, sign of zero included, or raises the
-exception type that ``math.fsum`` raises."""
+"""``exact_sum`` returns the bits of ``math.fsum``, sign of zero included, where that
+returns; where it raises, the exact sum rounded through ``fractions.Fraction``: +-inf beyond
+the float range and NaN for +inf plus -inf.  It never raises."""
 
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codiv.errors import _INT_LIMIT
 from codiv.measures import _EXACT_SUM_MIN_SIZE, exact_sum
 
 SIZES = (1, 2, 255, 256, 257, _EXACT_SUM_MIN_SIZE - 1, _EXACT_SUM_MIN_SIZE,
@@ -26,7 +29,20 @@ def outcome(f, x: np.ndarray):
 
 
 def reference(x: np.ndarray) -> float:
-    return math.fsum(x.tolist())
+    """``math.fsum``, or where it raises the correctly rounded sum of the entries."""
+    values = x.tolist()
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        pass
+    if any(map(math.isnan, values)) or {math.inf, -math.inf} <= set(values):
+        return math.nan
+    if math.inf in values or -math.inf in values:
+        return math.inf if math.inf in values else -math.inf
+    total = sum(map(Fraction, values))
+    if abs(total) >= _INT_LIMIT:  # float(total) would raise
+        return math.inf if total > 0 else -math.inf
+    return float(total)
 
 
 @st.composite
@@ -68,13 +84,24 @@ def test_bits_equal_fsum(x):
     assert outcome(exact_sum, x) == outcome(reference, x)
 
 
+def _where_fsum_raises(index, head, want):
+    """The case of a head on which ``math.fsum`` raises, with an id naming the exception
+    (collection fails if it does not raise), and ``want``, the exact sum rounded."""
+    try:
+        math.fsum(head)
+    except (OverflowError, ValueError) as exc:
+        error = type(exc).__name__
+    return pytest.param(head, 0.0, struct.pack("<d", want), id=f"head{index}-0.0-{error}")
+
+
 @pytest.mark.parametrize("n", SIZES[2:])
 @pytest.mark.parametrize("head, fill, want", [
-    ([math.inf, -math.inf], 0.0, ValueError),  # -inf + inf
-    ([1e308, 1e308, -1e308], 0.0, OverflowError),  # intermediate overflow
-    ([1e308, 1e308], 0.0, OverflowError),  # the total overflows
+    _where_fsum_raises(0, [math.inf, -math.inf], math.nan),  # -inf + inf
+    _where_fsum_raises(1, [1e308, 1e308, -1e308], 1e308),  # intermediate overflow
+    _where_fsum_raises(2, [1e308, 1e308], math.inf),  # the total overflows
     ([], -0.0, struct.pack("<d", math.fsum([-0.0]))),
     ([1.0, -1.0], -0.0, struct.pack("<d", 0.0)),  # exact cancellation is +0
+    _where_fsum_raises(5, [-1e308, -1e308], -math.inf),
 ])
 def test_raises_and_zeros_like_fsum(n, head, fill, want):
     x = np.full(n, fill)

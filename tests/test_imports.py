@@ -67,7 +67,7 @@ def test_import_loads_no_third_party_module_but_numpy(module):
 def test_cli_import_loads_no_command_specific_module():
     loaded = _modules("import codiv.cli")
     assert not loaded & {"codiv.local", "codiv.oracles", "codiv.families", "numpy.polynomial",
-                         "numpy.random", "csv"}
+                         "numpy.random", "csv", "fractions"}
 
 
 def test_package_import_loads_no_numpy():

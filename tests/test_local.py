@@ -47,6 +47,18 @@ class TestFisherInner:
             assert fisher_inner(PerturbationPair(p0, mu, nu)) == pytest.approx(
                 fisher_inner(PerturbationPair(p0, nu, mu)), abs=1e-15)
 
+    @pytest.mark.parametrize("partner", [[1e308, 1e308, -1e308, -1e308],  # terms are +inf
+                                         [1e308, -1e308, 1e308, -1e308]])  # +inf and -inf
+    def test_beyond_the_float_range_is_an_overflow(self, partner):
+        """A sum beyond the float range is an error, never +inf or NaN, as in fisher_gram."""
+        p0 = DiscreteMeasure.uniform(4)
+        pair = PerturbationPair(p0, SignedMeasure([1e308, 1e308, -1e308, -1e308]),
+                                SignedMeasure(partner))
+        with pytest.raises(OverflowError, match="Fisher inner product"):
+            fisher_inner(pair)
+        with pytest.raises(OverflowError, match="Fisher inner product"):
+            expansion_check(p0, pair.mu, pair.mu_tilde, PHI_SQRT)
+
     def test_validation(self):
         p0 = DiscreteMeasure([0.5, 0.5, 0.0])
         with pytest.raises(PreconditionError):
