@@ -206,12 +206,9 @@ def _run_rank(options, inputs, tolerance, seed):
     if "trials" in options:
         rng = np.random.default_rng(seed)
         trials = options["trials"]
-        agree = 0
-        for _ in range(trials):
-            p0, ps = _random_dominated_instance(rng, options)
-            report = rank_with_identity(p0, ps, base, phi=phi, tol_factor=tol_factor)
-            if report.matrix_rank == report.function_rank:
-                agree += 1
+        reports = (rank_with_identity(*_random_dominated_instance(rng, options), base, phi=phi,
+                                      tol_factor=tol_factor) for _ in range(trials))
+        agree = sum(report.matrix_rank == report.function_rank for report in reports)
         return {"command": "rank", "kind": options["kind"], "trials": trials,
                 "seed": seed, "agreements": agree, "passed": agree == trials}
     report = rank_with_identity(inputs[0], inputs[1:], base, phi=phi, tol_factor=tol_factor)
@@ -224,11 +221,9 @@ def _run_rank(options, inputs, tolerance, seed):
 
 def _random_dominated_instance(rng, options):
     """A reference and ``count`` measures on ``support`` points, all of full support."""
-    measures = []
-    for _ in range(options["count"] + 1):
-        mass = rng.random(options["support"]) + 0.05
-        measures.append(DiscreteMeasure(mass / exact_sum(mass)))
-    return measures[0], measures[1:]
+    masses = [rng.random(options["support"]) + 0.05 for _ in range(options["count"] + 1)]
+    p0, *ps = (DiscreteMeasure(mass / exact_sum(mass)) for mass in masses)
+    return p0, ps
 
 
 def _run_dpi(options, inputs, tolerance, seed):
@@ -355,7 +350,7 @@ def main(argv=None) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             job = json.load(fh, object_hook=mass_array_hook)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8, JSON or int
         sys.stdout.write(_error("validation", f"cannot read job: {exc}"))
         return EXIT_VALIDATION
     if args.command and isinstance(job, dict):  # run reports a job that is not an object

@@ -113,12 +113,8 @@ class ExpansionReport:
 def geometric_decay_ok(residuals: Sequence[float], ratios: Sequence[float]) -> bool:
     """True when each halving shrinks the residual ratio by a factor of 0.6 or the
     residual itself is already at the noise floor 1e-14."""
-    for k in range(1, len(ratios)):
-        if residuals[k] <= 1e-14:
-            continue
-        if ratios[k] > 0.6 * ratios[k - 1]:
-            return False
-    return True
+    return all(residuals[k] <= 1e-14 or not ratios[k] > 0.6 * ratios[k - 1]
+               for k in range(1, len(ratios)))
 
 
 def expansion_check(p0: DiscreteMeasure, mu: SignedMeasure, mu_tilde: SignedMeasure,
@@ -135,7 +131,10 @@ def expansion_check(p0: DiscreteMeasure, mu: SignedMeasure, mu_tilde: SignedMeas
     is evaluated once, when a window first needs it.
     """
     inner = fisher_inner(PerturbationPair(p0, mu, mu_tilde))  # checks both directions
-    coeff = phi.dphi_at_one ** 2 * inner
+    try:
+        coeff = phi.dphi_at_one ** 2 * inner
+    except OverflowError:
+        raise OverflowError(f"phi'(1)^2 of {phi.name} exceeds the float range") from None
     t0, s0 = (0.1 * min(1.0 / sup, 1.0) if sup else 0.1
               for sup in (_sup_ratio(m, p0) for m in (mu, mu_tilde)))
     steps: list[ExpansionLevel] = []

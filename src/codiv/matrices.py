@@ -302,6 +302,8 @@ def dpi_check(q0: DiscreteMeasure, qs: Sequence[DiscreteMeasure], k: MarkovKerne
     pushed = [push_forward(k, q) for q in (q0, *qs)]
     pushed = [DiscreteMeasure(p.mass / p.total) for p in pushed]
     after = divergence_matrix(pushed[0], pushed[1:], "chi2", reference="K(q0)")
+    if not after.finite:  # qs << q0 gives K qs << K q0, unless K q0 underflows to 0
+        raise OverflowError("K q0 underflows to 0 where K q_j is positive, so chi2 after K is inf")
     min_eig = float(np.linalg.eigvalsh(before.entries - after.entries)[0])
     scale = max(1.0, eigen_summary(before).max_eigenvalue)
     return DpiReport(before, after, min_eig, scale)

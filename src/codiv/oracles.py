@@ -19,11 +19,10 @@ other modules never call them.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
+from functools import partial
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .codivergence import check_kind
 from .errors import DegeneratePhiError, OracleFailureError, PreconditionError
@@ -35,11 +34,24 @@ from .measures import check_probability, check_same_support, dominated_by, exact
 # integrand's peak; e^-46 < 1e-19.
 _TAIL_DROP = 46.0
 
-# adaptive_gauss_legendre: tolerance, first panel count, nodes per panel, most panels.
+# adaptive_gauss_legendre: tolerance, first panel count, most panels.
 _REL_TOL = 1e-9
 _QUAD_PANELS = 8
-_QUAD_ORDER = 32
 _MAX_PANELS = 2 ** 16
+
+# Its rule: the bits of numpy's leggauss(32) (Golub & Welsch, Math. Comp. 23, 1969), whose
+# nodes are antisymmetric and weights symmetric, so the nonnegative half of each is written.
+_GL_HALF = np.array(((
+    0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+    0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+    0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+    0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816), (
+    0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+    0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+    0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+    0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506)))
+_GL_NODES, _GL_WEIGHTS = np.concatenate([_GL_HALF[:, ::-1] * [[-1.0], [1.0]], _GL_HALF], axis=1)
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 
 # _poisson_log_series: most terms in a window, tail bound relative to the sum, and the
 # drop (in nats) below the peak past which terms are not summed.
@@ -48,26 +60,20 @@ _SERIES_TAIL = 2.0 ** -60
 _SERIES_DROP = 60.0
 
 
-@lru_cache(maxsize=1)
-def _gl_nodes():
-    return leggauss(_QUAD_ORDER)
-
-
 def adaptive_gauss_legendre(f, lo: float, hi: float) -> float:
     """Integrate a vectorized integrand by panel bisection until two successive
     uniform refinements agree to _REL_TOL/4."""
     if not hi > lo:
         raise PreconditionError("empty integration interval")
-    nodes, weights = _gl_nodes()
     panels = _QUAD_PANELS
     prev = None
     while panels <= _MAX_PANELS:
         edges = np.linspace(lo, hi, panels + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         halfs = 0.5 * (edges[1:] - edges[:-1])
-        xs = mids[:, None] + halfs[:, None] * nodes[None, :]
+        xs = mids[:, None] + halfs[:, None] * _GL_NODES[None, :]
         vals = f(xs.ravel()).reshape(panels, -1)
-        est = math.fsum((halfs[:, None] * (weights[None, :] * vals)).ravel())
+        est = math.fsum((halfs[:, None] * (_GL_WEIGHTS[None, :] * vals)).ravel())
         if prev is not None:
             scale = max(abs(est), abs(prev), 1e-300)
             if abs(est - prev) <= 0.25 * _REL_TOL * scale:
@@ -211,7 +217,8 @@ def _ratio_of_integrals(integral, params, alpha: float) -> float:
     ``integral(params, powers)`` is the integral of prod_j p_j(x)**powers[j] and None
     marks a divergent one; +inf when one diverges.  An integral of a positive integrand
     that comes out <= 0 or non-finite was not resolved (a peak narrower than the panels,
-    say), so it raises OracleFailureError."""
+    say), so it raises OracleFailureError, as does a ratio beyond the float range.  v0/(v1 v2)
+    is taken on the mantissas, then scaled by 2**(e0 - e1 - e2): v1 v2 never underflows."""
     values = [integral(params, powers) for powers in np.array((
         (1.0 - 2.0 * alpha, alpha, alpha), (1.0 - alpha, alpha, 0.0), (1.0 - alpha, 0.0, alpha)))]
     if None in values:
@@ -219,7 +226,12 @@ def _ratio_of_integrals(integral, params, alpha: float) -> float:
     if not all(0 < value < math.inf for value in values):
         raise OracleFailureError(f"the oracle integrals {values} of a coordinate are not all "
                                  "positive and finite: the integrand was not resolved")
-    return values[0] / (values[1] * values[2]) - 1.0
+    (m0, e0), (m1, e1), (m2, e2) = map(math.frexp, values)
+    try:
+        return math.ldexp(m0 / (m1 * m2), e0 - e1 - e2) - 1.0
+    except OverflowError:
+        raise OracleFailureError(f"the ratio of the oracle integrals {values} of a coordinate "
+                                 "exceeds the float range") from None
 
 
 # For each oracle component of the family table: R_alpha of one coordinate, from
@@ -280,14 +292,9 @@ def _pairwise_codiv(p0, p1, p2, kind: str, phi) -> float:
     if kind == "hellinger":
         # Does not require domination: mass of p1/p2 outside supp(p0) is fine as
         # long as the affinities with p0 stay positive.
-        def affinity(p, q):
-            return math.fsum(np.sqrt(p.mass * q.mass))
-
-        d1 = affinity(p0, p1)
-        d2 = affinity(p0, p2)
-        if d1 <= 0 or d2 <= 0:
-            return math.inf
-        return affinity(p1, p2) / (d1 * d2) - 1.0
+        pairs = ((p1, p2), (p0, p1), (p0, p2))
+        d12, d1, d2 = (math.fsum(np.sqrt(p.mass * q.mass)) for p, q in pairs)
+        return d12 / (d1 * d2) - 1.0 if d1 > 0 and d2 > 0 else math.inf
     if not (dominated_by(p1, p0) and dominated_by(p2, p0)):
         return math.inf
     pos = p0.mass > 0
@@ -296,9 +303,7 @@ def _pairwise_codiv(p0, p1, p2, kind: str, phi) -> float:
     w = p0.mass[pos]
     f1 = phi.apply(p1.mass[pos] / w)
     f2 = phi.apply(p2.mass[pos] / w)
-    cross = math.fsum(f1 * f2 * w)
-    m1 = math.fsum(f1 * w)
-    m2 = math.fsum(f2 * w)
+    cross, m1, m2 = (math.fsum(x) for x in (f1 * f2 * w, f1 * w, f2 * w))
     if kind == "vphi":
         return cross - m1 * m2
     if m1 <= 0 or m2 <= 0:

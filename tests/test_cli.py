@@ -544,6 +544,22 @@ class TestReportContracts:
         assert status == EXIT_VALIDATION
         assert json.loads(out)["error"]["code"] == "validation"
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 200_000, "maximum recursion depth exceeded"),
+        (b'{"command": ' + b"1" * 4301 + b"}", "Exceeds the limit (4300 digits)"),
+    ], ids=["not-utf-8", "nesting", "long-int"])
+    def test_undecodable_input_file(self, tmp_path, capsys, content, reason):
+        """A job file that is not UTF-8, nests deeper than the recursion limit, or holds an
+        integer literal beyond Python's int-string limit is exit 2, as invalid JSON is."""
+        path = tmp_path / "job.json"
+        path.write_bytes(content)
+        status, out = run_main(capsys, ["--input", str(path)])
+        assert status == EXIT_VALIDATION
+        error = json.loads(out)["error"]
+        assert error["code"] == "validation"
+        assert error["message"].startswith(f"cannot read job: {reason}")
+
     def test_command_flag_overrides(self, tmp_path, capsys):
         job = {"inputs": [UNIFORM, UNIFORM], "options": {"kind": "chi2"}}
         status, out = run_main(capsys,

@@ -70,6 +70,20 @@ def test_cli_import_loads_no_command_specific_module():
                          "numpy.random", "csv", "fractions"}
 
 
+ORACLE_JOB = {"command": "oracle-check", "options": {"kind": "alpha:0.5"},
+              "inputs": [{"kind": "gaussian_iso", "params": {"mean": [m], "sigma": 1.0}}
+                         for m in (0.0, 0.4, -0.3)]}
+
+
+@pytest.mark.parametrize("statement", [
+    "import codiv.oracles",
+    f"from codiv.cli import run\nassert run({ORACLE_JOB!r})[1] == 0",
+], ids=["import", "oracle-check"])
+def test_oracles_load_no_numpy_polynomial(statement):
+    """The quadrature rule is a constant: the oracles never build it with leggauss."""
+    assert not {name for name in _modules(statement) if name.startswith("numpy.polynomial")}
+
+
 def test_package_import_loads_no_numpy():
     assert "numpy" not in _modules("import codiv")
 

@@ -109,6 +109,18 @@ class TestExpansionCheck:
             assert level.v_residual <= 1e-14
             assert level.r_residual <= 1e-14
 
+    @pytest.mark.parametrize("alpha, message", [
+        (1e155, r"phi'\(1\)\^2 of alpha:1e\+155 exceeds the float range"),
+        (1e150, r"phi alpha:1e\+150 of a density ratio"),
+    ])
+    def test_huge_alpha_is_a_named_overflow(self, alpha, message):
+        """phi'(1)^2 = alpha^2 is beyond the float range for alpha above about 1.34e154; at
+        1e150 the link itself overflows first."""
+        p0 = DiscreteMeasure.uniform(4)
+        mu, nu = SignedMeasure([0.1, -0.05, -0.05, 0.0]), SignedMeasure([-0.1, 0.2, -0.1, 0.0])
+        with pytest.raises(OverflowError, match=message):
+            expansion_check(p0, mu, nu, phi_alpha(alpha))
+
     @pytest.mark.parametrize("alpha", [0.5, 0.25])
     def test_power_links_decay_geometrically(self, alpha):
         rng = np.random.default_rng(67)

@@ -420,6 +420,14 @@ class TestDpi:
         with pytest.raises(DominationError):
             dpi_check(q0, [bad], MarkovKernel.identity(2))
 
+    def test_underflow_of_the_pushed_reference_is_no_violation(self):
+        """K q0 = (1e-330, 1) underflows to 0 at the first output point, where K q1 > 0;
+        qs << q0 holds, so the infinite chi2 matrix after K is a rounding artefact."""
+        q0, q1 = DiscreteMeasure([1e-300, 1.0]), DiscreteMeasure([0.5, 0.5])
+        kernel = MarkovKernel([[1e-30, 1.0], [0.0, 1.0]])
+        with pytest.raises(OverflowError, match="K q0 underflows to 0"):
+            dpi_check(q0, [q1], kernel)
+
     # Two instances ([q0, q1, q2], kernel) on two points, found by a seeded search over masses
     # on a 1/20 grid with N, M and N' at most 6; the first breaks the PSD order for
     # hellinger, alpha:0.5 and valpha:2, the second for alpha:2.

@@ -1,5 +1,7 @@
 import math
+import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from codiv import (PHI_SQRT, BernoulliProd, DiscreteMeasure, ExponentialProd,
                    GammaProd, GaussianIso, OracleFailureError, PoissonProd, PreconditionError,
                    adaptive_gauss_legendre, oracle_divergence_matrix, oracle_r_alpha,
                    phi_alpha, r_alpha_closed, r_alpha_product, r_phi)
-from codiv.oracles import _poisson_log_series
+from codiv.oracles import _GL_NODES, _GL_WEIGHTS, _poisson_log_series, _ratio_of_integrals
 from helpers import random_dominated, random_probability
 
 
@@ -26,6 +28,77 @@ class TestAdaptiveQuadrature:
         # runs out before two refinements agree
         with pytest.raises(OracleFailureError):
             adaptive_gauss_legendre(lambda x: (x > math.pi / 4).astype(float), 0.0, 1.0)
+
+
+class TestGaussLegendreRule:
+    """The 32-point rule is a constant; numpy's leggauss, which computes it from the
+    eigenvalues of the Jacobi matrix (Golub & Welsch 1969), is the reference."""
+
+    def test_bits_equal_leggauss(self):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(32)
+        assert np.array_equal(_GL_NODES.view(np.uint64), nodes.view(np.uint64))
+        assert np.array_equal(_GL_WEIGHTS.view(np.uint64), weights.view(np.uint64))
+
+    def test_nodes_antisymmetric_and_weights_symmetric(self):
+        assert np.array_equal(_GL_NODES.view(np.uint64), (-_GL_NODES[::-1]).view(np.uint64))
+        assert np.array_equal(_GL_WEIGHTS.view(np.uint64), _GL_WEIGHTS[::-1].view(np.uint64))
+        assert np.all(np.diff(_GL_NODES) > 0) and np.all(_GL_WEIGHTS > 0)
+
+    def test_read_only(self):
+        for array in (_GL_NODES, _GL_WEIGHTS):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("k", range(32))
+    def test_integrates_monomials(self, k):
+        """Evaluated exactly in rationals, the rule gives 0 for x^(2k+1) and 2/(2k+1) for
+        x^(2k) up to the rounding of its nodes and weights: a few units of 2**-53 per
+        node, which x^(2k) scales by 2k, so the bound is 8 (2k + 1) 2**-53 (the largest
+        measured is 6.0 (2k + 1) 2**-53, at k = 3)."""
+        nodes = [Fraction(x) for x in _GL_NODES.tolist()]
+        weights = [Fraction(w) for w in _GL_WEIGHTS.tolist()]
+        assert sum(w * x ** (2 * k + 1) for w, x in zip(weights, nodes)) == 0
+        even = sum(w * x ** (2 * k) for w, x in zip(weights, nodes))
+        exact = Fraction(2, 2 * k + 1)
+        assert abs(even - exact) <= 8 * (2 * k + 1) * Fraction(2) ** -53 * exact
+
+
+class TestRatioOfIntegrals:
+    @staticmethod
+    def ratio(values):
+        values = iter(values)
+        return _ratio_of_integrals(lambda params, powers: next(values), None, 0.5)
+
+    def test_bits_of_the_direct_quotient(self):
+        """Where v1 * v2 is normal and v0 / (v1 * v2) finite, the mantissa route gives the
+        bits of the direct quotient."""
+        rng = np.random.default_rng(2024)
+        checked = 0
+        for _ in range(20000):
+            v0, v1, v2 = (math.ldexp(m, int(e)) for m, e in
+                          zip(rng.uniform(0.5, 1.0, 3), rng.integers(-1021, 1025, 3)))
+            product = v1 * v2
+            if sys.float_info.min <= product < math.inf and v0 / product < math.inf:
+                assert self.ratio([v0, v1, v2]) == v0 / product - 1.0
+                checked += 1
+        assert checked > 5000
+
+    @pytest.mark.parametrize("triple, alpha, expected", [
+        ([ExponentialProd([b]) for b in (1e308, 1e-308, 1.0)], 0.5, 5e307),
+        ([GaussianIso([m], 1.0) for m in (0.0, 64.0, 64.0)], 0.25, math.expm1(256.0)),
+    ], ids=["exponential", "gaussian"])
+    def test_integral_product_below_the_float_range(self, triple, alpha, expected):
+        """v1 * v2 underflows to 0 (2e-308 * 2e-154, and e^-384 * e^-384), but the ratio
+        v0 / (v1 * v2) is finite: 1 / 2e-308, and e^256 for the Gaussian."""
+        assert oracle_r_alpha(*triple, alpha) == pytest.approx(expected, rel=1e-9)
+
+    def test_ratio_beyond_the_float_range_is_named(self):
+        # the integrals are finite and positive; a ratio of 1e400 is not +inf, which
+        # would claim a divergent integral
+        with pytest.raises(OracleFailureError, match="exceeds the float range"):
+            self.ratio([1.0, 1e-200, 1e-200])
 
 
 class TestReferenceTriples:
