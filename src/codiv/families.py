@@ -4,14 +4,17 @@ Every formula is evaluated in log space and exponentiated at the very end
 with ``expm1``; the Gamma family goes through log-Gamma differences so that
 ratios of Gamma functions never overflow.  Parameter combinations outside an
 exponential family's natural domain yield +inf rather than an error.  The
-table FAMILIES holds everything that differs from one family to another.
+table FAMILIES, keyed by the JSON kind, holds everything that differs from one
+family to another; a member of any family is a ParamFamily.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +31,7 @@ _VECTOR_RULES = {
 
 
 class FamilySpec(NamedTuple):
-    kind: str  # the JSON kind
-    params: tuple  # (JSON name, attribute, rule) per parameter; the first gives the dimension
+    params: tuple  # (JSON name, rule) per parameter; the first gives the dimension
     shared: str  # the parameter all members of a triple share, or ""
     log1p: Callable  # (f0, f1, f2, alpha) -> log(R_alpha + 1) of a checked triple, or None
     # outside the natural domain: only the Gamma formula has a boundary
@@ -38,10 +40,12 @@ class FamilySpec(NamedTuple):
     natural: Callable  # family -> (natural parameter, log-partition A, domain test of A)
 
 
-def _param_problems(spec: FamilySpec, values: dict, path: str) -> tuple[dict, list]:
+def _param_problems(spec: FamilySpec, values, path: str) -> tuple[dict, list]:
     """Parameter values keyed by JSON name, checked and frozen, and their problems."""
+    if not isinstance(values, Mapping):
+        return {}, [PreconditionError("params object is required", f"{path}/params")]
     checked, problems = {}, []
-    for name, _, rule in spec.params:
+    for name, rule in spec.params:
         at = f"{path}/params/{name}"
         value = values.get(name)
         if name not in values:
@@ -69,64 +73,50 @@ def _param_problems(spec: FamilySpec, values: dict, path: str) -> tuple[dict, li
     return checked, problems
 
 
-class _Family:
-    """What a family class takes from its FAMILIES entry."""
+@dataclass(frozen=True)
+class ParamFamily:
+    """A member of the parametric family ``kind``, a key of FAMILIES, with its parameters
+    checked, read-only and keyed by their JSON names."""
+
+    kind: str
+    params: Mapping
 
     def __post_init__(self):
-        spec = FAMILIES[type(self)]
-        values = {name: getattr(self, attr) for name, attr, _ in spec.params}
-        checked, problems = _param_problems(spec, values, "")
+        spec = FAMILIES.get(self.kind) if isinstance(self.kind, str) else None
+        if spec is None:
+            raise PreconditionError(f"unknown family kind {self.kind!r}")
+        checked, problems = _param_problems(spec, self.params, "")
         raise_first(problems)
-        for name, attr, _ in spec.params:
-            object.__setattr__(self, attr, checked[name])
-
-    @property
-    def kind(self) -> str:
-        return FAMILIES[type(self)].kind
+        object.__setattr__(self, "params", MappingProxyType(checked))
 
     @property
     def dim(self) -> int:
-        return getattr(self, FAMILIES[type(self)].params[0][1]).size
+        return next(iter(self.params.values())).size
 
 
-@dataclass(frozen=True)
-class GaussianIso(_Family):
+def GaussianIso(mean, sigma) -> ParamFamily:
     """Multivariate normal with mean vector and isotropic variance sigma^2."""
-
-    mean: np.ndarray
-    sigma: float
+    return ParamFamily("gaussian_iso", {"mean": mean, "sigma": sigma})
 
 
-@dataclass(frozen=True)
-class PoissonProd(_Family):
+def PoissonProd(rates) -> ParamFamily:
     """Product of Poisson distributions with intensity vector."""
+    return ParamFamily("poisson_product", {"lambda": rates})
 
-    rates: np.ndarray
 
-
-@dataclass(frozen=True)
-class BernoulliProd(_Family):
+def BernoulliProd(thetas) -> ParamFamily:
     """Product of Bernoulli distributions with success probabilities in (0, 1)."""
+    return ParamFamily("bernoulli_product", {"theta": thetas})
 
-    thetas: np.ndarray
 
-
-@dataclass(frozen=True)
-class ExponentialProd(_Family):
+def ExponentialProd(rates) -> ParamFamily:
     """Product of exponential distributions with rate vector."""
+    return ParamFamily("exponential_product", {"beta": rates})
 
-    rates: np.ndarray
 
-
-@dataclass(frozen=True)
-class GammaProd(_Family):
+def GammaProd(shapes, rates) -> ParamFamily:
     """Product of Gamma distributions with shape and rate vectors."""
-
-    shapes: np.ndarray
-    rates: np.ndarray
-
-
-ParamFamily = Union[GaussianIso, PoissonProd, BernoulliProd, ExponentialProd, GammaProd]
+    return ParamFamily("gamma_product", {"shape": shapes, "rate": rates})
 
 
 _SET_RULES = ((KindMismatchError, "family kinds differ across inputs"),
@@ -145,20 +135,18 @@ def check_family_triple(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha
     """PreconditionError unless alpha is positive and finite, then the first set rule the
     triple breaks."""
     check_alpha(alpha)
-    members = []
-    for f in (f0, f1, f2):
-        shared = FAMILIES[type(f)].shared
-        members.append((f.kind, f.dim, getattr(f, shared) if shared else None))
-    raise_first(family_set_problems(members))
+    raise_first(family_set_problems([(f.kind, f.dim, f.params.get(FAMILIES[f.kind].shared))
+                                     for f in (f0, f1, f2)]))
 
 
 def _gaussian_log1p(f0, f1, f2, alpha) -> float:
     """alpha^2 <m1 - m0, m2 - m0> / sigma^2, with the shifts and sigma scaled by the power
     of two that brings sigma into [0.5, 1): exact, so the value keeps its bits, and sigma^2
     cannot underflow.  OverflowError when the value is above the float range."""
-    _, exponent = math.frexp(f0.sigma)
-    sigma = math.ldexp(f0.sigma, -exponent)
-    terms = np.ldexp(f1.mean - f0.mean, -exponent) * np.ldexp(f2.mean - f0.mean, -exponent)
+    _, exponent = math.frexp(f0.params["sigma"])
+    sigma = math.ldexp(f0.params["sigma"], -exponent)
+    m0, m1, m2 = (f.params["mean"] for f in (f0, f1, f2))
+    terms = np.ldexp(m1 - m0, -exponent) * np.ldexp(m2 - m0, -exponent)
     inner = exact_sum(terms)
     if inner == 0:  # orthogonal shifts give 0 even when alpha^2 overflows
         return 0.0
@@ -169,7 +157,7 @@ def _gaussian_log1p(f0, f1, f2, alpha) -> float:
 
 
 def _poisson_log1p(f0, f1, f2, alpha) -> float:
-    l0, l1, l2 = f0.rates, f1.rates, f2.rates
+    l0, l1, l2 = (f.params["lambda"] for f in (f0, f1, f2))
     p0, q0, q1, q2 = l0 ** (1.0 - 2.0 * alpha), l0 ** alpha, l1 ** alpha, l2 ** alpha
     terms = p0 * (q1 - q0) * (q2 - q0)  # not finite where a power overflowed
     e1, e2 = (np.expm1(alpha * (np.log(lj) - np.log(l0))) for lj in (l1, l2))
@@ -186,7 +174,7 @@ def _log_mix(w, a, b) -> float:
 
 def _bernoulli_log1p(f0, f1, f2, alpha) -> float:
     total = 0.0
-    for t0, t1, t2 in zip(f0.thetas, f1.thetas, f2.thetas):
+    for t0, t1, t2 in zip(*(f.params["theta"] for f in (f0, f1, f2))):
         powers = (t0 ** (1 - 2 * alpha), t1 ** alpha, t2 ** alpha, t0 ** (1 - alpha),
                   (1 - t0) ** (1 - 2 * alpha), (1 - t1) ** alpha, (1 - t2) ** alpha,
                   (1 - t0) ** (1 - alpha))
@@ -213,7 +201,7 @@ def _gamma_log1p(f0, f1, f2, alpha) -> float | None:
 
     because a01 + a02 - a0 - abar = 0, with xj = alpha*dj/b0.
     """
-    (s0, r0), (s1, r1), (s2, r2) = (FAMILIES[type(f)].coords(f) for f in (f0, f1, f2))
+    (s0, r0), (s1, r1), (s2, r2) = (FAMILIES[f.kind].coords(f) for f in (f0, f1, f2))
     total = 0.0
     for a0, b0, a1, b1, a2, b2 in zip(s0, r0, s1, r1, s2, r2):
         abar = a0 + alpha * (a1 + a2 - 2.0 * a0)
@@ -250,33 +238,32 @@ def _gamma_natural(f):
         d = th.size // 2
         return bool(np.all(th[:d] > -1.0) and np.all(th[d:] < 0))
 
-    shapes, rates = FAMILIES[type(f)].coords(f)
+    shapes, rates = FAMILIES[f.kind].coords(f)
     return np.concatenate([shapes - 1.0, -rates]), log_partition, in_domain
 
 
 FAMILIES = {
-    GaussianIso: FamilySpec(
-        "gaussian_iso", (("mean", "mean", "finite"), ("sigma", "sigma", "positive-scalar")),
-        "sigma", _gaussian_log1p, lambda f: (f.mean, np.full(f.dim, float(f.sigma))), "gaussian",
-        lambda f: (f.mean, lambda th: float(np.dot(th, th)) / (2.0 * (f.sigma * f.sigma)),
-                   _everywhere)),
-    PoissonProd: FamilySpec(
-        "poisson_product", (("lambda", "rates", "positive"),),
-        "", _poisson_log1p, lambda f: (f.rates,), "poisson",
-        lambda f: (np.log(f.rates), lambda th: float(np.sum(np.exp(th))), _everywhere)),
-    BernoulliProd: FamilySpec(
-        "bernoulli_product", (("theta", "thetas", "open-unit"),),
-        "", _bernoulli_log1p, lambda f: (f.thetas,), "bernoulli",
-        lambda f: (np.log(f.thetas / (1.0 - f.thetas)),
+    "gaussian_iso": FamilySpec(
+        (("mean", "finite"), ("sigma", "positive-scalar")), "sigma", _gaussian_log1p,
+        lambda f: (f.params["mean"], np.full(f.dim, float(f.params["sigma"]))), "gaussian",
+        lambda f: (f.params["mean"], lambda th: float(np.dot(th, th))
+                   / (2.0 * (f.params["sigma"] * f.params["sigma"])), _everywhere)),
+    "poisson_product": FamilySpec(
+        (("lambda", "positive"),), "", _poisson_log1p, lambda f: (f.params["lambda"],),
+        "poisson",
+        lambda f: (np.log(f.params["lambda"]), lambda th: float(np.sum(np.exp(th))), _everywhere)),
+    "bernoulli_product": FamilySpec(
+        (("theta", "open-unit"),), "", _bernoulli_log1p, lambda f: (f.params["theta"],),
+        "bernoulli",
+        lambda f: (np.log(f.params["theta"] / (1.0 - f.params["theta"])),
                    lambda th: float(np.sum(np.logaddexp(0.0, th))), _everywhere)),
-    ExponentialProd: FamilySpec(  # the Gamma component with unit shapes
-        "exponential_product", (("beta", "rates", "positive"),),
-        "", _gamma_log1p, lambda f: (np.ones(f.dim), f.rates), "gamma", _gamma_natural),
-    GammaProd: FamilySpec(
-        "gamma_product", (("shape", "shapes", "positive"), ("rate", "rates", "positive")),
-        "", _gamma_log1p, lambda f: (f.shapes, f.rates), "gamma", _gamma_natural),
+    "exponential_product": FamilySpec(  # the Gamma component with unit shapes
+        (("beta", "positive"),), "", _gamma_log1p,
+        lambda f: (np.ones(f.dim), f.params["beta"]), "gamma", _gamma_natural),
+    "gamma_product": FamilySpec(
+        (("shape", "positive"), ("rate", "positive")), "", _gamma_log1p,
+        lambda f: (f.params["shape"], f.params["rate"]), "gamma", _gamma_natural),
 }
-FAMILY_KINDS = {spec.kind: cls for cls, spec in FAMILIES.items()}
 
 
 def r_alpha_closed_log1p(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
@@ -287,7 +274,7 @@ def r_alpha_closed_log1p(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
     the value is NaN or +inf: beyond the float range, or undefined in floating point."""
     check_family_triple(f0, f1, f2, alpha)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = FAMILIES[type(f0)].log1p(f0, f1, f2, alpha)
+        value = FAMILIES[f0.kind].log1p(f0, f1, f2, alpha)
     if value is None:
         return math.inf
     if math.isnan(value) or value == math.inf:
@@ -308,7 +295,8 @@ def r_alpha_closed(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
                             f"{float(log1p_value)!r}") from None
 
 
-def gamma_first_order(f0: GammaProd, f1: GammaProd, f2: GammaProd, alpha: float) -> float:
+def gamma_first_order(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
+                      alpha: float) -> float:
     """First-order approximation of the Gamma R_alpha for shared shapes.
 
     Returns expm1 of the weighted rate-shift inner product
@@ -316,7 +304,7 @@ def gamma_first_order(f0: GammaProd, f1: GammaProd, f2: GammaProd, alpha: float)
     families count as Gamma families with unit shapes.
     """
     check_family_triple(f0, f1, f2, alpha)
-    spec = FAMILIES[type(f0)]
+    spec = FAMILIES[f0.kind]
     if spec.component != "gamma":
         raise KindMismatchError("gamma_first_order requires Gamma families")
     (a0, b0), (a1, b1), (a2, b2) = (spec.coords(f) for f in (f0, f1, f2))
@@ -333,16 +321,13 @@ def family_problems(doc, path: str = "") -> tuple[tuple, list, ParamFamily | Non
     if not (isinstance(doc, dict) and "kind" in doc):
         return (None, None, None), [PreconditionError("family descriptor required", path)], None
     kind = doc["kind"]
-    cls = FAMILY_KINDS.get(kind) if isinstance(kind, str) else None
-    member = (kind if isinstance(kind, str) else None, None, None)
-    if cls is None:
+    spec = FAMILIES.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        member = (kind if isinstance(kind, str) else None, None, None)
         return member, [PreconditionError(f"unknown family kind {kind!r}", f"{path}/kind")], None
-    spec, params = FAMILIES[cls], doc.get("params")
-    if not isinstance(params, dict):
-        return member, [PreconditionError("params object is required", f"{path}/params")], None
-    checked, problems = _param_problems(spec, params, path)
+    checked, problems = _param_problems(spec, doc.get("params"), path)
     first = checked.get(spec.params[0][0])
-    family = None if problems else cls(**{attr: checked[name] for name, attr, _ in spec.params})
+    family = None if problems else ParamFamily(kind, checked)
     return (kind, None if first is None else first.size, checked.get(spec.shared)), problems, family
 
 

@@ -212,13 +212,24 @@ def _bernoulli_power_sum(params, powers) -> float:
         raise OracleFailureError("a term of the Bernoulli sum exceeds the float range") from None
 
 
+def _ratio_minus_one(v0: float, v1: float, v2: float) -> float:
+    """v0/(v1 v2) - 1 for positive v1 and v2, taken on the mantissas and scaled by
+    2**(e0 - e1 - e2), so that v1 v2 never underflows; OracleFailureError when the ratio is
+    beyond the float range."""
+    (m0, e0), (m1, e1), (m2, e2) = map(math.frexp, (v0, v1, v2))
+    try:
+        return math.ldexp(m0 / (m1 * m2), e0 - e1 - e2) - 1.0
+    except OverflowError:
+        raise OracleFailureError(f"the ratio {v0!r}/({v1!r} * {v2!r}) of the oracle's sums or "
+                                 "integrals exceeds the float range") from None
+
+
 def _ratio_of_integrals(integral, params, alpha: float) -> float:
     """R_alpha of one scalar coordinate from its three defining integrals, where
     ``integral(params, powers)`` is the integral of prod_j p_j(x)**powers[j] and None
     marks a divergent one; +inf when one diverges.  An integral of a positive integrand
     that comes out <= 0 or non-finite was not resolved (a peak narrower than the panels,
-    say), so it raises OracleFailureError, as does a ratio beyond the float range.  v0/(v1 v2)
-    is taken on the mantissas, then scaled by 2**(e0 - e1 - e2): v1 v2 never underflows."""
+    say), so it raises OracleFailureError, as does a ratio beyond the float range."""
     values = [integral(params, powers) for powers in np.array((
         (1.0 - 2.0 * alpha, alpha, alpha), (1.0 - alpha, alpha, 0.0), (1.0 - alpha, 0.0, alpha)))]
     if None in values:
@@ -226,12 +237,7 @@ def _ratio_of_integrals(integral, params, alpha: float) -> float:
     if not all(0 < value < math.inf for value in values):
         raise OracleFailureError(f"the oracle integrals {values} of a coordinate are not all "
                                  "positive and finite: the integrand was not resolved")
-    (m0, e0), (m1, e1), (m2, e2) = map(math.frexp, values)
-    try:
-        return math.ldexp(m0 / (m1 * m2), e0 - e1 - e2) - 1.0
-    except OverflowError:
-        raise OracleFailureError(f"the ratio of the oracle integrals {values} of a coordinate "
-                                 "exceeds the float range") from None
+    return _ratio_minus_one(*values)
 
 
 # For each oracle component of the family table: R_alpha of one coordinate, from
@@ -263,7 +269,7 @@ def oracle_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: flo
     bounds are below _SERIES_TAIL of their sums.
     """
     check_family_triple(f0, f1, f2, alpha)
-    spec = FAMILIES[type(f0)]
+    spec = FAMILIES[f0.kind]
     component = _COMPONENTS[spec.component]
     # coordinate x family x component parameter
     table = np.stack([np.column_stack(spec.coords(f)) for f in (f0, f1, f2)], axis=1)
@@ -277,7 +283,7 @@ def oracle_natural_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
     with tbar = t0 + alpha (t1 + t2 - 2 t0) and t0j = t0 + alpha (tj - t0); +inf when a mixed
     parameter leaves the natural domain."""
     check_family_triple(f0, f1, f2, alpha)
-    natural = FAMILIES[type(f0)].natural
+    natural = FAMILIES[f0.kind].natural
     (t0, A, in_domain), (t1, _, _), (t2, _, _) = (natural(f) for f in (f0, f1, f2))
     mixed = (t0 + alpha * (t1 + t2 - 2.0 * t0), t0 + alpha * (t1 - t0), t0 + alpha * (t2 - t0))
     if not all(in_domain(t) for t in mixed):
@@ -294,7 +300,7 @@ def _pairwise_codiv(p0, p1, p2, kind: str, phi) -> float:
         # long as the affinities with p0 stay positive.
         pairs = ((p1, p2), (p0, p1), (p0, p2))
         d12, d1, d2 = (math.fsum(np.sqrt(p.mass * q.mass)) for p, q in pairs)
-        return d12 / (d1 * d2) - 1.0 if d1 > 0 and d2 > 0 else math.inf
+        return _ratio_minus_one(d12, d1, d2) if d1 > 0 and d2 > 0 else math.inf
     if not (dominated_by(p1, p0) and dominated_by(p2, p0)):
         return math.inf
     pos = p0.mass > 0
@@ -308,7 +314,7 @@ def _pairwise_codiv(p0, p1, p2, kind: str, phi) -> float:
         return cross - m1 * m2
     if m1 <= 0 or m2 <= 0:
         raise DegeneratePhiError("a normalizing integral of phi vanished")
-    return cross / (m1 * m2) - 1.0
+    return _ratio_minus_one(cross, m1, m2)
 
 
 def oracle_divergence_matrix(p0, ps, kind: str, phi=None, reference: str = "") -> DivMatrix:

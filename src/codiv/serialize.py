@@ -49,20 +49,18 @@ def _write(obj, pad: str, out: list) -> None:
             out.append(("," if i else "{") + f"\n{pad}  {json.dumps(key)}: ")
             _write(obj[key], pad + "  ", out)
         out.append(f"\n{pad}}}" if obj else "{}")
-    elif isinstance(obj, (list, tuple)) and set(map(type, obj)) != {float}:
+    elif isinstance(obj, (list, tuple)):
         for i, item in enumerate(obj):
             out.append(f",\n{pad}  " if i else f"[\n{pad}  ")
             _write(item, pad + "  ", out)
         out.append(f"\n{pad}]" if obj else "[]")
-    elif isinstance(obj, (list, tuple)) or (
-            type(obj) is np.ndarray and obj.ndim == 1 and obj.dtype == np.float64):
-        run = np.asarray(obj)  # a run of floats: formatted a chunk at a time
-        for start in range(0, run.size, FLOAT_CHUNK):
-            chunk = run[start:start + FLOAT_CHUNK].tolist()
+    elif type(obj) is np.ndarray and obj.ndim == 1 and obj.dtype == np.float64:
+        for start in range(0, obj.size, FLOAT_CHUNK):  # formatted a chunk at a time
+            chunk = obj[start:start + FLOAT_CHUNK].tolist()
             finite = math.isfinite(sum(chunk))  # no NaN or inf; an overflow only costs speed
             items = [format(x, ".17g") for x in chunk] if finite else map(format_float, chunk)
             out.append((f",\n{pad}  " if start else f"[\n{pad}  ") + f",\n{pad}  ".join(items))
-        out.append(f"\n{pad}]" if run.size else "[]")
+        out.append(f"\n{pad}]" if obj.size else "[]")
     else:
         raise PreconditionError(f"cannot serialize object of type {type(obj).__name__}")
 

@@ -232,8 +232,8 @@ def malformed_jobs(draw):
     options = {"kind": draw(st.sampled_from(["chi2", "hellinger", "alpha:0.5", "valpha:2"]))}
     families = command == "codiv" and draw(st.booleans())
     if families:
-        spec = draw(st.sampled_from(list(FAMILIES.values())))
-        roles = [((i, name), _PARAM) for i in range(3) for name, _, _ in spec.params]
+        kind = draw(st.sampled_from(list(FAMILIES)))
+        roles = [((i, name), _PARAM) for i in range(3) for name, _ in FAMILIES[kind].params]
     elif command == "expand":
         roles = [(0, _PROBABILITY), (1, _DIRECTION), (2, _DIRECTION)]
         if draw(st.booleans()):
@@ -246,7 +246,7 @@ def malformed_jobs(draw):
     bad = draw(st.integers(-1, len(roles) - 1))  # the role whose value is malformed, or none
     values = [draw(_VALUES if k == bad else valid) for k, (_, valid) in enumerate(roles)]
     if families:
-        inputs = [{"kind": spec.kind, "params": {}} for _ in range(3)]
+        inputs = [{"kind": kind, "params": {}} for _ in range(3)]
         for ((i, name), _), value in zip(roles, values):
             inputs[i]["params"][name] = value
         options["kind"] = options["kind"].lstrip("v")

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from codiv import (BernoulliProd, DimensionMismatchError, ExponentialProd, GammaProd,
-                   GaussianIso, KindMismatchError, PoissonProd, PreconditionError,
+                   GaussianIso, KindMismatchError, ParamFamily, PoissonProd, PreconditionError,
                    family_from_json_dict, gamma_first_order, oracle_natural_r_alpha,
                    oracle_r_alpha, phi_alpha, r_alpha_closed, r_alpha_closed_log1p,
                    r_alpha_product)
-from codiv.families import FAMILIES
 
 
 class TestGaussian:
@@ -343,15 +342,27 @@ def test_alpha_must_be_finite(route):
 
 
 def test_family_json_round_trip():
+    """Each constructor builds the family that its JSON document describes: the same kind
+    and the same parameter bits, held read-only."""
     docs = {GaussianIso: {"kind": "gaussian_iso", "params": {"mean": [0.0, 1.0], "sigma": 2.0}},
             PoissonProd: {"kind": "poisson_product", "params": {"lambda": [1.5]}},
             BernoulliProd: {"kind": "bernoulli_product", "params": {"theta": [0.25]}},
             ExponentialProd: {"kind": "exponential_product", "params": {"beta": [2.0]}},
             GammaProd: {"kind": "gamma_product", "params": {"shape": [1.5], "rate": [2.5]}}}
-    for cls, doc in docs.items():
-        f = family_from_json_dict(doc)
-        assert type(f) is cls and f.kind == doc["kind"]
-        for name, attr, _ in FAMILIES[cls].params:
-            np.testing.assert_array_equal(getattr(f, attr), doc["params"][name])
+    for make, doc in docs.items():
+        f, built = family_from_json_dict(doc), make(*doc["params"].values())
+        assert type(f) is type(built) is ParamFamily and f.kind == built.kind == doc["kind"]
+        assert list(f.params) == list(built.params) == list(doc["params"])
+        for name, value in doc["params"].items():
+            assert np.asarray(f.params[name]).tobytes() == np.asarray(built.params[name]).tobytes()
+            np.testing.assert_array_equal(f.params[name], value)
+            if isinstance(f.params[name], np.ndarray):
+                assert not f.params[name].flags.writeable
+        with pytest.raises(TypeError):
+            f.params["extra"] = 1.0
     with pytest.raises(PreconditionError):
         family_from_json_dict({"kind": "cauchy", "params": {}})
+    with pytest.raises(PreconditionError, match="^unknown family kind 'cauchy'$"):
+        ParamFamily("cauchy", {})
+    with pytest.raises(PreconditionError, match="^params object is required$"):
+        ParamFamily("poisson_product", [1.5])

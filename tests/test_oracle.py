@@ -8,8 +8,8 @@ import pytest
 
 from codiv import (PHI_SQRT, BernoulliProd, DiscreteMeasure, ExponentialProd,
                    GammaProd, GaussianIso, OracleFailureError, PoissonProd, PreconditionError,
-                   adaptive_gauss_legendre, oracle_divergence_matrix, oracle_r_alpha,
-                   phi_alpha, r_alpha_closed, r_alpha_product, r_phi)
+                   adaptive_gauss_legendre, divergence_matrix, oracle_divergence_matrix,
+                   oracle_r_alpha, phi_alpha, r_alpha_closed, r_alpha_product, r_phi)
 from codiv.oracles import _GL_NODES, _GL_WEIGHTS, _poisson_log_series, _ratio_of_integrals
 from helpers import random_dominated, random_probability
 
@@ -244,6 +244,22 @@ class TestDiscreteBruteForce:
         p0 = DiscreteMeasure([0.3, 0.7])
         assert oracle_divergence_matrix(p0, [p0], "rphi", PHI_SQRT).entries[0, 0] == \
             pytest.approx(0.0, abs=1e-15)
+
+    def test_normalizer_product_below_the_float_range(self):
+        """m1 * m2 underflows to 0 (each m is 1e-297), but the cell is 1e300 - 1."""
+        p0, p1 = DiscreteMeasure([1e-300, 1.0 - 1e-300]), DiscreteMeasure([1.0, 0.0])
+        phi = phi_alpha(0.01)
+        fast = divergence_matrix(p0, [p1, p1], "rphi", phi).entries[0, 1]
+        slow = oracle_divergence_matrix(p0, [p1, p1], "rphi", phi).entries[0, 1]
+        assert slow == pytest.approx(fast, rel=1e-12)
+
+    def test_ratio_beyond_the_float_range_is_named(self):
+        # the affinities are positive, so the cell is finite: not +inf, which would claim
+        # a vanishing affinity
+        p0 = DiscreteMeasure([0.5, 0.5, 0.0])
+        p1, p2 = DiscreteMeasure([1e-320, 0.0, 1.0]), DiscreteMeasure([0.0, 1e-320, 1.0])
+        with pytest.raises(OracleFailureError, match="exceeds the float range"):
+            oracle_divergence_matrix(p0, [p1, p2], "hellinger")
 
     def test_non_dominated_is_infinite(self):
         p0 = DiscreteMeasure([1.0, 0.0])
