@@ -20,7 +20,8 @@ import numpy as np
 
 from . import matrices
 from .codivergence import PhiFunction, chi2_codiv, hellinger_codiv, phi_alpha, r_phi, v_phi
-from .errors import CodivError, DegeneratePhiError, OracleFailureError, check_alpha, is_number
+from .errors import (CodivError, DegeneratePhiError, OracleFailureError, _from_checked,
+                     check_alpha, is_number)
 from .matrices import (DivMatrix, MarkovKernel, divergence_matrix, dpi_check, kernel_problems,
                        rank_with_identity)
 from .measures import (DiscreteMeasure, SignedMeasure, direction_problems, exact_sum,
@@ -89,9 +90,9 @@ def _with_defaults(options: dict) -> dict:
 
 
 def validate(job: dict) -> tuple[list, list | None]:
-    """Structural validation findings, and the inputs built from what was checked: the job's
-    measures, directions or families in order, then the dpi kernel.  The inputs are None
-    unless there are no findings, which means the job can run."""
+    """Structural validation findings, and the inputs built from the values their checkers
+    returned: the job's measures, directions or families in order, then the dpi kernel.
+    The inputs are None unless there are no findings, which means the job can run."""
     command = job.get("command")
     if command not in COMMANDS:
         return [{"path": "/command", "message": f"unknown command {command!r}"}], None
@@ -113,13 +114,9 @@ def validate(job: dict) -> tuple[list, list | None]:
     if families:
         from .families import family_problems, family_set_problems
 
-        members, built_families = [], []
-        for i, doc in enumerate(inputs):
-            member, found, family = family_problems(doc, f"/inputs/{i}")
-            members.append(member)
-            built_families.append(family)
-            problems += found
-        problems += family_set_problems(members, "/inputs")
+        members, found, built_families = zip(*(family_problems(doc, f"/inputs/{i}")
+                                               for i, doc in enumerate(inputs)))
+        problems += [p for ps in found for p in ps] + family_set_problems(members, "/inputs")
     elif command == "expand":
         directions = (1, 2)
         masses = _masses(inputs, problems, directions)
@@ -164,10 +161,10 @@ def validate(job: dict) -> tuple[list, list | None]:
     if problems:
         return [{"path": p.path, "message": str(p)} for p in problems], None
     if families:
-        return [], built_families
-    built = [(SignedMeasure if i in directions else DiscreteMeasure)(mass)
+        return [], list(built_families)
+    built = [_from_checked(SignedMeasure if i in directions else DiscreteMeasure, mass=mass)
              for i, mass in enumerate(masses)]
-    return [], built if kernel is None else built + [MarkovKernel(kernel)]
+    return [], built if kernel is None else built + [_from_checked(MarkovKernel, matrix=kernel)]
 
 
 def _kind_and_link(options) -> tuple[str, float, PhiFunction]:

@@ -43,6 +43,13 @@ def raise_first(problems: list) -> None:
         raise problems[0]
 
 
+def _from_checked(cls, **fields):
+    """The frozen dataclass ``cls`` holding checked ``fields``, without their second check."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 # The smallest int that float() rounds to infinity: 2**1024 - 2**970, halfway
 # between the largest finite float and 2**1024.
 _INT_LIMIT = 2 ** 1024 - 2 ** 970

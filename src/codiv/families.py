@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, KindMismatchError, PreconditionError, check_alpha,
-                     is_number, numbers, raise_first)
+from .errors import (DimensionMismatchError, KindMismatchError, PreconditionError, _from_checked,
+                     check_alpha, is_number, numbers, raise_first)
 from .measures import exact_sum
 
 # rule of a vector parameter -> (test its finite entries pass, message for one that fails)
@@ -40,8 +40,8 @@ class FamilySpec(NamedTuple):
     natural: Callable  # family -> (natural parameter, log-partition A, domain test of A)
 
 
-def _param_problems(spec: FamilySpec, values, path: str) -> tuple[dict, list]:
-    """Parameter values keyed by JSON name, checked and frozen, and their problems."""
+def _param_problems(spec: FamilySpec, values, path: str) -> tuple[Mapping, list]:
+    """Parameter values keyed by JSON name, checked and read-only, and their problems."""
     if not isinstance(values, Mapping):
         return {}, [PreconditionError("params object is required", f"{path}/params")]
     checked, problems = {}, []
@@ -70,10 +70,10 @@ def _param_problems(spec: FamilySpec, values, path: str) -> tuple[dict, list]:
     if len({checked[name].size for name in vectors}) > 1:
         problems.append(DimensionMismatchError(f"{' and '.join(vectors)} vectors differ in length",
                                                f"{path}/params/{vectors[-1]}"))
-    return checked, problems
+    return MappingProxyType(checked), problems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamFamily:
     """A member of the parametric family ``kind``, a key of FAMILIES, with its parameters
     checked, read-only and keyed by their JSON names."""
@@ -82,12 +82,9 @@ class ParamFamily:
     params: Mapping
 
     def __post_init__(self):
-        spec = FAMILIES.get(self.kind) if isinstance(self.kind, str) else None
-        if spec is None:
-            raise PreconditionError(f"unknown family kind {self.kind!r}")
-        checked, problems = _param_problems(spec, self.params, "")
+        _, problems, family = family_problems({"kind": self.kind, "params": self.params})
         raise_first(problems)
-        object.__setattr__(self, "params", MappingProxyType(checked))
+        object.__setattr__(self, "params", family.params)
 
     @property
     def dim(self) -> int:
@@ -189,6 +186,15 @@ def _bernoulli_log1p(f0, f1, f2, alpha) -> float:
     return total
 
 
+def _log_rate_ratio(coeffs, logs, shift: float) -> float | None:
+    """shift + log(sum_i c_i e^(l_i - l_0)), or None unless the sum is positive: a signed
+    log-sum-exp."""
+    terms = [(c, math.log(abs(c)) + l - logs[0]) for c, l in zip(coeffs, logs) if c]
+    top = max(l for _, l in terms)
+    total = math.fsum(math.copysign(math.exp(l - top), c) for c, l in terms)
+    return top + math.log(total) + shift if total > 0 else None
+
+
 def _gamma_log1p(f0, f1, f2, alpha) -> float | None:
     """log(R_alpha + 1) over Gamma coordinates, or None on a domain violation.
 
@@ -199,7 +205,8 @@ def _gamma_log1p(f0, f1, f2, alpha) -> float | None:
         a01*log(b01) + a02*log(b02) - a0*log(b0) - abar*log(bbar)
           = a01*log1p(x1) + a02*log1p(x2) - abar*log1p(x12)
 
-    because a01 + a02 - a0 - abar = 0, with xj = alpha*dj/b0.
+    because a01 + a02 - a0 - abar = 0, with xj = alpha*dj/b0.  Where an x is not finite or
+    1 + x not normal, each log(b/b0) on the left is a signed log-sum-exp of log b0, b1, b2.
     """
     (s0, r0), (s1, r1), (s2, r2) = (FAMILIES[f.kind].coords(f) for f in (f0, f1, f2))
     total = 0.0
@@ -207,15 +214,19 @@ def _gamma_log1p(f0, f1, f2, alpha) -> float | None:
         abar = a0 + alpha * (a1 + a2 - 2.0 * a0)
         a01 = a0 + alpha * (a1 - a0)
         a02 = a0 + alpha * (a2 - a0)
-        x1 = alpha * (b1 - b0) / b0
-        x2 = alpha * (b2 - b0) / b0
-        x12 = alpha * (b1 + b2 - 2.0 * b0) / b0
-        if min(abar, a01, a02) <= 0 or min(1.0 + x1, 1.0 + x2, 1.0 + x12) <= 0:
+        xs = (alpha * (b1 - b0) / b0, alpha * (b2 - b0) / b0, alpha * (b1 + b2 - 2.0 * b0) / b0)
+        if all(np.finfo(float).tiny <= abs(1.0 + x) < math.inf for x in xs):
+            logs = [math.log1p(x) if 1.0 + x > 0 else None for x in xs]
+        else:  # the mixed rates' coefficients, divided by alpha above 1 so that none overflows
+            p, q = (1.0, alpha) if alpha <= 1 else (1.0 / alpha, 1.0)
+            rates = [math.log(b) for b in (b0, b1, b2)]
+            logs = [_log_rate_ratio(c, rates, math.log(alpha / q))
+                    for c in ((p - q, q, 0.0), (p - q, 0.0, q), (p - 2.0 * q, q, q))]
+        if min(abar, a01, a02) <= 0 or None in logs:
             return None
         log_gamma_part = (math.lgamma(a0) + math.lgamma(abar)
                           - math.lgamma(a01) - math.lgamma(a02))
-        log_rate_part = (a01 * math.log1p(x1) + a02 * math.log1p(x2)
-                         - abar * math.log1p(x12))
+        log_rate_part = a01 * logs[0] + a02 * logs[1] - abar * logs[2]
         total += log_gamma_part + log_rate_part
     return total
 
@@ -327,7 +338,7 @@ def family_problems(doc, path: str = "") -> tuple[tuple, list, ParamFamily | Non
         return member, [PreconditionError(f"unknown family kind {kind!r}", f"{path}/kind")], None
     checked, problems = _param_problems(spec, doc.get("params"), path)
     first = checked.get(spec.params[0][0])
-    family = None if problems else ParamFamily(kind, checked)
+    family = None if problems else _from_checked(ParamFamily, kind=kind, params=checked)
     return (kind, None if first is None else first.size, checked.get(spec.shared)), problems, family
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (_INT_LIMIT, DimensionMismatchError, DominationError, PreconditionError,
-                     numbers, raise_first)
+                     is_number, numbers, raise_first)
 
 PROBABILITY_TOL = 1e-12
 
@@ -97,15 +97,18 @@ def measure_problems(doc, signed: bool = False, normalized: bool = False,
         PreconditionError("mass entry must be nonnegative", f"{path}/mass/{i}")
         for i in np.flatnonzero(mass < 0)]
     if normalized:
-        total = exact_sum(mass)
-        if abs(total - (0.0 if signed else 1.0)) > PROBABILITY_TOL:
-            problems.append(PreconditionError(
-                f"signed direction must have zero total mass, got {total!r}" if signed
-                else f"mass must sum to 1 within 1e-12, got {total!r}", f"{path}/mass"))
-    if doc.get("support", mass.size) != mass.size:
+        problems += total_problems(exact_sum(mass), signed, path)
+    if not (is_number(declared := doc.get("support", mass.size)) and declared == mass.size):
         problems.append(PreconditionError("declared support size does not match mass length",
                                           f"{path}/support"))
     return mass, problems
+
+
+def total_problems(total: float, signed: bool = False, path: str = "") -> list:
+    """The rule on a measure's total, under ``path``: 1, or 0 if ``signed``, within 1e-12."""
+    return [] if abs(total - (0.0 if signed else 1.0)) <= PROBABILITY_TOL else [PreconditionError(
+        f"signed direction must have zero total mass, got {total!r}" if signed
+        else f"mass must sum to 1 within 1e-12, got {total!r}", f"{path}/mass")]
 
 
 def mass_array_hook(obj: dict) -> dict:
@@ -157,7 +160,7 @@ class _Measure:
         return exact_sum(self.mass)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure(_Measure):
     """Nonnegative finite measure on a finite support."""
 
@@ -177,7 +180,7 @@ class DiscreteMeasure(_Measure):
         return cls(np.full(n, 1.0 / n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedMeasure(_Measure):
     """Finite signed measure on a finite support."""
 
@@ -201,9 +204,7 @@ def check_same_support(*measures) -> None:
 
 
 def check_probability(*measures) -> None:
-    for m in measures:
-        if not m.is_probability:
-            raise PreconditionError(f"measure with total {m.total!r} is not a probability measure")
+    raise_first([problem for m in measures for problem in total_problems(m.total)])
 
 
 def dominated_by(mu, p0: DiscreteMeasure) -> bool:
@@ -231,7 +232,7 @@ def jordan_decompose(mu: SignedMeasure) -> JordanDecomposition:
 def check_direction(mu, p0: DiscreteMeasure, off_support: bool = False) -> None:
     """Raise the first rule mu breaks as a direction around p0: support, zero mass, sign."""
     check_same_support(mu, p0)
-    raise_first(measure_problems({"mass": mu.mass}, signed=True, normalized=True)[1]
+    raise_first(total_problems(mu.total, signed=True)
                 + direction_problems(mu.mass, p0.mass, off_support))
 
 

@@ -35,3 +35,14 @@ def test_module_entry_point(name):
     proc = subprocess.run([sys.executable, "-m", "codiv", *CASES[name]], cwd=GOLDEN, env=env,
                           capture_output=True, timeout=120)
     assert f"exit {proc.returncode}\n".encode() + proc.stdout == expected_path(name).read_bytes()
+
+
+def test_corpus_is_consistent():
+    """Every job file is the input of a case, and every case has exactly one expected file;
+    ``no-such-job.json`` is the one reference to a job file that deliberately does not exist."""
+    referenced = {arg for argv in CASES.values() for arg in argv if arg.startswith("jobs/")}
+    jobs = {f"jobs/{path.name}" for path in (GOLDEN / "jobs").glob("*.json")}
+    assert jobs - referenced == set()
+    assert referenced - jobs == {"jobs/no-such-job.json"}
+    expected = sorted(path.name for path in (GOLDEN / "expected").iterdir())
+    assert expected == sorted(expected_path(name).name for name in CASES)

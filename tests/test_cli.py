@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codiv import cli
+from codiv import cli, families, matrices, measures
 from codiv.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, main,
                        parse_kind, run, validate)
 from codiv.errors import CodivError, DegeneratePhiError
@@ -313,6 +314,45 @@ def test_constructors_raise_the_first_finding(construct, job):
     with pytest.raises(CodivError) as raised:
         construct()
     assert str(raised.value) == validate(job)[0][0]["message"]
+
+
+def _plain(value):
+    """A checked value or a job's value as nested dicts, lists and floats."""
+    if isinstance(value, Mapping):
+        return {key: _plain(entry) for key, entry in value.items()}
+    return np.asarray(value, dtype=float).tolist()
+
+
+GAMMA = [{"kind": "gamma_product", "params": {"shape": [1.5, 2.0], "rate": [r, 2.5]}}
+         for r in (1.0, 1.25, 0.75)]
+MASSES = [[0.2, 0.3, 0.5], [0.25, 0.25, 0.5], [0.4, 0.4, 0.2]]
+
+
+@pytest.mark.parametrize("job", [
+    {"command": "matrix", "inputs": [{"mass": m} for m in MASSES], "options": {"kind": "chi2"}},
+    {"command": "expand", "options": {"kind": "chi2"},
+     "inputs": [{"mass": MASSES[0]}, {"mass": [0.1, -0.1, 0.0]}, {"mass": [0.0, 0.2, -0.2]}]},
+    {"command": "dpi", "inputs": [{"mass": m} for m in MASSES],
+     "options": {"kernel": {"matrix": [[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]]}}},
+    {"command": "codiv", "inputs": GAMMA, "options": {"kind": "alpha:0.5"}},
+])
+def test_each_input_is_checked_once(monkeypatch, job):
+    """``run`` checks each input of a job once: ``validate`` builds the measures, directions,
+    kernel and families it returns from the values their checkers returned."""
+    checked = []
+    for module, name in ((cli, "measure_problems"), (measures, "measure_problems"),
+                         (cli, "kernel_problems"), (matrices, "kernel_problems"),
+                         (families, "_param_problems")):
+        def counted(*args, _checker=getattr(module, name), **kwargs):
+            result = _checker(*args, **kwargs)
+            checked.append(_plain(result[0]))
+            return result
+
+        monkeypatch.setattr(module, name, counted)
+    assert run(job)[1] == EXIT_OK
+    values = [doc.get("mass", doc.get("params")) for doc in job["inputs"]]
+    values += [job["options"]["kernel"]["matrix"]] if "kernel" in job["options"] else []
+    assert [checked.count(_plain(value)) for value in values] == [1] * len(values)
 
 
 class TestParseKind:

@@ -273,6 +273,32 @@ def test_powers_beyond_the_float_range_keep_log1p(cls, exact, params, alpha):
     assert got == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize("shapes, rates, alpha", [
+    ((1.0, 1.0, 1.0), (1e300, 1e-300, 1.0), 0.5),  # 1 + x12 rounds to 0
+    ((1.0, 1.0, 1.0), (1e308, 1e-308, 1.0), 0.5),  # b1 + b2 - 2 b0 overflows
+    ((1.0, 1.0, 1.0), (1e-300, 1e300, 1e300), 0.25),  # x1 overflows; R beyond the range
+    ((1.0, 1.0, 1.0), (1.0, 1e308, 1e308), 2.0),  # b1 + b2 overflows
+    ((1.0, 1.0, 1.0), (1.0, 3.0, 3.0), 1e308),  # x1 and 1 - 2 alpha overflow
+    ((2.0, 3.0, 2.5), (1e300, 1e-300, 1.0), 0.5),
+])
+def test_far_apart_rates_keep_log1p(shapes, rates, alpha):
+    """Where a relative rate shift is not finite or 1 + x is not normal, the Gamma log(R + 1)
+    still matches a 50-digit evaluation of a01 log b01 + a02 log b02 - a0 log b0
+    - abar log bbar plus its log-Gamma part."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        (a0, a1, a2), (b0, b1, b2) = ([mp.mpf(x) for x in v] for v in (shapes, rates))
+        a = mp.mpf(alpha)
+        a01, a02, abar = a0 + a * (a1 - a0), a0 + a * (a2 - a0), a0 + a * (a1 + a2 - 2 * a0)
+        b01, b02 = (1 - a) * b0 + a * b1, (1 - a) * b0 + a * b2
+        bbar = (1 - 2 * a) * b0 + a * (b1 + b2)
+        want = float(mp.loggamma(a0) + mp.loggamma(abar) - mp.loggamma(a01) - mp.loggamma(a02)
+                     + a01 * mp.log(b01) + a02 * mp.log(b02) - a0 * mp.log(b0)
+                     - abar * mp.log(bbar))
+    got = r_alpha_closed_log1p(*(GammaProd([a], [b]) for a, b in zip(shapes, rates)), alpha)
+    assert got == pytest.approx(want, rel=1e-14)
+
+
 @pytest.mark.parametrize("rates", [([1.5], [1.5], [3.0]), ([1.5], [3.0], [1.5]),
                                    ([1.5, 2.0], [1.5, 2.5], [3.0, 2.0])])
 def test_poisson_term_is_zero_where_a_member_equals_the_reference(rates):

@@ -9,6 +9,8 @@ from codiv import (DiscreteMeasure, DimensionMismatchError, DominationError,
                    PreconditionError, SignedMeasure, divergence_matrix, dominated_by,
                    ess_sup_ratio, features, jordan_decompose, perturb, validity_radius)
 from codiv.errors import numbers
+from codiv.families import GaussianIso
+from codiv.matrices import DivMatrix, MarkovKernel
 from codiv.measures import measure_problems
 from helpers import perturbs_to_probability, random_direction, random_probability
 
@@ -175,3 +177,14 @@ def test_json_round_trip():
     assert mass.tolist() == [0.1, -0.1, 0.0] and problems == []
     _, problems = measure_problems({"support": 2, "mass": [1.0]}, path="/inputs/0")
     assert [(type(p), p.path) for p in problems] == [(PreconditionError, "/inputs/0/support")]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DiscreteMeasure([0.5, 0.5]), lambda: SignedMeasure([0.5, -0.5]),
+    lambda: MarkovKernel(np.eye(2)), lambda: DivMatrix("chi2", np.eye(2)),
+    lambda: GaussianIso([0.0, 1.0], 1.0)])
+def test_frozen_types_with_arrays_compare_by_identity(make):
+    """A frozen type that holds arrays is equal only to itself and hashes, as an element-wise
+    array comparison has no one truth value."""
+    a, copy = make(), make()
+    assert a == a and a != copy and hash(a) == hash(a)
