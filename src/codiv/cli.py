@@ -72,18 +72,6 @@ def parse_kind(text: str) -> tuple[str, float | None]:
     raise CodivError(f"unknown kind {text!r}", "/options/kind")
 
 
-def _masses(inputs, problems: list, directions=()) -> list:
-    """Check each input as a probability measure, or as a direction at the indices in
-    ``directions``; returns their mass arrays."""
-    masses = []
-    for i, doc in enumerate(inputs):
-        mass, found = measure_problems(doc, signed=i in directions, normalized=True,
-                                       path=f"/inputs/{i}")
-        masses.append(mass)
-        problems += found
-    return masses
-
-
 def _with_defaults(options: dict) -> dict:
     """The job's options, with the default of each one it leaves out (defaults go unchecked)."""
     return {**_DEFAULTS, "output_support": options.get("support", _DEFAULTS["support"]), **options}
@@ -108,7 +96,7 @@ def validate(job: dict) -> tuple[list, list | None]:
         return [{"path": "/inputs", "message": _INPUT_COUNTS[command]}], None
 
     problems: list = []
-    masses, directions, kernel = [], (), None
+    masses, totals, directions, kernel = (), (), (), None
     families = command == "oracle-check" or (
         command == "codiv" and all(isinstance(x, dict) and "kind" in x for x in inputs))
     if families:
@@ -117,9 +105,13 @@ def validate(job: dict) -> tuple[list, list | None]:
         members, found, built_families = zip(*(family_problems(doc, f"/inputs/{i}")
                                                for i, doc in enumerate(inputs)))
         problems += [p for ps in found for p in ps] + family_set_problems(members, "/inputs")
-    elif command == "expand":
-        directions = (1, 2)
-        masses = _masses(inputs, problems, directions)
+    elif not randomized:  # measures; expand's second and third inputs are directions
+        directions = (1, 2) if command == "expand" else ()
+        masses, found, totals = zip(*(measure_problems(doc, signed=i in directions,
+                                                       normalized=True, path=f"/inputs/{i}")
+                                      for i, doc in enumerate(inputs)))
+        problems += [p for ps in found for p in ps]
+    if command == "expand":
         if options["mode"] not in ("local", "off-support"):
             problems.append(CodivError(f"unknown mode {options['mode']!r}", "/options/mode"))
         problems += support_problems(masses)
@@ -127,8 +119,7 @@ def validate(job: dict) -> tuple[list, list | None]:
             for i in directions:
                 problems += direction_problems(masses[i], masses[0],
                                                options["mode"] == "off-support", f"/inputs/{i}")
-    elif not randomized:  # codiv, matrix, rank and dpi on explicit measures
-        masses = _masses(inputs, problems)
+    elif not (families or randomized):  # codiv, matrix, rank and dpi on explicit measures
         if len(inputs) < 2:
             problems.append(CodivError("need the reference measure plus at least one measure",
                                        "/inputs"))
@@ -162,8 +153,8 @@ def validate(job: dict) -> tuple[list, list | None]:
         return [{"path": p.path, "message": str(p)} for p in problems], None
     if families:
         return [], list(built_families)
-    built = [_from_checked(SignedMeasure if i in directions else DiscreteMeasure, mass=mass)
-             for i, mass in enumerate(masses)]
+    built = [_from_checked(SignedMeasure if i in directions else DiscreteMeasure, mass=mass,
+                           total=total) for i, (mass, total) in enumerate(zip(masses, totals))]
     return [], built if kernel is None else built + [_from_checked(MarkovKernel, matrix=kernel)]
 
 
@@ -201,13 +192,11 @@ def _run_rank(options, inputs, tolerance, seed):
     base, _, phi = _kind_and_link(options)
     tol_factor = tolerance if tolerance is not None else matrices.RANK_TOL_FACTOR
     if "trials" in options:
-        rng = np.random.default_rng(seed)
-        trials = options["trials"]
-        reports = (rank_with_identity(*_random_dominated_instance(rng, options), base, phi=phi,
-                                      tol_factor=tol_factor) for _ in range(trials))
+        reports = (rank_with_identity(p0, ps, base, phi=phi, tol_factor=tol_factor)
+                   for p0, ps, _ in _suite_trials(seed, options))
         agree = sum(report.matrix_rank == report.function_rank for report in reports)
-        return {"command": "rank", "kind": options["kind"], "trials": trials,
-                "seed": seed, "agreements": agree, "passed": agree == trials}
+        return {"command": "rank", "kind": options["kind"], "trials": options["trials"],
+                "seed": seed, "agreements": agree, "passed": agree == options["trials"]}
     report = rank_with_identity(inputs[0], inputs[1:], base, phi=phi, tol_factor=tol_factor)
     if report.status is matrices.DiagnosticStatus.NOT_APPLICABLE:
         return {"command": "rank", "kind": options["kind"], "status": "not-applicable"}
@@ -216,28 +205,39 @@ def _run_rank(options, inputs, tolerance, seed):
             "passed": report.matrix_rank == report.function_rank}
 
 
-def _random_dominated_instance(rng, options):
-    """A reference and ``count`` measures on ``support`` points, all of full support."""
-    masses = [rng.random(options["support"]) + 0.05 for _ in range(options["count"] + 1)]
-    p0, *ps = (DiscreteMeasure(mass / exact_sum(mass)) for mass in masses)
-    return p0, ps
+def _splitmix64(seed: int, start: int, n: int) -> np.ndarray:
+    """Outputs start + 1 to start + n of SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) keyed
+    by seed mod 2**64, in counter mode: output k mixes key + k * 0x9E3779B97F4A7C15."""
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
+    z += seed % 2 ** 64
+    for block in np.split(z, range(1 << 16, n, 1 << 16)):  # mixed in place, in cache
+        for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, 1)):
+            block ^= block >> shift
+            block *= factor
+    return z
+
+
+def _suite_trials(seed: int, options, cols: int = 0):
+    """Each seeded-suite trial, from its doubles (output >> 11) * 2**-53 of ``_splitmix64``: a
+    reference and ``count`` measures on ``support`` points, then a support x ``cols`` kernel."""
+    n, size = options["support"], (options["count"] + 1 + cols) * options["support"]
+    for start in range(0, options["trials"] * size, size):
+        u = (_splitmix64(seed, start, size) >> 11) * 2.0 ** -53
+        p0, *ps = (DiscreteMeasure(mass / exact_sum(mass))
+                   for mass in u[:size - cols * n].reshape(-1, n) + 0.05)
+        rows = u[size - cols * n:].reshape(n, cols) + 0.02
+        rows /= rows.sum(axis=1, keepdims=True)  # sums within 2.3e-13 of 1: no row check
+        rows.flags.writeable = False
+        yield p0, ps, _from_checked(MarkovKernel, matrix=rows)
 
 
 def _run_dpi(options, inputs, tolerance, seed):
     floor = tolerance if tolerance is not None else 1e-9
     if "trials" in options:
-        rng = np.random.default_rng(seed)
-        trials = options["trials"]
-        worst = math.inf
-        for _ in range(trials):
-            q0, qs = _random_dominated_instance(rng, options)
-            rows = rng.random((options["support"], options["output_support"])) + 0.02
-            kernel = MarkovKernel(rows / rows.sum(axis=1, keepdims=True))
-            report = dpi_check(q0, qs, kernel)
-            worst = min(worst, report.min_eig_of_difference / report.scale)
-        return {"command": "dpi", "trials": trials, "seed": seed,
-                "worst_scaled_min_eigenvalue": worst, "floor": -floor,
-                "passed": worst >= -floor}
+        reports = (dpi_check(*t) for t in _suite_trials(seed, options, options["output_support"]))
+        worst = min(report.min_eig_of_difference / report.scale for report in reports)
+        return {"command": "dpi", "trials": options["trials"], "seed": seed,
+                "worst_scaled_min_eigenvalue": worst, "floor": -floor, "passed": worst >= -floor}
     *measures, kernel = inputs
     report = dpi_check(measures[0], measures[1:], kernel)
     return {"command": "dpi",

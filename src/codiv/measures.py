@@ -80,28 +80,28 @@ def exact_sum(values: np.ndarray) -> float:
 
 
 def measure_problems(doc, signed: bool = False, normalized: bool = False,
-                     path: str = "") -> tuple[np.ndarray | None, list]:
-    """The frozen mass array of a measure document {"support", "mass"} (None unless a list)
-    and its problems, with paths under ``path``.  A ``normalized`` measure sums to 1, or
-    to 0 if ``signed``; an unsigned one is nonnegative."""
+                     path: str = "") -> tuple[np.ndarray | None, list, float | None]:
+    """The frozen mass array of a measure document {"support", "mass"} (None unless a list),
+    its problems, with paths under ``path``, and its exact total if ``normalized`` (else None):
+    that measure sums to 1, or to 0 if ``signed``.  An unsigned one is nonnegative."""
     values = numbers(doc.get("mass") if isinstance(doc, dict) else None)
     if values is None:
-        return None, [PreconditionError("mass must be a non-empty list", f"{path}/mass")]
+        return None, [PreconditionError("mass must be a non-empty list", f"{path}/mass")], None
     mass = np.array(values, dtype=float)
     mass.flags.writeable = False
     bad = np.flatnonzero(~np.isfinite(mass))
     if bad.size:
         return mass, [PreconditionError("mass entry must be a finite number",
-                                        f"{path}/mass/{bad[0]}")]
+                                        f"{path}/mass/{bad[0]}")], None
     problems = [] if signed else [
         PreconditionError("mass entry must be nonnegative", f"{path}/mass/{i}")
         for i in np.flatnonzero(mass < 0)]
-    if normalized:
-        problems += total_problems(exact_sum(mass), signed, path)
+    total = exact_sum(mass) if normalized else None
+    problems += [] if total is None else total_problems(total, signed, path)
     if not (is_number(declared := doc.get("support", mass.size)) and declared == mass.size):
         problems.append(PreconditionError("declared support size does not match mass length",
                                           f"{path}/support"))
-    return mass, problems
+    return mass, problems, total
 
 
 def total_problems(total: float, signed: bool = False, path: str = "") -> list:
@@ -167,7 +167,7 @@ class DiscreteMeasure(_Measure):
     mass: np.ndarray
 
     def __post_init__(self):
-        mass, problems = measure_problems({"mass": self.mass})
+        mass, problems, _ = measure_problems({"mass": self.mass})
         raise_first(problems)
         object.__setattr__(self, "mass", mass)
 
@@ -187,7 +187,7 @@ class SignedMeasure(_Measure):
     mass: np.ndarray
 
     def __post_init__(self):
-        mass, problems = measure_problems({"mass": self.mass}, signed=True)
+        mass, problems, _ = measure_problems({"mass": self.mass}, signed=True)
         raise_first(problems)
         object.__setattr__(self, "mass", mass)
 

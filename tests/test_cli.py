@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codiv import cli, families, matrices, measures
@@ -18,8 +18,9 @@ from codiv.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, ma
 from codiv.errors import CodivError, DegeneratePhiError
 from codiv.families import FAMILIES, BernoulliProd
 from codiv.local import PerturbationPair, fisher_gram, hellinger_off_support_check
-from codiv.matrices import MarkovKernel
-from codiv.measures import DiscreteMeasure, SignedMeasure, ess_sup_ratio, mass_array_hook
+from codiv.matrices import MarkovKernel, kernel_problems
+from codiv.measures import (DiscreteMeasure, SignedMeasure, ess_sup_ratio, exact_sum,
+                            mass_array_hook, measure_problems)
 from golden.regen import load_cases, run_case
 from helpers import random_dominated, random_probability
 
@@ -353,6 +354,118 @@ def test_each_input_is_checked_once(monkeypatch, job):
     values = [doc.get("mass", doc.get("params")) for doc in job["inputs"]]
     values += [job["options"]["kernel"]["matrix"]] if "kernel" in job["options"] else []
     assert [checked.count(_plain(value)) for value in values] == [1] * len(values)
+
+
+def test_each_mass_is_summed_once(monkeypatch):
+    """``validate`` hands each measure the exact total its check summed, so a codiv job sums
+    each mass once: long masses, where ``exact_sum`` takes its extraction path."""
+    rng = np.random.default_rng(23)
+    masses = [random_probability(rng, 800).mass for _ in range(3)]
+    summed = []
+
+    def counted(values):
+        summed.append(_plain(values))
+        return exact_sum(values)
+
+    monkeypatch.setattr(measures, "exact_sum", counted)
+    job = {"command": "codiv", "inputs": [{"mass": m} for m in masses], "options": {"kind": "chi2"}}
+    assert run(job)[1] == EXIT_OK
+    assert [summed.count(_plain(mass)) for mass in masses] == [1, 1, 1]
+
+
+class TestSuiteDraw:
+    """The seeded suites draw from SplitMix64 in counter mode (``cli._splitmix64``)."""
+
+    @pytest.mark.parametrize("seed, outputs", [
+        (0, [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]),
+        (1234567, [0x599ED017FB08FC85, 0x2C73F08458540FA5, 0x883EBCE5A3F27C77]),
+    ])
+    def test_first_outputs_are_the_reference_vectors(self, seed, outputs):
+        """The first outputs of the reference splitmix64.c seeded with ``seed``."""
+        assert cli._splitmix64(seed, 0, 3).tolist() == outputs
+
+    @pytest.mark.parametrize("seed, start", [(0, 0), (2 ** 64 - 1, 12345), (2 ** 70 + 3, 2 ** 40)])
+    def test_outputs_are_the_scalar_mix_across_blocks(self, seed, start):
+        """Sampled outputs of a draw that spans several blocks of 2**16, against the mix in
+        Python integers."""
+        def mix(k):
+            z = (seed + k * 0x9E3779B97F4A7C15) % 2 ** 64
+            z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2 ** 64
+            z = (z ^ z >> 27) * 0x94D049BB133111EB % 2 ** 64
+            return z ^ z >> 31
+
+        n = 3 * 2 ** 16 + 5
+        outputs = cli._splitmix64(seed, start, n)
+        for i in (0, 1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 17, 3 * 2 ** 16, n - 1):
+            assert int(outputs[i]) == mix(start + i + 1)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 70), st.integers(0, 2 ** 40), st.integers(0, 300),
+           st.integers(0, 300))
+    @example(7, 5, 2 ** 16 - 3, 2 ** 16 + 9)
+    def test_the_stream_is_split_anywhere(self, seed, start, n, m):
+        """Drawing n and then m outputs gives the outputs of one draw of n + m; each double
+        (output >> 11) * 2**-53 lies in [0, 1) on the 2**-53 grid."""
+        whole = cli._splitmix64(seed, start, n + m)
+        parts = np.concatenate([cli._splitmix64(seed, start, n),
+                                cli._splitmix64(seed, start + n, m)])
+        assert whole.dtype == np.uint64 and whole.tolist() == parts.tolist()
+        doubles = (whole >> 11) * 2.0 ** -53
+        assert ((doubles >= 0) & (doubles < 1)).all()
+        assert (doubles * 2.0 ** 53).tolist() == (whole >> 11).tolist()
+
+    def test_a_trial_draws_masses_then_kernel_rows(self):
+        """Trial t takes the next (count + 1) x support doubles as masses, then, for dpi,
+        support x output_support doubles as kernel rows."""
+        options = {"trials": 2, "count": 2, "support": 3}
+        doubles = (cli._splitmix64(9, 0, 2 * (3 + 4) * 3) >> 11) * 2.0 ** -53
+        for t, (p0, ps, kernel) in enumerate(cli._suite_trials(9, options, 4)):
+            u = doubles[t * 21:(t + 1) * 21]
+            for measure, mass in zip([p0, *ps], u[:9].reshape(3, 3) + 0.05):
+                assert measure.mass.tolist() == (mass / exact_sum(mass)).tolist()
+            rows = u[9:].reshape(3, 4) + 0.02
+            assert kernel.matrix.tolist() == (rows / rows.sum(axis=1, keepdims=True)).tolist()
+            assert not kernel.matrix.flags.writeable
+        # a rank trial draws no kernel, so the second one starts at double 9
+        firsts = [doubles[k:k + 3] + 0.05 for k in (0, 9)]
+        assert [p0.mass.tolist() for p0, _, _ in cli._suite_trials(9, options)] == [
+            (mass / exact_sum(mass)).tolist() for mass in firsts]
+
+    @pytest.mark.parametrize("command", ["rank", "dpi"])
+    def test_seeds_equal_mod_2_64_give_the_same_report(self, command):
+        job = {"command": command,
+               "options": {"trials": 3, "support": 4, "count": 2, "kind": "chi2"}}
+        (first, status), (second, _) = run(job, seed=5), run(job, seed=5 + 2 ** 64)
+        assert status == EXIT_OK
+        assert {**json.loads(first), "seed": None} == {**json.loads(second), "seed": None}
+        assert json.loads(second)["seed"] == 5 + 2 ** 64
+
+
+def _suite_options(count, support, output_support):
+    return {"trials": 1, "count": count, "support": support, "output_support": output_support}
+
+
+def _check_suite_inputs(seed, options):
+    """Every kernel and measure the suites draw passes the checks it is built without."""
+    for p0, ps, kernel in cli._suite_trials(seed, options, options["output_support"]):
+        assert kernel_problems({"matrix": kernel.matrix})[1] == []
+        for measure in (p0, *ps):
+            assert measure_problems({"mass": measure.mass}, normalized=True)[1] == []
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 64 - 1), st.integers(1, cli._COUNT_BOUNDS["count"]),
+       st.integers(1, cli._COUNT_BOUNDS["support"]),
+       st.integers(1, cli._COUNT_BOUNDS["output_support"]))
+def test_suite_kernels_and_measures_pass_their_checks(seed, count, support, output_support):
+    """The oracle for the row check the suite kernels skip: rows u + 0.02 over their float
+    sum total 1 within 2.3e-13 for up to 2000 columns, below the 1e-12 rule."""
+    _check_suite_inputs(seed, _suite_options(count, support, output_support))
+
+
+def test_the_largest_suite_kernel_passes_its_check():
+    largest = cli._COUNT_BOUNDS
+    _check_suite_inputs(3, _suite_options(2, largest["support"], largest["output_support"]))
 
 
 class TestParseKind:

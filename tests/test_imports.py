@@ -84,6 +84,17 @@ def test_oracles_load_no_numpy_polynomial(statement):
     assert not {name for name in _modules(statement) if name.startswith("numpy.polynomial")}
 
 
+SUITE_JOBS = [{"command": command, "options": {"trials": 2, "kind": "chi2"}}
+              for command in ("rank", "dpi")]
+
+
+def test_seeded_suites_load_no_numpy_random():
+    """The suites draw from the package's own SplitMix64 stream, not from numpy.random."""
+    script = "from codiv.cli import run\n" + "".join(f"assert run({job!r}, seed=3)[1] == 0\n"
+                                                     for job in SUITE_JOBS)
+    assert not {name for name in _modules(script) if name.startswith("numpy.random")}
+
+
 def test_package_import_loads_no_numpy():
     assert "numpy" not in _modules("import codiv")
 

@@ -170,13 +170,14 @@ def test_measure_validation():
 
 def test_json_round_trip():
     doc = {"support": 2, "mass": [0.25, 0.75]}
-    mass, problems = measure_problems(doc, normalized=True)
-    assert mass.tolist() == doc["mass"] and problems == []
+    mass, problems, total = measure_problems(doc, normalized=True)
+    assert mass.tolist() == doc["mass"] and problems == [] and total == 1.0
     doc = {"support": 3, "mass": [0.1, -0.1, 0.0]}
-    mass, problems = measure_problems(doc, signed=True, normalized=True)
-    assert mass.tolist() == [0.1, -0.1, 0.0] and problems == []
-    _, problems = measure_problems({"support": 2, "mass": [1.0]}, path="/inputs/0")
+    mass, problems, total = measure_problems(doc, signed=True, normalized=True)
+    assert mass.tolist() == [0.1, -0.1, 0.0] and problems == [] and total == 0.0
+    _, problems, total = measure_problems({"support": 2, "mass": [1.0]}, path="/inputs/0")
     assert [(type(p), p.path) for p in problems] == [(PreconditionError, "/inputs/0/support")]
+    assert total is None  # not normalized
 
 
 @pytest.mark.parametrize("make", [
