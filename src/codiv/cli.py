@@ -36,8 +36,8 @@ EXIT_PROPERTY = 4
 COMMANDS = ("codiv", "matrix", "rank", "dpi", "expand", "oracle-check")
 
 # Upper bounds of the count options, which keep a job's work bounded; a suite kernel of
-# support x output_support floats stays within 32 MB, and a suite's total work
-# trials x (count + 1) x support x output_support within _SUITE_WORK (about 5 s).
+# support x output_support floats stays within 32 MB.  A suite's work, the push-forward, Gram
+# matrices and eigenvalues of count + 1 measures, stays within _SUITE_WORK (see validate).
 _COUNT_BOUNDS = {"trials": 1000, "support": 2000, "count": 200, "output_support": 2000,
                  "levels": 50, "grid_n": 20}
 _SUITE_WORK = 2 * 10 ** 9
@@ -144,11 +144,12 @@ def validate(job: dict) -> tuple[list, list | None]:
             problems.append(CodivError(f"{name} must be {what} at most {_COUNT_BOUNDS[name]}",
                                        f"/options/{name}"))
     if randomized and not problems:
-        work = (options["trials"] * (options["count"] + 1) * options["support"]
-                * options["output_support"])
+        n, cols = options["count"] + 1, options["output_support"] if command == "dpi" else 0
+        work = options["trials"] * n * (options["support"] + n) * (cols + n)
         if work > _SUITE_WORK:
-            problems.append(CodivError(f"trials x (count + 1) x support x output_support must "
-                                       f"be at most {_SUITE_WORK}, got {work}", "/options"))
+            problems.append(CodivError(f"trials x (count + 1) x (support + count + 1) x (cols + "
+                                       f"count + 1) must be at most {_SUITE_WORK}, got {work} "
+                                       f"with cols = {cols}", "/options"))
     if problems:
         return [{"path": p.path, "message": str(p)} for p in problems], None
     if families:

@@ -4,8 +4,8 @@ Every formula is evaluated in log space and exponentiated at the very end
 with ``expm1``; the Gamma family goes through log-Gamma differences so that
 ratios of Gamma functions never overflow.  Parameter combinations outside an
 exponential family's natural domain yield +inf rather than an error.  The
-table FAMILIES, keyed by the JSON kind, holds everything that differs from one
-family to another; a member of any family is a ParamFamily.
+table FAMILIES, keyed by the JSON kind, holds what the closed forms need of each
+family, and the oracles keep their own; a member of any family is a ParamFamily.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ class FamilySpec(NamedTuple):
     log1p: Callable  # (f0, f1, f2, alpha) -> log(R_alpha + 1) of a checked triple, or None
     # outside the natural domain: only the Gamma formula has a boundary
     coords: Callable  # family -> columns of the parameters of its coordinates
-    component: str  # the oracle's integral for one coordinate
-    natural: Callable  # family -> (natural parameter, log-partition A, domain test of A)
 
 
 def _param_problems(spec: FamilySpec, values, path: str) -> tuple[Mapping, list]:
@@ -231,49 +229,19 @@ def _gamma_log1p(f0, f1, f2, alpha) -> float | None:
     return total
 
 
-# Natural-parameter views (theta, A, in_domain), for the exponential-family identity
-# that oracles.oracle_natural_r_alpha evaluates.
-
-def _everywhere(th) -> bool:
-    return True
-
-
-def _gamma_natural(f):
-    # theta = (shape - 1, -rate) per Gamma coordinate, flattened.
-    def log_partition(th):
-        d = th.size // 2
-        a = th[:d] + 1.0
-        return float(math.fsum(math.lgamma(x) for x in a) - np.sum(a * np.log(-th[d:])))
-
-    def in_domain(th):
-        d = th.size // 2
-        return bool(np.all(th[:d] > -1.0) and np.all(th[d:] < 0))
-
-    shapes, rates = FAMILIES[f.kind].coords(f)
-    return np.concatenate([shapes - 1.0, -rates]), log_partition, in_domain
-
-
 FAMILIES = {
     "gaussian_iso": FamilySpec(
         (("mean", "finite"), ("sigma", "positive-scalar")), "sigma", _gaussian_log1p,
-        lambda f: (f.params["mean"], np.full(f.dim, float(f.params["sigma"]))), "gaussian",
-        lambda f: (f.params["mean"], lambda th: float(np.dot(th, th))
-                   / (2.0 * (f.params["sigma"] * f.params["sigma"])), _everywhere)),
+        lambda f: (f.params["mean"], np.full(f.dim, float(f.params["sigma"])))),
     "poisson_product": FamilySpec(
-        (("lambda", "positive"),), "", _poisson_log1p, lambda f: (f.params["lambda"],),
-        "poisson",
-        lambda f: (np.log(f.params["lambda"]), lambda th: float(np.sum(np.exp(th))), _everywhere)),
+        (("lambda", "positive"),), "", _poisson_log1p, lambda f: (f.params["lambda"],)),
     "bernoulli_product": FamilySpec(
-        (("theta", "open-unit"),), "", _bernoulli_log1p, lambda f: (f.params["theta"],),
-        "bernoulli",
-        lambda f: (np.log(f.params["theta"] / (1.0 - f.params["theta"])),
-                   lambda th: float(np.sum(np.logaddexp(0.0, th))), _everywhere)),
-    "exponential_product": FamilySpec(  # the Gamma component with unit shapes
-        (("beta", "positive"),), "", _gamma_log1p,
-        lambda f: (np.ones(f.dim), f.params["beta"]), "gamma", _gamma_natural),
+        (("theta", "open-unit"),), "", _bernoulli_log1p, lambda f: (f.params["theta"],)),
+    "exponential_product": FamilySpec(  # Gamma coordinates with unit shapes
+        (("beta", "positive"),), "", _gamma_log1p, lambda f: (np.ones(f.dim), f.params["beta"])),
     "gamma_product": FamilySpec(
         (("shape", "positive"), ("rate", "positive")), "", _gamma_log1p,
-        lambda f: (f.params["shape"], f.params["rate"]), "gamma", _gamma_natural),
+        lambda f: (f.params["shape"], f.params["rate"])),
 }
 
 
@@ -316,7 +284,7 @@ def gamma_first_order(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
     """
     check_family_triple(f0, f1, f2, alpha)
     spec = FAMILIES[f0.kind]
-    if spec.component != "gamma":
+    if spec.log1p is not _gamma_log1p:
         raise KindMismatchError("gamma_first_order requires Gamma families")
     (a0, b0), (a1, b1), (a2, b2) = (spec.coords(f) for f in (f0, f1, f2))
     if not (np.array_equal(a0, a1) and np.array_equal(a0, a2)):

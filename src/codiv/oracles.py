@@ -8,12 +8,12 @@ that widens until a geometric bound on each tail is below 2**-60 of the sum)
 and exist to validate the closed forms in :mod:`codiv.families`.  They
 deliberately avoid every closed-form shortcut.  ``oracle_natural_r_alpha``
 checks the closed forms another way: through the exponential-family identity,
-of which each is a special case, on the natural parameters that the family
-table stores.  The discrete routines evaluate codivergences pair by pair, each
-from its defining finite sums accumulated with ``math.fsum``, to check the Gram
-cells of :func:`codiv.codivergence.features` through which the package
-computes every discrete codivergence and divergence matrix.  The CLI and the
-other modules never call them.
+of which each is a special case, on natural parameters.  Both read the table
+_ORACLES, keyed by the JSON kind.  The discrete routines evaluate codivergences
+pair by pair, each from its defining finite sums accumulated with ``math.fsum``,
+to check the Gram cells of :func:`codiv.codivergence.features` through which
+the package computes every discrete codivergence and divergence matrix.  The CLI
+and the other modules never call them.
 """
 
 from __future__ import annotations
@@ -84,14 +84,17 @@ def adaptive_gauss_legendre(f, lo: float, hi: float) -> float:
 
 
 def _log_window(log_g, y_star: float, first_step: float = 1.0) -> tuple[float, float]:
-    """Bracket [y_lo, y_hi] where log_g has dropped _TAIL_DROP below its peak at y_star."""
+    """Bracket [y_lo, y_hi] where log_g has dropped _TAIL_DROP below its peak at y_star;
+    OracleFailureError unless log_g is finite at the peak and the bracket a finite interval."""
     target = log_g(y_star) - _TAIL_DROP
     ends = []
-    for sign in (-1.0, 1.0):
+    for sign in (-1.0, 1.0) if math.isfinite(target) else ():
         step = first_step
         while log_g(y_star + sign * step) > target:
             step *= 1.5
         ends.append(y_star + sign * step)
+    if not (ends and -math.inf < ends[0] < ends[1] < math.inf):
+        raise OracleFailureError(f"no finite integration window around the peak at {y_star!r}")
     return tuple(ends)
 
 
@@ -118,7 +121,7 @@ def _gamma_power_integral(params, powers) -> float | None:
     with S = sum(power_j * shape_j) and R = sum(power_j * rate_j): smooth on
     the whole line and exponentially small in both tails, so plain
     Gauss-Legendre converges fast even for shapes below 1.  The integral
-    exists iff S > 0 and R > 0.
+    exists iff S > 0 and R > 0; it peaks at y = log(S/R), or -inf where S/R underflows.
     """
     shapes, rates = params[:, 0], params[:, 1]
     S = float(np.dot(powers, shapes))
@@ -134,8 +137,7 @@ def _gamma_power_integral(params, powers) -> float | None:
     def f(y):
         return np.exp(const + S * y - R * np.exp(y))
 
-    y_star = math.log(S / R)
-    y_lo, y_hi = _log_window(log_g, y_star)
+    y_lo, y_hi = _log_window(log_g, math.log(S / R) if S / R > 0 else -math.inf)
     return adaptive_gauss_legendre(f, y_lo, y_hi)
 
 
@@ -191,8 +193,8 @@ def _poisson_r_alpha(params, alpha: float) -> float:
     log_lams = np.log(lams)
     m = math.floor(lams[0])
     log1p = 0.0
-    for sign, powers in ((1.0, (1.0 - 2.0 * alpha, alpha, alpha)), (1.0, (1.0, 0.0, 0.0)),
-                         (-1.0, (1.0 - alpha, alpha, 0.0)), (-1.0, (1.0 - alpha, 0.0, alpha))):
+    bar, first, second = _mixture_weights(alpha)
+    for sign, powers in ((1.0, bar), (1.0, (1.0, 0.0, 0.0)), (-1.0, first), (-1.0, second)):
         L = float(np.dot(powers, log_lams))
         log1p += sign * _poisson_log_series(L, m)
     try:
@@ -210,6 +212,12 @@ def _bernoulli_power_sum(params, powers) -> float:
                 + math.exp(float(np.dot(powers, np.log1p(-thetas)))))
     except OverflowError:
         raise OracleFailureError("a term of the Bernoulli sum exceeds the float range") from None
+
+
+def _mixture_weights(a: float) -> np.ndarray:
+    """The weights of members 0, 1 and 2 in the three mixtures of R_alpha, one row each:
+    log(R_alpha + 1) = log I(1 - 2a, a, a) - log I(1 - a, a, 0) - log I(1 - a, 0, a)."""
+    return np.array(((1.0 - 2.0 * a, a, a), (1.0 - a, a, 0.0), (1.0 - a, 0.0, a)))
 
 
 def _ratio_minus_one(v0: float, v1: float, v2: float) -> float:
@@ -230,24 +238,13 @@ def _ratio_of_integrals(integral, params, alpha: float) -> float:
     marks a divergent one; +inf when one diverges.  An integral of a positive integrand
     that comes out <= 0 or non-finite was not resolved (a peak narrower than the panels,
     say), so it raises OracleFailureError, as does a ratio beyond the float range."""
-    values = [integral(params, powers) for powers in np.array((
-        (1.0 - 2.0 * alpha, alpha, alpha), (1.0 - alpha, alpha, 0.0), (1.0 - alpha, 0.0, alpha)))]
+    values = [integral(params, powers) for powers in _mixture_weights(alpha)]
     if None in values:
         return math.inf
     if not all(0 < value < math.inf for value in values):
         raise OracleFailureError(f"the oracle integrals {values} of a coordinate are not all "
                                  "positive and finite: the integrand was not resolved")
     return _ratio_minus_one(*values)
-
-
-# For each oracle component of the family table: R_alpha of one coordinate, from
-# ``params``, whose row j holds the coordinate's parameters in family j, and alpha.
-_COMPONENTS = {
-    "gaussian": partial(_ratio_of_integrals, _gaussian_power_integral),
-    "gamma": partial(_ratio_of_integrals, _gamma_power_integral),
-    "poisson": _poisson_r_alpha,
-    "bernoulli": partial(_ratio_of_integrals, _bernoulli_power_sum),
-}
 
 
 def r_alpha_product(componentwise: Sequence[float]) -> float:
@@ -261,6 +258,32 @@ def r_alpha_product(componentwise: Sequence[float]) -> float:
     return product - 1.0
 
 
+# (route, natural, A, in_domain) of one coordinate, for each JSON kind; row j of ``params``
+# holds the coordinate's parameters in family j, in the columns of FAMILIES' ``coords``.
+# route(params, alpha) is R_alpha from integrals or series, natural(params) the natural
+# parameters, one row per family (mean / sigma for a Gaussian, (shape - 1, -rate) for a
+# Gamma), and A the log-partition of one such row, which is finite where in_domain holds.
+_ORACLES = {
+    "gaussian_iso": (partial(_ratio_of_integrals, _gaussian_power_integral),
+                     lambda p: p[:, :1] / p[:, 1:], lambda t: t[0] * t[0] / 2.0, lambda t: True),
+    "poisson_product": (_poisson_r_alpha, np.log, lambda t: float(np.exp(t[0])), lambda t: True),
+    "bernoulli_product": (partial(_ratio_of_integrals, _bernoulli_power_sum),
+                          lambda p: np.log(p / (1.0 - p)),
+                          lambda t: float(np.logaddexp(0.0, t[0])), lambda t: True),
+    "gamma_product": (partial(_ratio_of_integrals, _gamma_power_integral),
+                      lambda p: p * (1.0, -1.0) - (1.0, 0.0),
+                      lambda t: math.lgamma(t[0] + 1.0) - (t[0] + 1.0) * math.log(-t[1]),
+                      lambda t: t[0] > -1.0 and t[1] < 0.0),
+}
+_ORACLES["exponential_product"] = _ORACLES["gamma_product"]
+
+
+def _coordinates(f0, f1, f2, alpha: float) -> np.ndarray:
+    """The coordinate x family x parameter table of a checked triple."""
+    check_family_triple(f0, f1, f2, alpha)
+    return np.stack([np.column_stack(FAMILIES[f.kind].coords(f)) for f in (f0, f1, f2)], axis=1)
+
+
 def oracle_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: float) -> float:
     """Numerical R_alpha for a same-kind family triple, one coordinate at a time.
 
@@ -268,28 +291,26 @@ def oracle_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: flo
     integrals are evaluated to _REL_TOL, and the Poisson series until their tail
     bounds are below _SERIES_TAIL of their sums.
     """
-    check_family_triple(f0, f1, f2, alpha)
-    spec = FAMILIES[f0.kind]
-    component = _COMPONENTS[spec.component]
-    # coordinate x family x component parameter
-    table = np.stack([np.column_stack(spec.coords(f)) for f in (f0, f1, f2)], axis=1)
-    return r_alpha_product([component(params, alpha) for params in table])
+    route = _ORACLES[f0.kind][0]
+    return r_alpha_product([route(params, alpha) for params in _coordinates(f0, f1, f2, alpha)])
 
 
 def oracle_natural_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
                            alpha: float) -> float:
-    """R_alpha from the exponential-family identity on the natural parameters tj and the
-    log-partition A of the family table: log(R_alpha + 1) = A(tbar) - A(t01) - A(t02) + A(t0),
-    with tbar = t0 + alpha (t1 + t2 - 2 t0) and t0j = t0 + alpha (tj - t0); +inf when a mixed
-    parameter leaves the natural domain."""
-    check_family_triple(f0, f1, f2, alpha)
-    natural = FAMILIES[f0.kind].natural
-    (t0, A, in_domain), (t1, _, _), (t2, _, _) = (natural(f) for f in (f0, f1, f2))
-    mixed = (t0 + alpha * (t1 + t2 - 2.0 * t0), t0 + alpha * (t1 - t0), t0 + alpha * (t2 - t0))
-    if not all(in_domain(t) for t in mixed):
-        return math.inf
-    tbar, t01, t02 = mixed
-    return math.expm1(A(tbar) - A(t01) - A(t02) + A(t0))
+    """R_alpha from the exponential-family identity, one coordinate at a time, on its natural
+    parameters tj and log-partition A: log(R_alpha + 1) = A(tbar) - A(t01) - A(t02) + A(t0),
+    where tbar, t01 and t02 mix t0, t1 and t2 with the weights of ``_mixture_weights``;
+    +inf when a mixed parameter leaves the natural domain."""
+    _, natural, log_partition, in_domain = _ORACLES[f0.kind]
+    weights, log1p = _mixture_weights(alpha), 0.0
+    for params in _coordinates(f0, f1, f2, alpha):
+        theta = natural(params)
+        mixed = weights @ theta
+        if not all(map(in_domain, mixed)):
+            return math.inf
+        bar, first, second = map(log_partition, mixed)
+        log1p += bar - first - second + log_partition(theta[0])
+    return math.expm1(log1p)
 
 
 def _pairwise_codiv(p0, p1, p2, kind: str, phi) -> float:

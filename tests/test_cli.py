@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -142,11 +143,19 @@ def test_malformed_options_are_validation_errors(command, inputs, options, name)
 
 @pytest.mark.parametrize("command, options, admitted", [
     ("dpi", {"trials": 5, "count": 200, "support": 2000}, False),
-    ("dpi", {"trials": 10, "count": 49, "support": 2000}, True),  # exactly 2e9
+    ("dpi", {"trials": 1000, "count": 1, "support": 998, "output_support": 998}, True),  # 2e9
+    ("dpi", {"trials": 1000, "count": 1, "support": 999, "output_support": 998}, False),
     ("dpi", {"trials": 10, "count": 50, "support": 2000}, False),
     ("dpi", {"trials": 1000, "count": 200, "support": 10, "output_support": 2000}, False),
     ("dpi", {"trials": 1000, "support": 800}, False),  # count defaults to 3
+    # the Gram matrices and eigenvalues of 201 measures count, however short their support
+    ("dpi", {"trials": 1000, "count": 200, "support": 10, "output_support": 10}, False),
+    ("rank", {"kind": "chi2", "trials": 1000, "count": 200, "support": 10}, False),
     ("rank", {"kind": "chi2", "trials": 1000, "count": 200, "support": 2000}, False),
+    ("rank", {"kind": "chi2", "trials": 100, "count": 99, "support": 1900}, True),  # exactly 2e9
+    ("rank", {"kind": "chi2", "trials": 100, "count": 99, "support": 1901}, False),
+    # a rank trial draws no kernel, so output_support, which defaults to support, is no work
+    ("rank", {"kind": "chi2", "trials": 1000, "count": 1, "support": 2000}, True),
 ])
 def test_suite_work_is_bounded(command, options, admitted):
     # validate only: the admitted suites are never run
@@ -155,8 +164,8 @@ def test_suite_work_is_bounded(command, options, admitted):
         assert findings == []
     else:
         assert [f["path"] for f in findings] == ["/options"]
-        assert findings[0]["message"].startswith(
-            "trials x (count + 1) x support x output_support must be at most 2000000000")
+        assert findings[0]["message"].startswith("trials x (count + 1) x (support + count + 1) x "
+                                                 "(cols + count + 1) must be at most 2000000000")
 
 
 def _poisson(*rates):
@@ -228,11 +237,10 @@ _PARAM = st.one_of(st.sampled_from([0.25, 1e308, 5e-324]),
 def malformed_jobs(draw):
     """Jobs whose masses, kernel rows and family parameters are valid values, some at the
     edges of the float range, except for at most one value drawn from _VALUES.  Families
-    go to ``codiv``, whose closed forms are immediate; the quadrature of ``oracle-check``
-    can take a second on one extreme triple."""
-    command = draw(st.sampled_from(["codiv", "matrix", "rank", "dpi", "expand"]))
+    go to ``oracle-check``, and to ``codiv`` as often as measures do."""
+    command = draw(st.sampled_from(["codiv", "matrix", "rank", "dpi", "expand", "oracle-check"]))
     options = {"kind": draw(st.sampled_from(["chi2", "hellinger", "alpha:0.5", "valpha:2"]))}
-    families = command == "codiv" and draw(st.booleans())
+    families = command == "oracle-check" or command == "codiv" and draw(st.booleans())
     if families:
         kind = draw(st.sampled_from(list(FAMILIES)))
         roles = [((i, name), _PARAM) for i in range(3) for name, _ in FAMILIES[kind].params]
@@ -265,6 +273,31 @@ def test_no_malformed_job_is_an_internal_error(job):
     text, status = run(job)
     assert status in (EXIT_OK, EXIT_VALIDATION, EXIT_COMPUTE, EXIT_PROPERTY)
     assert '"code": "internal"' not in text, (job, text)
+    if job["command"] == "oracle-check" and not validate(job)[0]:
+        assert status != EXIT_VALIDATION, (job, text)
+
+
+def _edge_member(kind, value):
+    """A one-coordinate family member whose parameter is ``value``, as a Bernoulli theta capped
+    at 0.9, as both the shape and the rate of a Gamma coordinate, or as a Gaussian mean."""
+    return {"gaussian_iso": {"mean": [value], "sigma": 1.0}, "poisson_product": {"lambda": [value]},
+            "bernoulli_product": {"theta": [min(value, 0.9)]},
+            "exponential_product": {"beta": [value]},
+            "gamma_product": {"shape": [value], "rate": [value]}}[kind]
+
+
+@pytest.mark.parametrize("option", ["chi2", "hellinger", "alpha:3"])
+@pytest.mark.parametrize("kind", list(FAMILIES))
+def test_oracle_check_at_the_float_range_edge_ends_in_a_report_or_a_named_failure(kind, option):
+    """Every triple of parameters at or inside the edges of the float range passes
+    validation, and then ends in a report or a computation error: not exit 2, as when an
+    integration window collapsed, and not ``internal``, as when log(S/R) took log 0."""
+    for values in itertools.product([0.25, 3.0, 1e308, 5e-324], repeat=3):
+        job = {"command": "oracle-check", "options": {"kind": option},
+               "inputs": [{"kind": kind, "params": _edge_member(kind, v)} for v in values]}
+        text, status = run(job)
+        assert status in (EXIT_OK, EXIT_PROPERTY) or (
+            status == EXIT_COMPUTE and '"code": "computation"' in text), (values, text)
 
 
 @pytest.mark.parametrize("kind", ["chi2", "hellinger", "alpha:0.7", "valpha:1.5"])

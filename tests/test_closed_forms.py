@@ -198,13 +198,26 @@ class TestGenericSpecialization:
             triples.append([GammaProd(rng.uniform(0.5, 3.0, d), rng.uniform(0.5, 4.0, d))
                             for _ in range(3)])
         for f0, f1, f2 in triples:
-            for alpha in (0.25, 0.5, 1.0):
-                direct = r_alpha_closed(f0, f1, f2, alpha)
+            # at alpha 2 and 5 some Gamma and exponential triples leave the natural domain,
+            # and some Poisson ones put R_alpha beyond the float range
+            for alpha in (0.25, 0.5, 1.0, 2.0, 5.0):
+                try:
+                    direct = r_alpha_closed(f0, f1, f2, alpha)
+                except OverflowError:
+                    with pytest.raises(OverflowError):
+                        oracle_natural_r_alpha(f0, f1, f2, alpha)
+                    continue
                 generic = oracle_natural_r_alpha(f0, f1, f2, alpha)
                 if math.isinf(direct):
                     assert math.isinf(generic)
                 else:
                     assert direct == pytest.approx(generic, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("rates", [(1e300, 1e-300, 1.0), (1e308, 1e-308, 1.0)])
+    def test_far_apart_rates_stay_in_the_natural_domain(self, rates):
+        triple = [ExponentialProd([b]) for b in rates]
+        assert oracle_natural_r_alpha(*triple, 0.5) == pytest.approx(
+            r_alpha_closed(*triple, 0.5), rel=1e-12)
 
 
 class TestGammaFirstOrder:

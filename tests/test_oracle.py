@@ -10,7 +10,9 @@ from codiv import (PHI_SQRT, BernoulliProd, DiscreteMeasure, ExponentialProd,
                    GammaProd, GaussianIso, OracleFailureError, PoissonProd, PreconditionError,
                    adaptive_gauss_legendre, divergence_matrix, oracle_divergence_matrix,
                    oracle_r_alpha, phi_alpha, r_alpha_closed, r_alpha_product, r_phi)
-from codiv.oracles import _GL_NODES, _GL_WEIGHTS, _poisson_log_series, _ratio_of_integrals
+from codiv.families import FAMILIES
+from codiv.oracles import (_GL_NODES, _GL_WEIGHTS, _ORACLES, _poisson_log_series,
+                           _ratio_of_integrals)
 from helpers import random_dominated, random_probability
 
 
@@ -141,6 +143,19 @@ class TestReferenceTriples:
         value = oracle_r_alpha(GammaProd([1.0], [5.0]), GammaProd([1.0], [1.0]),
                                GammaProd([1.0], [1.0]), 1.0)
         assert value == math.inf
+
+    @pytest.mark.parametrize("make, params", [
+        (GaussianIso, [([m], 1.0) for m in (0.5, 1e300, 0.5)]),  # log-integrand NaN at the peak
+        (ExponentialProd, [([b],) for b in (0.25, 0.25, 5e-324)]),  # the peak S/R overflows
+        (ExponentialProd, [([b],) for b in (0.5, 1e308, 1e308)]),  # R overflows, S/R is 0
+    ])
+    def test_no_finite_window_is_named(self, make, params):
+        with pytest.raises(OracleFailureError, match="^no finite integration window"):
+            oracle_r_alpha(*(make(*p) for p in params), 1.0)
+
+
+def test_the_oracle_table_covers_the_family_table():
+    assert _ORACLES.keys() == FAMILIES.keys()
 
 
 class TestSelfConsistency:
