@@ -4,8 +4,8 @@ A job is a JSON document {"command": ..., "inputs": [...], "options": {...}};
 the tool validates it, runs the computation and prints a deterministic JSON
 (or CSV) report.  Exit codes: 0 success, 2 validation error, 3 computational
 error (code "internal" for an exception no documented error covers), 4 property
-violation in a check command.  The families, local and oracles modules are imported by the
-handlers that use them, so a job loads only what its command needs.
+violation in a check command.  A job loads only what its command needs: numpy, and each
+module but errors and serialize, loads where the job first computes with it.
 """
 
 from __future__ import annotations
@@ -16,16 +16,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import matrices
-from .codivergence import PhiFunction, chi2_codiv, hellinger_codiv, phi_alpha, r_phi, v_phi
 from .errors import (CodivError, DegeneratePhiError, OracleFailureError, _from_checked,
-                     check_alpha, is_number)
-from .matrices import (DivMatrix, MarkovKernel, divergence_matrix, dpi_check, kernel_problems,
-                       rank_with_identity)
-from .measures import (DiscreteMeasure, SignedMeasure, direction_problems, exact_sum,
-                       mass_array_hook, measure_problems, support_problems)
+                     check_alpha, is_number, numbers)
 from .serialize import dumps_canonical, matrix_to_csv
 
 EXIT_OK = 0
@@ -96,16 +88,18 @@ def validate(job: dict) -> tuple[list, list | None]:
         return [{"path": "/inputs", "message": _INPUT_COUNTS[command]}], None
 
     problems: list = []
-    masses, totals, directions, kernel = (), (), (), None
+    masses, totals, directions, kernel, built = (), (), (), None, []
     families = command == "oracle-check" or (
         command == "codiv" and all(isinstance(x, dict) and "kind" in x for x in inputs))
     if families:
         from .families import family_problems, family_set_problems
-
-        members, found, built_families = zip(*(family_problems(doc, f"/inputs/{i}")
-                                               for i, doc in enumerate(inputs)))
+        members, found, built = zip(*(family_problems(doc, f"/inputs/{i}")
+                                      for i, doc in enumerate(inputs)))
         problems += [p for ps in found for p in ps] + family_set_problems(members, "/inputs")
     elif not randomized:  # measures; expand's second and third inputs are directions
+        from .matrices import MarkovKernel, kernel_problems
+        from .measures import (DiscreteMeasure, SignedMeasure, direction_problems,
+                               measure_problems, support_problems)
         directions = (1, 2) if command == "expand" else ()
         masses, found, totals = zip(*(measure_problems(doc, signed=i in directions,
                                                        normalized=True, path=f"/inputs/{i}")
@@ -152,36 +146,37 @@ def validate(job: dict) -> tuple[list, list | None]:
                                        f"with cols = {cols}", "/options"))
     if problems:
         return [{"path": p.path, "message": str(p)} for p in problems], None
-    if families:
-        return [], list(built_families)
+    if families or randomized:  # a seeded suite draws its inputs when it runs
+        return [], list(built)
     built = [_from_checked(SignedMeasure if i in directions else DiscreteMeasure, mass=mass,
                            total=total) for i, (mass, total) in enumerate(zip(masses, totals))]
     return [], built if kernel is None else built + [_from_checked(MarkovKernel, matrix=kernel)]
 
 
-def _kind_and_link(options) -> tuple[str, float, PhiFunction]:
+def _kind_and_link(options) -> tuple:
     """The base kind and alpha of the kind option, and the power link of alpha."""
+    from .codivergence import phi_alpha
     base, alpha = parse_kind(options["kind"])
     return base, alpha, phi_alpha(alpha)
 
 
-def _input_matrix(options, inputs) -> DivMatrix:
+def _input_matrix(options, inputs):
     """The divergence matrix of the job's measures around its first one."""
+    from .matrices import divergence_matrix
     base, _, phi = _kind_and_link(options)
     return divergence_matrix(inputs[0], inputs[1:], base, phi=phi, reference="inputs[0]")
 
 
 def _run_codiv(options, inputs, tolerance, seed):
-    base, alpha, phi = _kind_and_link(options)
-    if isinstance(inputs[0], DiscreteMeasure):
-        # the one cell, not the matrix: a diagonal cell beyond the float range is no error
+    if hasattr(inputs[0], "kind"):  # families: only alpha, and no link
+        from .families import r_alpha_closed
+        value = r_alpha_closed(*inputs, parse_kind(options["kind"])[1])
+    else:  # the one cell, not the matrix: a diagonal cell beyond the float range is no error
+        from .codivergence import chi2_codiv, hellinger_codiv, r_phi, v_phi
+        base, _, phi = _kind_and_link(options)
         pair = {"chi2": chi2_codiv, "hellinger": hellinger_codiv, "vphi": v_phi,
                 "rphi": r_phi}[base]
         value = pair(*inputs, phi) if base in ("vphi", "rphi") else pair(*inputs)
-    else:
-        from .families import r_alpha_closed
-
-        value = r_alpha_closed(*inputs, alpha)
     return {"command": "codiv", "kind": options["kind"], "value": value}
 
 
@@ -190,8 +185,9 @@ def _run_matrix(options, inputs, tolerance, seed):
 
 
 def _run_rank(options, inputs, tolerance, seed):
+    from .matrices import RANK_TOL_FACTOR, DiagnosticStatus, rank_with_identity
     base, _, phi = _kind_and_link(options)
-    tol_factor = tolerance if tolerance is not None else matrices.RANK_TOL_FACTOR
+    tol_factor = tolerance if tolerance is not None else RANK_TOL_FACTOR
     if "trials" in options:
         reports = (rank_with_identity(p0, ps, base, phi=phi, tol_factor=tol_factor)
                    for p0, ps, _ in _suite_trials(seed, options))
@@ -199,16 +195,17 @@ def _run_rank(options, inputs, tolerance, seed):
         return {"command": "rank", "kind": options["kind"], "trials": options["trials"],
                 "seed": seed, "agreements": agree, "passed": agree == options["trials"]}
     report = rank_with_identity(inputs[0], inputs[1:], base, phi=phi, tol_factor=tol_factor)
-    if report.status is matrices.DiagnosticStatus.NOT_APPLICABLE:
+    if report.status is DiagnosticStatus.NOT_APPLICABLE:
         return {"command": "rank", "kind": options["kind"], "status": "not-applicable"}
     return {"command": "rank", "kind": options["kind"], "status": "ok",
             "matrix_rank": report.matrix_rank, "function_rank": report.function_rank,
             "passed": report.matrix_rank == report.function_rank}
 
 
-def _splitmix64(seed: int, start: int, n: int) -> np.ndarray:
+def _splitmix64(seed: int, start: int, n: int):
     """Outputs start + 1 to start + n of SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) keyed
     by seed mod 2**64, in counter mode: output k mixes key + k * 0x9E3779B97F4A7C15."""
+    import numpy as np
     z = np.arange(start + 1, start + n + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15
     z += seed % 2 ** 64
     for block in np.split(z, range(1 << 16, n, 1 << 16)):  # mixed in place, in cache
@@ -221,6 +218,8 @@ def _splitmix64(seed: int, start: int, n: int) -> np.ndarray:
 def _suite_trials(seed: int, options, cols: int = 0):
     """Each seeded-suite trial, from its doubles (output >> 11) * 2**-53 of ``_splitmix64``: a
     reference and ``count`` measures on ``support`` points, then a support x ``cols`` kernel."""
+    from .matrices import MarkovKernel
+    from .measures import DiscreteMeasure, exact_sum
     n, size = options["support"], (options["count"] + 1 + cols) * options["support"]
     for start in range(0, options["trials"] * size, size):
         u = (_splitmix64(seed, start, size) >> 11) * 2.0 ** -53
@@ -233,6 +232,7 @@ def _suite_trials(seed: int, options, cols: int = 0):
 
 
 def _run_dpi(options, inputs, tolerance, seed):
+    from .matrices import dpi_check
     floor = tolerance if tolerance is not None else 1e-9
     if "trials" in options:
         reports = (dpi_check(*t) for t in _suite_trials(seed, options, options["output_support"]))
@@ -250,7 +250,6 @@ def _run_dpi(options, inputs, tolerance, seed):
 
 def _run_expand(options, inputs, tolerance, seed):
     from .local import expansion_check, hellinger_off_support_check
-
     if options["mode"] == "off-support":
         rel_tol = tolerance if tolerance is not None else 0.05
         report = hellinger_off_support_check(*inputs, grid_scale=float(options["grid_scale"]),
@@ -265,9 +264,8 @@ def _run_expand(options, inputs, tolerance, seed):
 def _run_oracle_check(options, inputs, tolerance, seed):
     from .families import r_alpha_closed
     from .oracles import oracle_r_alpha
-
     rel_tol = tolerance if tolerance is not None else 1e-7
-    _, alpha, _ = _kind_and_link(options)
+    alpha = parse_kind(options["kind"])[1]
     closed = r_alpha_closed(*inputs, alpha)
     numeric = oracle_r_alpha(*inputs, alpha)
     if math.isinf(closed) or math.isinf(numeric):
@@ -299,7 +297,6 @@ def run(job: dict, fmt: str = "json", tolerance: float | None = None,
         return _run(job, fmt, tolerance, seed)
     except Exception as exc:  # the last resort: a job never ends in a traceback
         import traceback  # here, not at the top: only a defect reaches this line
-
         traceback.print_exc(file=sys.stderr)
         return _error("internal", f"internal error: {type(exc).__name__}: {exc}"), EXIT_COMPUTE
 
@@ -333,17 +330,25 @@ def _run(job: dict, fmt: str, tolerance: float | None, seed: int) -> tuple[str, 
     return dumps_canonical(doc) + "\n", status
 
 
+def mass_array_hook(obj: dict) -> dict:
+    """``main``'s ``json.load`` object hook: a non-empty "mass" list becomes the float array
+    that ``measure_problems`` builds from it, so a job holds each mass once (numpy loads here)."""
+    values = numbers(obj.get("mass"))
+    if values is not None:
+        import numpy as np
+        obj["mass"] = np.array(values, dtype=float)
+    return obj
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="codiv",
                                      description="codivergence and divergence-matrix toolkit")
     parser.add_argument("--input", required=True, help="job specification JSON file")
-    parser.add_argument("--command", choices=COMMANDS,
-                        help="override or supply the job's command")
+    parser.add_argument("--command", choices=COMMANDS, help="override or supply the job's command")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     parser.add_argument("--tolerance", type=float, default=None,
                         help="check tolerance (meaning depends on the command)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized check suites")
+    parser.add_argument("--seed", type=int, default=0, help="seed for randomized check suites")
     args = parser.parse_args(argv)
     try:
         with open(args.input, "r", encoding="utf-8") as fh:

@@ -63,11 +63,7 @@ class PhiFunction:
 def phi_alpha(alpha: float) -> PhiFunction:
     """The power link x -> x**alpha, alpha positive and finite."""
     check_alpha(alpha)
-    return PhiFunction(
-        fn=lambda x: x ** alpha,
-        dphi_at_one=alpha,
-        name=f"alpha:{alpha:g}",
-    )
+    return PhiFunction(fn=lambda x: x ** alpha, dphi_at_one=alpha, name=f"alpha:{alpha:g}")
 
 
 PHI_IDENTITY = phi_alpha(1.0)

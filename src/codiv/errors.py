@@ -4,6 +4,8 @@ Each input rule is written once, as a checker returning its problems as errors
 that carry a JSON path; the constructors raise the first, the CLI reports all.
 """
 
+import math
+
 
 class CodivError(Exception):
     """Base class for all errors raised by this package; ``path`` locates the bad input."""
@@ -53,6 +55,22 @@ def _from_checked(cls, **fields):
 # The smallest int that float() rounds to infinity: 2**1024 - 2**970, halfway
 # between the largest finite float and 2**1024.
 _INT_LIMIT = 2 ** 1024 - 2 ** 970
+
+
+def exact_fsum(values: list) -> float:
+    """``math.fsum`` of a list of floats, and where that raises, the exact sum rounded as
+    ``fractions.Fraction`` rounds it (+-inf from ``_INT_LIMIT`` on, NaN for +inf plus -inf)."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        special = [v for v in values if not math.isfinite(v)]
+    if special:  # that infinity, or NaN for a NaN (NaN != NaN) or infinities of both signs
+        return special[0] if all(v == special[0] for v in special) else math.nan
+    # the exact sum in units of 2**-1074, the smallest subnormal: int division rounds it
+    ulps = sum(k << 1075 - d.bit_length() for k, d in map(float.as_integer_ratio, values))
+    if abs(ulps) >= _INT_LIMIT << 1074:
+        return math.inf if ulps > 0 else -math.inf
+    return ulps / (1 << 1074)
 
 
 def is_number(x) -> bool:

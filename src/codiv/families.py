@@ -11,22 +11,20 @@ family, and the oracles keep their own; a member of any family is a ParamFamily.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import (DimensionMismatchError, KindMismatchError, PreconditionError, _from_checked,
-                     check_alpha, is_number, numbers, raise_first)
-from .measures import exact_sum
+                     check_alpha, exact_fsum, is_number, numbers, raise_first)
 
 # rule of a vector parameter -> (test its finite entries pass, message for one that fails)
 _VECTOR_RULES = {
-    "finite": (np.isfinite, ""),
-    "positive": (lambda a: a > 0, "must be strictly positive"),
-    "open-unit": (lambda a: (a > 0) & (a < 1), "open-interval violation: must lie in (0, 1)"),
+    "finite": (math.isfinite, ""),
+    "positive": (lambda x: x > 0, "must be strictly positive"),
+    "open-unit": (lambda x: 0 < x < 1, "open-interval violation: must lie in (0, 1)"),
 }
 
 
@@ -57,15 +55,14 @@ def _param_problems(spec: FamilySpec, values, path: str) -> tuple[Mapping, list]
         elif (entries := numbers(value)) is None:
             problems.append(PreconditionError("must be a non-empty list", at))
         else:
-            checked[name] = arr = np.array(entries, dtype=float)
-            arr.flags.writeable = False
+            checked[name] = entries = tuple(map(float, entries))
             test, message = _VECTOR_RULES[rule]
-            finite = np.isfinite(arr)
-            for i in np.flatnonzero(~(finite & test(arr))):
-                problems.append(PreconditionError(message if finite[i] else "must be a finite number",
-                                                  f"{at}/{i}"))
-    vectors = [name for name, value in checked.items() if isinstance(value, np.ndarray)]
-    if len({checked[name].size for name in vectors}) > 1:
+            for i, x in enumerate(entries):
+                if not (math.isfinite(x) and test(x)):
+                    problems.append(PreconditionError(
+                        message if math.isfinite(x) else "must be a finite number", f"{at}/{i}"))
+    vectors = [name for name, value in checked.items() if isinstance(value, tuple)]
+    if len({len(checked[name]) for name in vectors}) > 1:
         problems.append(DimensionMismatchError(f"{' and '.join(vectors)} vectors differ in length",
                                                f"{path}/params/{vectors[-1]}"))
     return MappingProxyType(checked), problems
@@ -74,7 +71,7 @@ def _param_problems(spec: FamilySpec, values, path: str) -> tuple[Mapping, list]
 @dataclass(frozen=True, eq=False)
 class ParamFamily:
     """A member of the parametric family ``kind``, a key of FAMILIES, with its parameters
-    checked, read-only and keyed by their JSON names."""
+    checked and keyed by their JSON names: a vector is a tuple of floats."""
 
     kind: str
     params: Mapping
@@ -86,7 +83,7 @@ class ParamFamily:
 
     @property
     def dim(self) -> int:
-        return next(iter(self.params.values())).size
+        return len(next(iter(self.params.values())))
 
 
 def GaussianIso(mean, sigma) -> ParamFamily:
@@ -140,9 +137,15 @@ def _gaussian_log1p(f0, f1, f2, alpha) -> float:
     cannot underflow.  OverflowError when the value is above the float range."""
     _, exponent = math.frexp(f0.params["sigma"])
     sigma = math.ldexp(f0.params["sigma"], -exponent)
-    m0, m1, m2 = (f.params["mean"] for f in (f0, f1, f2))
-    terms = np.ldexp(m1 - m0, -exponent) * np.ldexp(m2 - m0, -exponent)
-    inner = exact_sum(terms)
+
+    def scaled(x):  # math.ldexp, but +-inf where that is beyond the float range
+        try:
+            return math.ldexp(x, -exponent)
+        except OverflowError:
+            return math.copysign(math.inf, x)
+
+    means = zip(*(f.params["mean"] for f in (f0, f1, f2)))
+    inner = exact_fsum([scaled(m1 - m0) * scaled(m2 - m0) for m0, m1, m2 in means])
     if inner == 0:  # orthogonal shifts give 0 even when alpha^2 overflows
         return 0.0
     value = alpha * alpha * inner / (sigma * sigma)
@@ -152,13 +155,16 @@ def _gaussian_log1p(f0, f1, f2, alpha) -> float:
 
 
 def _poisson_log1p(f0, f1, f2, alpha) -> float:
-    l0, l1, l2 = (f.params["lambda"] for f in (f0, f1, f2))
-    p0, q0, q1, q2 = l0 ** (1.0 - 2.0 * alpha), l0 ** alpha, l1 ** alpha, l2 ** alpha
-    terms = p0 * (q1 - q0) * (q2 - q0)  # not finite where a power overflowed
-    e1, e2 = (np.expm1(alpha * (np.log(lj) - np.log(l0))) for lj in (l1, l2))
-    direct = (np.minimum.reduce([p0, q0, q1, q2]) >= np.finfo(float).tiny) & np.isfinite(terms)
-    relative = np.where((e1 == 0) | (e2 == 0), 0.0, l0 * e1 * e2)  # 0, not 0 * inf = NaN
-    return exact_sum(np.where(direct, terms, relative))
+    """On numpy arrays: the reports keep the bits of numpy's power, expm1 and log1p."""
+    import numpy as np
+    l0, l1, l2 = (np.array(f.params["lambda"]) for f in (f0, f1, f2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p0, q0, q1, q2 = l0 ** (1.0 - 2.0 * alpha), l0 ** alpha, l1 ** alpha, l2 ** alpha
+        terms = p0 * (q1 - q0) * (q2 - q0)  # not finite where a power overflowed
+        e1, e2 = (np.expm1(alpha * (np.log(lj) - np.log(l0))) for lj in (l1, l2))
+        direct = (np.minimum.reduce([p0, q0, q1, q2]) >= sys.float_info.min) & np.isfinite(terms)
+        relative = np.where((e1 == 0) | (e2 == 0), 0.0, l0 * e1 * e2)  # 0, not 0 * inf = NaN
+    return exact_fsum(np.where(direct, terms, relative).tolist())
 
 
 def _log_mix(w, a, b) -> float:
@@ -170,12 +176,15 @@ def _log_mix(w, a, b) -> float:
 def _bernoulli_log1p(f0, f1, f2, alpha) -> float:
     total = 0.0
     for t0, t1, t2 in zip(*(f.params["theta"] for f in (f0, f1, f2))):
-        powers = (t0 ** (1 - 2 * alpha), t1 ** alpha, t2 ** alpha, t0 ** (1 - alpha),
-                  (1 - t0) ** (1 - 2 * alpha), (1 - t1) ** alpha, (1 - t2) ** alpha,
-                  (1 - t0) ** (1 - alpha))
-        p0, p1, p2, p, q0, q1, q2, q = powers
-        sums = (p0 * p1 * p2 + q0 * q1 * q2, p * p1 + q * q1, p * p2 + q * q2)
-        if min(powers + sums) >= np.finfo(float).tiny and max(powers + sums) < math.inf:
+        try:  # a power beyond the float range takes the relative route
+            p0, p1, p2, p, q0, q1, q2, q = powers = (
+                t0 ** (1 - 2 * alpha), t1 ** alpha, t2 ** alpha, t0 ** (1 - alpha),
+                (1 - t0) ** (1 - 2 * alpha), (1 - t1) ** alpha, (1 - t2) ** alpha,
+                (1 - t0) ** (1 - alpha))
+            sums = (p0 * p1 * p2 + q0 * q1 * q2, p * p1 + q * q1, p * p2 + q * q2)
+        except OverflowError:
+            powers = sums = (math.inf,)
+        if min(powers + sums) >= sys.float_info.min and max(powers + sums) < math.inf:
             total += math.log(sums[0]) - math.log(sums[1]) - math.log(sums[2])
             continue
         a1, a2 = (alpha * (math.log(t) - math.log(t0)) for t in (t1, t2))
@@ -213,7 +222,7 @@ def _gamma_log1p(f0, f1, f2, alpha) -> float | None:
         a01 = a0 + alpha * (a1 - a0)
         a02 = a0 + alpha * (a2 - a0)
         xs = (alpha * (b1 - b0) / b0, alpha * (b2 - b0) / b0, alpha * (b1 + b2 - 2.0 * b0) / b0)
-        if all(np.finfo(float).tiny <= abs(1.0 + x) < math.inf for x in xs):
+        if all(sys.float_info.min <= abs(1.0 + x) < math.inf for x in xs):
             logs = [math.log1p(x) if 1.0 + x > 0 else None for x in xs]
         else:  # the mixed rates' coefficients, divided by alpha above 1 so that none overflows
             p, q = (1.0, alpha) if alpha <= 1 else (1.0 / alpha, 1.0)
@@ -222,8 +231,12 @@ def _gamma_log1p(f0, f1, f2, alpha) -> float | None:
                     for c in ((p - q, q, 0.0), (p - q, 0.0, q), (p - 2.0 * q, q, q))]
         if min(abar, a01, a02) <= 0 or None in logs:
             return None
-        log_gamma_part = (math.lgamma(a0) + math.lgamma(abar)
-                          - math.lgamma(a01) - math.lgamma(a02))
+        try:
+            log_gamma_part = (math.lgamma(a0) + math.lgamma(abar)
+                              - math.lgamma(a01) - math.lgamma(a02))
+        except OverflowError:  # a shape near 1e308
+            raise OverflowError(f"the Gamma closed form's lgamma of a shape among {a0!r}, "
+                                f"{abar!r}, {a01!r} and {a02!r} exceeds the float range") from None
         log_rate_part = a01 * logs[0] + a02 * logs[1] - abar * logs[2]
         total += log_gamma_part + log_rate_part
     return total
@@ -232,13 +245,13 @@ def _gamma_log1p(f0, f1, f2, alpha) -> float | None:
 FAMILIES = {
     "gaussian_iso": FamilySpec(
         (("mean", "finite"), ("sigma", "positive-scalar")), "sigma", _gaussian_log1p,
-        lambda f: (f.params["mean"], np.full(f.dim, float(f.params["sigma"])))),
+        lambda f: (f.params["mean"], (float(f.params["sigma"]),) * f.dim)),
     "poisson_product": FamilySpec(
         (("lambda", "positive"),), "", _poisson_log1p, lambda f: (f.params["lambda"],)),
     "bernoulli_product": FamilySpec(
         (("theta", "open-unit"),), "", _bernoulli_log1p, lambda f: (f.params["theta"],)),
     "exponential_product": FamilySpec(  # Gamma coordinates with unit shapes
-        (("beta", "positive"),), "", _gamma_log1p, lambda f: (np.ones(f.dim), f.params["beta"])),
+        (("beta", "positive"),), "", _gamma_log1p, lambda f: ((1.0,) * f.dim, f.params["beta"])),
     "gamma_product": FamilySpec(
         (("shape", "positive"), ("rate", "positive")), "", _gamma_log1p,
         lambda f: (f.params["shape"], f.params["rate"])),
@@ -252,8 +265,7 @@ def r_alpha_closed_log1p(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
     result finite, and elsewhere each power taken relative to member 0.  OverflowError when
     the value is NaN or +inf: beyond the float range, or undefined in floating point."""
     check_family_triple(f0, f1, f2, alpha)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = FAMILIES[f0.kind].log1p(f0, f1, f2, alpha)
+    value = FAMILIES[f0.kind].log1p(f0, f1, f2, alpha)
     if value is None:
         return math.inf
     if math.isnan(value) or value == math.inf:
@@ -287,9 +299,10 @@ def gamma_first_order(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
     if spec.log1p is not _gamma_log1p:
         raise KindMismatchError("gamma_first_order requires Gamma families")
     (a0, b0), (a1, b1), (a2, b2) = (spec.coords(f) for f in (f0, f1, f2))
-    if not (np.array_equal(a0, a1) and np.array_equal(a0, a2)):
+    if not a0 == a1 == a2:
         raise DimensionMismatchError("the three families must share their shape vector")
-    quad = exact_sum(a0 * (b1 - b0) * (b2 - b0) / (b0 * b0))
+    quad = exact_fsum([a * (c1 - c0) * (c2 - c0) / (c0 * c0)
+                       for a, c0, c1, c2 in zip(a0, b0, b1, b2)])
     return math.expm1(alpha * alpha * quad)
 
 
@@ -307,7 +320,7 @@ def family_problems(doc, path: str = "") -> tuple[tuple, list, ParamFamily | Non
     checked, problems = _param_problems(spec, doc.get("params"), path)
     first = checked.get(spec.params[0][0])
     family = None if problems else _from_checked(ParamFamily, kind=kind, params=checked)
-    return (kind, None if first is None else first.size, checked.get(spec.shared)), problems, family
+    return (kind, None if first is None else len(first), checked.get(spec.shared)), problems, family
 
 
 def family_from_json_dict(doc: dict) -> ParamFamily:

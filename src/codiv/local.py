@@ -88,20 +88,12 @@ class ExpansionReport:
         return self.levels[-1].r_value / ts if ts != 0 else 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "phi": self.phi_name,
-            "fisher_inner": self.inner,
-            "coefficient": self.coefficient,
-            "leading_coeff_v": self.leading_coeff_v,
-            "leading_coeff_r": self.leading_coeff_r,
-            "grid_shifts": self.grid_shifts,
-            "levels": [
-                {"t": lv.t, "s": lv.s, "v_residual_ratio": lv.v_ratio,
-                 "r_residual_ratio": lv.r_ratio, "v_residual": lv.v_residual,
-                 "r_residual": lv.r_residual}
-                for lv in self.levels
-            ],
-        }
+        return {"phi": self.phi_name, "fisher_inner": self.inner, "coefficient": self.coefficient,
+                "leading_coeff_v": self.leading_coeff_v, "leading_coeff_r": self.leading_coeff_r,
+                "grid_shifts": self.grid_shifts,
+                "levels": [{"t": lv.t, "s": lv.s, "v_residual_ratio": lv.v_ratio,
+                            "r_residual_ratio": lv.r_ratio, "v_residual": lv.v_residual,
+                            "r_residual": lv.r_residual} for lv in self.levels]}
 
     def decay_ok(self) -> bool:
         return (geometric_decay_ok([lv.v_residual for lv in self.levels],
@@ -189,14 +181,13 @@ class OffSupportReport:
         return self._rel_err(self.fitted_bilinear, self.expected_bilinear)
 
     def to_json_dict(self) -> dict:
-        return {
-            "grid_scale": self.grid_scale,
-            "fitted": {"sqrt_ts": self.fitted_sqrt, "ts": self.fitted_bilinear,
-                       "t_sqrt_ts": self.fitted_cross_t, "s_sqrt_ts": self.fitted_cross_s},
-            "expected": {"sqrt_ts": self.expected_sqrt, "ts": self.expected_bilinear,
-                         "t_sqrt_ts": self.expected_cross_t, "s_sqrt_ts": self.expected_cross_s},
-            "relative_errors": {"sqrt_ts": self.sqrt_rel_error, "ts": self.bilinear_rel_error},
-        }
+        return {"grid_scale": self.grid_scale,
+                "fitted": {"sqrt_ts": self.fitted_sqrt, "ts": self.fitted_bilinear,
+                           "t_sqrt_ts": self.fitted_cross_t, "s_sqrt_ts": self.fitted_cross_s},
+                "expected": {"sqrt_ts": self.expected_sqrt, "ts": self.expected_bilinear,
+                             "t_sqrt_ts": self.expected_cross_t,
+                             "s_sqrt_ts": self.expected_cross_s},
+                "relative_errors": {"sqrt_ts": self.sqrt_rel_error, "ts": self.bilinear_rel_error}}
 
 
 def hellinger_off_support_check(p0: DiscreteMeasure, mu1: SignedMeasure, mu2: SignedMeasure,
@@ -234,12 +225,7 @@ def hellinger_off_support_check(p0: DiscreteMeasure, mu1: SignedMeasure, mu2: Si
     c_sqrt = exact_sum(np.sqrt(np.maximum(mu1.mass[off], 0.0) * np.maximum(mu2.mass[off], 0.0)))
     inner_supp = exact_sum(mu1.mass[supp] * mu2.mass[supp] / p0.mass[supp])
     m1, m2 = (exact_sum(mu.mass[supp]) for mu in (mu1, mu2))
-    return OffSupportReport(
-        fitted_sqrt=float(coef[0]), fitted_bilinear=float(coef[1]),
-        fitted_cross_t=float(coef[2]), fitted_cross_s=float(coef[3]),
-        expected_sqrt=c_sqrt,
-        expected_bilinear=(inner_supp - m1 * m2) / 4.0,
-        expected_cross_t=-c_sqrt * m1 / 2.0,
-        expected_cross_s=-c_sqrt * m2 / 2.0,
-        grid_scale=grid_scale,
-    )
+    return OffSupportReport(*map(float, coef), expected_sqrt=c_sqrt,
+                            expected_bilinear=(inner_supp - m1 * m2) / 4.0,
+                            expected_cross_t=-c_sqrt * m1 / 2.0,
+                            expected_cross_s=-c_sqrt * m2 / 2.0, grid_scale=grid_scale)

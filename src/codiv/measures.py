@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (_INT_LIMIT, DimensionMismatchError, DominationError, PreconditionError,
+from .errors import (DimensionMismatchError, DominationError, PreconditionError, exact_fsum,
                      is_number, numbers, raise_first)
 
 PROBABILITY_TOL = 1e-12
@@ -40,8 +40,7 @@ def exact_sum(values: np.ndarray) -> float:
     rounded total.  ``math.fsum`` of the array itself handles short arrays, arrays of
     2**26 entries or more (where the bound on the partial sums fails), non-finite entries,
     residuals outside [2**-900, 2**900] (all zeros included) and residuals that 8 passes
-    do not clear; where it raises, the exact sum is rounded as ``fractions.Fraction`` rounds
-    it (+-inf from ``_INT_LIMIT`` on, NaN for +inf plus -inf), so this never raises.
+    do not clear, through ``errors.exact_fsum``, which never raises.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
@@ -65,18 +64,7 @@ def exact_sum(values: np.ndarray) -> float:
             top = max(float(r.max()), -float(r.min()))
             if top == 0.0:
                 return math.fsum(partials)
-    entries = x.tolist()
-    try:
-        return math.fsum(entries)
-    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
-        special = [v for v in entries if not math.isfinite(v)]
-    if special:  # that infinity, or NaN for a NaN (NaN != NaN) or infinities of both signs
-        return special[0] if all(v == special[0] for v in special) else math.nan
-    # the exact sum in units of 2**-1074, the smallest subnormal: int division rounds it
-    ulps = sum(k << 1075 - d.bit_length() for k, d in map(float.as_integer_ratio, entries))
-    if abs(ulps) >= _INT_LIMIT << 1074:
-        return math.inf if ulps > 0 else -math.inf
-    return ulps / (1 << 1074)
+    return exact_fsum(x.tolist())
 
 
 def measure_problems(doc, signed: bool = False, normalized: bool = False,
@@ -109,15 +97,6 @@ def total_problems(total: float, signed: bool = False, path: str = "") -> list:
     return [] if abs(total - (0.0 if signed else 1.0)) <= PROBABILITY_TOL else [PreconditionError(
         f"signed direction must have zero total mass, got {total!r}" if signed
         else f"mass must sum to 1 within 1e-12, got {total!r}", f"{path}/mass")]
-
-
-def mass_array_hook(obj: dict) -> dict:
-    """A ``json.load`` object hook: a "mass" that is a non-empty list becomes the float array
-    ``measure_problems`` builds from it, so a parsed job holds each mass once."""
-    values = numbers(obj.get("mass"))
-    if values is not None:
-        obj["mass"] = np.array(values, dtype=float)
-    return obj
 
 
 def direction_problems(mass: np.ndarray, p0_mass: np.ndarray, off_support: bool = False,

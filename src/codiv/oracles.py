@@ -61,8 +61,8 @@ _SERIES_DROP = 60.0
 
 
 def adaptive_gauss_legendre(f, lo: float, hi: float) -> float:
-    """Integrate a vectorized integrand by panel bisection until two successive
-    uniform refinements agree to _REL_TOL/4."""
+    """Integrate a vectorized integrand by panel bisection until two successive uniform
+    refinements agree to _REL_TOL/4; OracleFailureError at the first non-finite estimate."""
     if not hi > lo:
         raise PreconditionError("empty integration interval")
     panels = _QUAD_PANELS
@@ -73,7 +73,9 @@ def adaptive_gauss_legendre(f, lo: float, hi: float) -> float:
         halfs = 0.5 * (edges[1:] - edges[:-1])
         xs = mids[:, None] + halfs[:, None] * _GL_NODES[None, :]
         vals = f(xs.ravel()).reshape(panels, -1)
-        est = math.fsum((halfs[:, None] * (_GL_WEIGHTS[None, :] * vals)).ravel())
+        est = exact_sum((halfs[:, None] * (_GL_WEIGHTS[None, :] * vals)).ravel())
+        if not math.isfinite(est):
+            raise OracleFailureError(f"the quadrature estimate on {panels} panels is {est!r}")
         if prev is not None:
             scale = max(abs(est), abs(prev), 1e-300)
             if abs(est - prev) <= 0.25 * _REL_TOL * scale:
@@ -129,7 +131,11 @@ def _gamma_power_integral(params, powers) -> float | None:
     if S <= 0 or R <= 0:
         return None
     const = float(np.dot(powers, shapes * np.log(rates)))
-    const -= math.fsum(c * math.lgamma(a) for c, a in zip(powers, shapes) if c != 0.0)
+    try:  # lgamma of a shape near 1e308 overflows, and so can the sum
+        const -= math.fsum(c * math.lgamma(a) for c, a in zip(powers, shapes) if c != 0.0)
+    except (OverflowError, ValueError):  # ValueError: inf - inf
+        raise OracleFailureError("the Gamma oracle's log-normaliser sum of power x lgamma(shape) "
+                                 f"exceeds the float range at shapes {shapes.tolist()}") from None
 
     def log_g(y):
         return const + S * y - R * math.exp(y)

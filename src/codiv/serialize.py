@@ -12,10 +12,7 @@ import json
 import math
 from itertools import repeat
 
-import numpy as np
-
 from .errors import PreconditionError
-from .matrices import DivMatrix
 
 # Floats per formatting chunk: a report holds this many as Python floats, never a matrix's.
 FLOAT_CHUNK = 4096
@@ -54,22 +51,22 @@ def _write(obj, pad: str, out: list) -> None:
             out.append(f",\n{pad}  " if i else f"[\n{pad}  ")
             _write(item, pad + "  ", out)
         out.append(f"\n{pad}]" if obj else "[]")
-    elif type(obj) is np.ndarray and obj.ndim == 1 and obj.dtype == np.float64:
+    else:
+        import numpy as np  # numpy is loaded already if obj is an array
+        if not (type(obj) is np.ndarray and obj.ndim == 1 and obj.dtype == np.float64):
+            raise PreconditionError(f"cannot serialize object of type {type(obj).__name__}")
         for start in range(0, obj.size, FLOAT_CHUNK):  # formatted a chunk at a time
             chunk = obj[start:start + FLOAT_CHUNK].tolist()
             finite = math.isfinite(sum(chunk))  # no NaN or inf; an overflow only costs speed
             items = [format(x, ".17g") for x in chunk] if finite else map(format_float, chunk)
             out.append((f",\n{pad}  " if start else f"[\n{pad}  ") + f",\n{pad}  ".join(items))
         out.append(f"\n{pad}]" if obj.size else "[]")
-    else:
-        raise PreconditionError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def matrix_to_csv(mat: DivMatrix) -> str:
-    """RFC-4180 CSV of the matrix entries, one row per line, "inf" cells allowed."""
+def matrix_to_csv(mat) -> str:
+    """RFC-4180 CSV of a DivMatrix's entries, one row per line, "inf" cells allowed."""
     import csv
     import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
     writer.writerow(["kind", mat.kind, "size", mat.size, "reference", mat.reference])

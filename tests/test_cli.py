@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 
 from codiv import cli, families, matrices, measures
 from codiv.cli import (EXIT_COMPUTE, EXIT_OK, EXIT_PROPERTY, EXIT_VALIDATION, main,
-                       parse_kind, run, validate)
+                       mass_array_hook, parse_kind, run, validate)
 from codiv.errors import CodivError, DegeneratePhiError
 from codiv.families import FAMILIES, BernoulliProd
 from codiv.local import PerturbationPair, fisher_gram, hellinger_off_support_check
 from codiv.matrices import MarkovKernel, kernel_problems
 from codiv.measures import (DiscreteMeasure, SignedMeasure, ess_sup_ratio, exact_sum,
-                            mass_array_hook, measure_problems)
+                            measure_problems)
 from golden.regen import load_cases, run_case
 from helpers import random_dominated, random_probability
 
@@ -374,8 +374,7 @@ def test_each_input_is_checked_once(monkeypatch, job):
     """``run`` checks each input of a job once: ``validate`` builds the measures, directions,
     kernel and families it returns from the values their checkers returned."""
     checked = []
-    for module, name in ((cli, "measure_problems"), (measures, "measure_problems"),
-                         (cli, "kernel_problems"), (matrices, "kernel_problems"),
+    for module, name in ((measures, "measure_problems"), (matrices, "kernel_problems"),
                          (families, "_param_problems")):
         def counted(*args, _checker=getattr(module, name), **kwargs):
             result = _checker(*args, **kwargs)
@@ -838,7 +837,7 @@ def test_module_entry_point_prints_a_report_beyond_the_pipe_buffer(tmp_path):
 
 
 class TestMassArrayHook:
-    """``measures.mass_array_hook``, through which ``main`` parses a job: each mass list
+    """``cli.mass_array_hook``, through which ``main`` parses a job: each mass list
     becomes the float array that ``measure_problems`` would build from it."""
 
     @pytest.mark.parametrize("mass", [[0.2, 0.3, 0.5], [1, 0.5, 2 ** 60, -3]])

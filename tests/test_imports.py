@@ -1,5 +1,5 @@
-"""Importing the package or its CLI loads no third-party module but numpy, and a job
-loads only the modules its command needs.
+"""Importing the package or its CLI loads no third-party module, and a job loads only the
+modules its command needs: numpy only for a job that computes with arrays.
 
 Every CLI run pays for its imports, so a module-level import of a test-only or
 unused dependency (mpmath, hypothesis, scipy, orjson) shows up directly in the
@@ -68,6 +68,72 @@ def test_cli_import_loads_no_command_specific_module():
     loaded = _modules("import codiv.cli")
     assert not loaded & {"codiv.local", "codiv.oracles", "codiv.families", "numpy.polynomial",
                          "numpy.random", "csv", "fractions"}
+
+
+def test_cli_import_loads_no_numpy():
+    loaded = _modules("import codiv.cli")
+    assert "numpy" not in loaded
+    assert loaded & {f"codiv.{name}" for name in EXPORTED} == {"codiv.errors"}
+
+
+def _family_job(kind, params, command="codiv"):
+    return {"command": command, "options": {"kind": "alpha:0.5"},
+            "inputs": [{"kind": kind, "params": p} for p in params]}
+
+
+SCALAR_FAMILY_JOBS = {
+    "gaussian_iso": _family_job("gaussian_iso", [{"mean": [m, 1.0], "sigma": 2.0}
+                                                 for m in (0.0, 0.4, -0.3)]),
+    "bernoulli_product": _family_job("bernoulli_product",
+                                     [{"theta": [t]} for t in (0.2, 0.5, 0.7)]),
+    "exponential_product": _family_job("exponential_product", [{"beta": [b]} for b in (1, 2, 3)]),
+    "gamma_product": _family_job("gamma_product", [{"shape": [1.5], "rate": [r]}
+                                                   for r in (1.0, 1.25, 0.75)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCALAR_FAMILY_JOBS))
+def test_family_closed_forms_load_no_numpy(kind):
+    """The closed forms but Poisson's are scalar arithmetic on tuples of floats."""
+    job = SCALAR_FAMILY_JOBS[kind]
+    assert "numpy" not in _modules(f"from codiv.cli import run\nassert run({job!r})[1] == 0")
+
+
+def test_a_family_job_file_loads_no_numpy(tmp_path):
+    """Through ``main``: the mass hook loads nothing for a job without a "mass"."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(SCALAR_FAMILY_JOBS["gamma_product"]))
+    script = ("import contextlib, io\nfrom codiv.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+              f"    assert main(['--input', {str(path)!r}]) == 0, out.getvalue()")
+    assert "numpy" not in _modules(script)
+
+
+REJECTED_JOBS = {
+    "unknown command": {"command": "nope", "inputs": [{"mass": [1.0]}]},
+    "options not an object": {"command": "matrix", "options": [], "inputs": [{"mass": [1.0]}]},
+    "bad suite option": {"command": "rank", "options": {"trials": 0, "kind": "chi2"}},
+    "bad family parameter": _family_job("bernoulli_product",
+                                        [{"theta": [t]} for t in (0.5, 1, 0.5)]),
+    "bad oracle-check parameter": _family_job("poisson_product", [{"lambda": [-1.0]}] * 3,
+                                              "oracle-check"),
+    "not an object": [{"mass": [1.0]}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_JOBS))
+def test_a_job_rejected_before_its_inputs_are_built_loads_no_numpy(name):
+    script = f"from codiv.cli import run\nassert run({REJECTED_JOBS[name]!r})[1] == 2"
+    assert "numpy" not in _modules(script)
+
+
+@pytest.mark.parametrize("job", [
+    _family_job("poisson_product", [{"lambda": [x]} for x in (1.0, 2.0, 3.0)]),
+    _family_job("poisson_product", [{"lambda": [x]} for x in (1.0, 2.0, 3.0)], "oracle-check"),
+    SCALAR_FAMILY_JOBS["gamma_product"] | {"command": "oracle-check"},
+], ids=["poisson-codiv", "poisson-oracle-check", "gamma-oracle-check"])
+def test_jobs_that_compute_with_arrays_still_pass(job):
+    assert "numpy" in _modules(f"from codiv.cli import run\nassert run({job!r})[1] == 0")
 
 
 ORACLE_JOB = {"command": "oracle-check", "options": {"kind": "alpha:0.5"},

@@ -31,6 +31,26 @@ class TestAdaptiveQuadrature:
         with pytest.raises(OracleFailureError):
             adaptive_gauss_legendre(lambda x: (x > math.pi / 4).astype(float), 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_a_non_finite_estimate_fails_at_once(self, bad):
+        """No refinement makes a non-finite estimate finite, so the first one ends the
+        quadrature; it used to double the panels up to the budget."""
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.where(x > 0.5, bad, 1.0)
+
+        with pytest.raises(OracleFailureError, match=f"^the quadrature estimate on 8 panels is"
+                                                     f" {bad}"):
+            adaptive_gauss_legendre(f, 0.0, 1.0)
+        assert calls == [8 * 32]
+
+    def test_weighted_values_beyond_the_float_range_fail_at_once(self):
+        """Finite values whose weighted sum overflows: "intermediate overflow in fsum" before."""
+        with pytest.raises(OracleFailureError, match="^the quadrature estimate on 8 panels is inf"):
+            adaptive_gauss_legendre(lambda x: np.full(x.shape, 1e308), 0.0, 100.0)
+
 
 class TestGaussLegendreRule:
     """The 32-point rule is a constant; numpy's leggauss, which computes it from the
@@ -152,6 +172,17 @@ class TestReferenceTriples:
     def test_no_finite_window_is_named(self, make, params):
         with pytest.raises(OracleFailureError, match="^no finite integration window"):
             oracle_r_alpha(*(make(*p) for p in params), 1.0)
+
+    @pytest.mark.parametrize("shapes, rates, alpha", [
+        ((0.25, 0.25, 1e308), (0.25, 0.25, 1e308), 1.0),  # lgamma(1e308) overflows
+        ((1e305, 1.5e305, 5e304), (1e305,) * 3, 100.0),  # terms of both infinite signs
+    ])
+    def test_gamma_log_normaliser_overflow_is_named(self, shapes, rates, alpha):
+        """Before, the first was the bare "math range error" and the second exit 3
+        ``internal`` (a ValueError from fsum)."""
+        triple = [GammaProd([a], [b]) for a, b in zip(shapes, rates)]
+        with pytest.raises(OracleFailureError, match="^the Gamma oracle's log-normaliser sum"):
+            oracle_r_alpha(*triple, alpha)
 
 
 def test_the_oracle_table_covers_the_family_table():
