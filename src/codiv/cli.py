@@ -1,11 +1,11 @@
 """Command-line front end.
 
-A job is a JSON document {"command": ..., "inputs": [...], "options": {...}};
-the tool validates it, runs the computation and prints a deterministic JSON
-(or CSV) report.  Exit codes: 0 success, 2 validation error, 3 computational
-error (code "internal" for an exception no documented error covers), 4 property
-violation in a check command.  A job loads only what its command needs: numpy, and each
-module but errors and serialize, loads where the job first computes with it.
+A job is a JSON document {"command": ..., "inputs": [...], "options": {...}}; the tool validates
+it, runs the computation and prints a deterministic JSON (or CSV) report.  Exit codes: 0 success,
+2 validation error, 3 computational error (code "internal" for an exception no documented error
+covers), 4 property violation in a check command.  A job loads only what its command needs: numpy,
+and each module but errors and serialize, loads where the job first computes with it.  One table,
+``_COMMANDS``, gives each command its handler, its 3-input finding and its input shapes.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ EXIT_VALIDATION = 2
 EXIT_COMPUTE = 3
 EXIT_PROPERTY = 4
 
-COMMANDS = ("codiv", "matrix", "rank", "dpi", "expand", "oracle-check")
-
 # Upper bounds of the count options, which keep a job's work bounded; a suite kernel of
 # support x output_support floats stays within 32 MB.  A suite's work, the push-forward, Gram
-# matrices and eigenvalues of count + 1 measures, stays within _SUITE_WORK (see validate).
+# matrices and eigenvalues of count + 1 measures, stays within _SUITE_WORK, and the doubles
+# of its kernels, at about 15 ns each to draw, within _KERNEL_DRAW (see validate).
 _COUNT_BOUNDS = {"trials": 1000, "support": 2000, "count": 200, "output_support": 2000,
                  "levels": 50, "grid_n": 20}
 _SUITE_WORK = 2 * 10 ** 9
+_KERNEL_DRAW = 5 * 10 ** 8
 # The value of each option a job leaves out; output_support defaults to support.
 _DEFAULTS = {"mode": "local", "count": 3, "support": 6, "levels": 5, "grid_n": 4,
              "grid_scale": 1e-3}
@@ -41,10 +41,6 @@ _OPTION_SCHEMA = {name: (lambda x: type(x) is int and x > 0, "a positive integer
                   for name in _COUNT_BOUNDS}
 _OPTION_SCHEMA["grid_scale"] = (lambda x: is_number(x) and 0 < x < math.inf,
                                 "a positive finite number")
-
-_INPUT_COUNTS = {"codiv": "codiv needs exactly 3 inputs",
-                 "expand": "expand needs [reference, direction, direction]",
-                 "oracle-check": "oracle-check needs exactly 3 families"}
 
 
 def parse_kind(text: str) -> tuple[str, float | None]:
@@ -71,41 +67,46 @@ def _with_defaults(options: dict) -> dict:
 
 def validate(job: dict) -> tuple[list, list | None]:
     """Structural validation findings, and the inputs built from the values their checkers
-    returned: the job's measures, directions or families in order, then the dpi kernel.
-    The inputs are None unless there are no findings, which means the job can run."""
+    returned (None if there are findings): the job's measures, directions or families in order,
+    then the dpi kernel.  The shape is picked once from its command's ``_COMMANDS`` shapes: a
+    suite if the options hold trials, families if every input has a "kind", else the last."""
     command = job.get("command")
-    if command not in COMMANDS:
+    if not (isinstance(command, str) and command in _COMMANDS):  # a list is unhashable
         return [{"path": "/command", "message": f"unknown command {command!r}"}], None
+    _, count, takes = _COMMANDS[command]
     inputs = job.get("inputs")
     given = job.get("options", {})
     if not isinstance(given, dict):
         return [{"path": "/options", "message": "options must be an object"}], None
     options = _with_defaults(given)
-    randomized = command in ("dpi", "rank") and "trials" in options
-    if not randomized and not (isinstance(inputs, list) and inputs):
+    suite = "suite" in takes and "trials" in options
+    if not suite and not (isinstance(inputs, list) and inputs):
         return [{"path": "/inputs", "message": "inputs must be a non-empty list"}], None
-    if command in _INPUT_COUNTS and len(inputs) != 3:
-        return [{"path": "/inputs", "message": _INPUT_COUNTS[command]}], None
+    if count and len(inputs) != 3:
+        return [{"path": "/inputs", "message": count}], None
+    shape = "suite" if suite else "families" if "families" in takes and all(
+        isinstance(x, dict) and "kind" in x for x in inputs) else takes[-1]
 
     problems: list = []
     masses, totals, directions, kernel, built = (), (), (), None, []
-    families = command == "oracle-check" or (
-        command == "codiv" and all(isinstance(x, dict) and "kind" in x for x in inputs))
-    if families:
+    if shape == "families":
         from .families import family_problems, family_set_problems
         members, found, built = zip(*(family_problems(doc, f"/inputs/{i}")
                                       for i, doc in enumerate(inputs)))
         problems += [p for ps in found for p in ps] + family_set_problems(members, "/inputs")
-    elif not randomized:  # measures; expand's second and third inputs are directions
+    elif shape != "suite":  # measures; the second and third inputs of "directions" are directions
         from .matrices import MarkovKernel, kernel_problems
         from .measures import (DiscreteMeasure, SignedMeasure, direction_problems,
                                measure_problems, support_problems)
-        directions = (1, 2) if command == "expand" else ()
+        directions = (1, 2) if shape == "directions" else ()
         masses, found, totals = zip(*(measure_problems(doc, signed=i in directions,
                                                        normalized=True, path=f"/inputs/{i}")
                                       for i, doc in enumerate(inputs)))
         problems += [p for ps in found for p in ps]
-    if command == "expand":
+        if len(inputs) < 2:
+            problems.append(CodivError("need the reference measure plus at least one measure",
+                                       "/inputs"))
+    if shape == "directions":
         if options["mode"] not in ("local", "off-support"):
             problems.append(CodivError(f"unknown mode {options['mode']!r}", "/options/mode"))
         problems += support_problems(masses)
@@ -113,20 +114,16 @@ def validate(job: dict) -> tuple[list, list | None]:
             for i in directions:
                 problems += direction_problems(masses[i], masses[0],
                                                options["mode"] == "off-support", f"/inputs/{i}")
-    elif not (families or randomized):  # codiv, matrix, rank and dpi on explicit measures
-        if len(inputs) < 2:
-            problems.append(CodivError("need the reference measure plus at least one measure",
-                                       "/inputs"))
-        if command != "dpi":
-            problems += support_problems(masses)
-        elif "kernel" not in options:
-            problems.append(CodivError("dpi needs a kernel", "/options/kernel"))
-        else:
-            kernel, found = kernel_problems(options["kernel"], "/options/kernel")
-            problems += found + support_problems(masses, None if kernel is None else len(kernel))
-    if command != "dpi" and (command != "expand" or options["mode"] == "local"):
+    elif shape == "measures":
+        problems += support_problems(masses)
+    elif shape == "kernel" and "kernel" not in options:
+        problems.append(CodivError("dpi needs a kernel", "/options/kernel"))
+    elif shape == "kernel":
+        kernel, found = kernel_problems(options["kernel"], "/options/kernel")
+        problems += found + support_problems(masses, None if kernel is None else len(kernel))
+    if "kernel" not in takes and (shape != "directions" or options["mode"] == "local"):
         try:
-            if parse_kind(options.get("kind"))[0] == "vphi" and families:
+            if parse_kind(options.get("kind"))[0] == "vphi" and shape == "families":
                 raise CodivError("covariance-type closed forms are not available for "
                                  "parametric families; use alpha:<value>", "/options/kind")
         except CodivError as exc:
@@ -137,16 +134,20 @@ def validate(job: dict) -> tuple[list, list | None]:
         elif given.get(name, 0) > _COUNT_BOUNDS.get(name, math.inf):
             problems.append(CodivError(f"{name} must be {what} at most {_COUNT_BOUNDS[name]}",
                                        f"/options/{name}"))
-    if randomized and not problems:
-        n, cols = options["count"] + 1, options["output_support"] if command == "dpi" else 0
+    if shape == "suite" and not problems:  # a suite of the command that takes a kernel draws one
+        n, cols = options["count"] + 1, options["output_support"] if "kernel" in takes else 0
         work = options["trials"] * n * (options["support"] + n) * (cols + n)
+        draw = options["trials"] * options["support"] * cols
         if work > _SUITE_WORK:
             problems.append(CodivError(f"trials x (count + 1) x (support + count + 1) x (cols + "
                                        f"count + 1) must be at most {_SUITE_WORK}, got {work} "
                                        f"with cols = {cols}", "/options"))
+        elif draw > _KERNEL_DRAW:
+            problems.append(CodivError(f"trials x support x output_support must be at most "
+                                       f"{_KERNEL_DRAW}, got {draw}", "/options"))
     if problems:
         return [{"path": p.path, "message": str(p)} for p in problems], None
-    if families or randomized:  # a seeded suite draws its inputs when it runs
+    if shape in ("families", "suite"):  # a seeded suite draws its inputs when it runs
         return [], list(built)
     built = [_from_checked(SignedMeasure if i in directions else DiscreteMeasure, mass=mass,
                            total=total) for i, (mass, total) in enumerate(zip(masses, totals))]
@@ -177,11 +178,11 @@ def _run_codiv(options, inputs, tolerance, seed):
         pair = {"chi2": chi2_codiv, "hellinger": hellinger_codiv, "vphi": v_phi,
                 "rphi": r_phi}[base]
         value = pair(*inputs, phi) if base in ("vphi", "rphi") else pair(*inputs)
-    return {"command": "codiv", "kind": options["kind"], "value": value}
+    return {"kind": options["kind"], "value": value}
 
 
 def _run_matrix(options, inputs, tolerance, seed):
-    return {"command": "matrix", "matrix": _input_matrix(options, inputs).to_json_dict()}
+    return {"matrix": _input_matrix(options, inputs).to_json_dict()}
 
 
 def _run_rank(options, inputs, tolerance, seed):
@@ -192,13 +193,13 @@ def _run_rank(options, inputs, tolerance, seed):
         reports = (rank_with_identity(p0, ps, base, phi=phi, tol_factor=tol_factor)
                    for p0, ps, _ in _suite_trials(seed, options))
         agree = sum(report.matrix_rank == report.function_rank for report in reports)
-        return {"command": "rank", "kind": options["kind"], "trials": options["trials"],
-                "seed": seed, "agreements": agree, "passed": agree == options["trials"]}
+        return {"kind": options["kind"], "trials": options["trials"], "seed": seed,
+                "agreements": agree, "passed": agree == options["trials"]}
     report = rank_with_identity(inputs[0], inputs[1:], base, phi=phi, tol_factor=tol_factor)
     if report.status is DiagnosticStatus.NOT_APPLICABLE:
-        return {"command": "rank", "kind": options["kind"], "status": "not-applicable"}
-    return {"command": "rank", "kind": options["kind"], "status": "ok",
-            "matrix_rank": report.matrix_rank, "function_rank": report.function_rank,
+        return {"kind": options["kind"], "status": "not-applicable"}
+    return {"kind": options["kind"], "status": "ok", "matrix_rank": report.matrix_rank,
+            "function_rank": report.function_rank,
             "passed": report.matrix_rank == report.function_rank}
 
 
@@ -237,12 +238,11 @@ def _run_dpi(options, inputs, tolerance, seed):
     if "trials" in options:
         reports = (dpi_check(*t) for t in _suite_trials(seed, options, options["output_support"]))
         worst = min(report.min_eig_of_difference / report.scale for report in reports)
-        return {"command": "dpi", "trials": options["trials"], "seed": seed,
-                "worst_scaled_min_eigenvalue": worst, "floor": -floor, "passed": worst >= -floor}
+        return {"trials": options["trials"], "seed": seed, "worst_scaled_min_eigenvalue": worst,
+                "floor": -floor, "passed": worst >= -floor}
     *measures, kernel = inputs
     report = dpi_check(measures[0], measures[1:], kernel)
-    return {"command": "dpi",
-            "before": report.before.to_json_dict(), "after": report.after.to_json_dict(),
+    return {"before": report.before.to_json_dict(), "after": report.after.to_json_dict(),
             "min_eigenvalue_of_difference": report.min_eig_of_difference,
             "scale": report.scale, "floor": -floor * report.scale,
             "passed": report.min_eig_of_difference >= -floor * report.scale}
@@ -254,11 +254,10 @@ def _run_expand(options, inputs, tolerance, seed):
         rel_tol = tolerance if tolerance is not None else 0.05
         report = hellinger_off_support_check(*inputs, grid_scale=float(options["grid_scale"]),
                                              grid_n=options["grid_n"])
-        return {"command": "expand", "mode": "off-support", "report": report.to_json_dict(),
+        return {"mode": "off-support", "report": report.to_json_dict(),
                 "passed": report.sqrt_rel_error <= rel_tol and report.bilinear_rel_error <= rel_tol}
     report = expansion_check(*inputs, _kind_and_link(options)[2], levels=options["levels"])
-    return {"command": "expand", "mode": "local", "report": report.to_json_dict(),
-            "passed": report.decay_ok()}
+    return {"mode": "local", "report": report.to_json_dict(), "passed": report.decay_ok()}
 
 
 def _run_oracle_check(options, inputs, tolerance, seed):
@@ -272,13 +271,19 @@ def _run_oracle_check(options, inputs, tolerance, seed):
         rel_err = 0.0 if closed == numeric else math.inf
     else:
         rel_err = abs(closed - numeric) / max(1.0, abs(closed), abs(numeric))
-    return {"command": "oracle-check", "kind": options["kind"], "closed_form": closed,
-            "oracle": numeric, "relative_error": rel_err, "tolerance": rel_tol,
-            "passed": rel_err <= rel_tol}
+    return {"kind": options["kind"], "closed_form": closed, "oracle": numeric,
+            "relative_error": rel_err, "tolerance": rel_tol, "passed": rel_err <= rel_tol}
 
 
-_HANDLERS = {"codiv": _run_codiv, "matrix": _run_matrix, "rank": _run_rank, "dpi": _run_dpi,
-             "expand": _run_expand, "oracle-check": _run_oracle_check}
+# Each command, in the README's order.  A shape is "families", "measures", "kernel" (measures and
+# the kernel option), "directions" or "suite"; dpi, which takes a kernel, reads no kind.
+_COMMANDS = {
+    "codiv": (_run_codiv, "codiv needs exactly 3 inputs", ("families", "measures")),
+    "matrix": (_run_matrix, None, ("measures",)),
+    "rank": (_run_rank, None, ("suite", "measures")),
+    "dpi": (_run_dpi, None, ("suite", "kernel")),
+    "expand": (_run_expand, "expand needs [reference, direction, direction]", ("directions",)),
+    "oracle-check": (_run_oracle_check, "oracle-check needs exactly 3 families", ("families",))}
 
 
 def _error(code: str, message: str, findings: list | None = None) -> str:
@@ -321,7 +326,8 @@ def _run(job: dict, fmt: str, tolerance: float | None, seed: int) -> tuple[str, 
     try:
         if fmt == "csv":
             return matrix_to_csv(_input_matrix(options, inputs)), EXIT_OK
-        doc = _HANDLERS[job["command"]](options, inputs, tolerance, seed)
+        handler = _COMMANDS[job["command"]][0]
+        doc = {"command": job["command"], **handler(options, inputs, tolerance, seed)}
     except (DegeneratePhiError, OracleFailureError, OverflowError) as exc:
         return _error("computation", str(exc)), EXIT_COMPUTE
     except CodivError as exc:
@@ -344,7 +350,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="codiv",
                                      description="codivergence and divergence-matrix toolkit")
     parser.add_argument("--input", required=True, help="job specification JSON file")
-    parser.add_argument("--command", choices=COMMANDS, help="override or supply the job's command")
+    parser.add_argument("--command", choices=_COMMANDS, help="override or supply the job's command")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     parser.add_argument("--tolerance", type=float, default=None,
                         help="check tolerance (meaning depends on the command)")

@@ -26,11 +26,11 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps_canonical(obj, indent: int = 0) -> str:
+def dumps_canonical(obj) -> str:
     """Canonical JSON text for dicts/lists/str/bool/int/float/None, and for a 1-D float64
     array, written as the list of its floats.  Every piece goes to one list, joined once."""
     out: list[str] = []
-    _write(obj, " " * indent, out)
+    _write(obj, "", out)
     return "".join(out)
 
 

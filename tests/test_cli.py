@@ -66,7 +66,10 @@ class TestValidate:
                    and "row-stochastic" in f["message"] for f in findings)
 
     def test_unknown_command(self):
-        assert validate({"command": "solve"})[0][0]["path"] == "/command"
+        # the command is looked up in a dict, which would raise on an unhashable list or dict
+        for command in ("solve", [], {}, None, 5):
+            assert validate({"command": command}) == (
+                [{"path": "/command", "message": f"unknown command {command!r}"}], None)
 
     def test_probability_enforced(self):
         job = {"command": "matrix", "inputs": [UNIFORM, {"support": 2, "mass": [0.5, 0.4]}],
@@ -143,7 +146,8 @@ def test_malformed_options_are_validation_errors(command, inputs, options, name)
 
 @pytest.mark.parametrize("command, options, admitted", [
     ("dpi", {"trials": 5, "count": 200, "support": 2000}, False),
-    ("dpi", {"trials": 1000, "count": 1, "support": 998, "output_support": 998}, True),  # 2e9
+    # exactly 2e9, with a kernel draw of 4.94e8
+    ("dpi", {"trials": 1000, "count": 3, "support": 496, "output_support": 996}, True),
     ("dpi", {"trials": 1000, "count": 1, "support": 999, "output_support": 998}, False),
     ("dpi", {"trials": 10, "count": 50, "support": 2000}, False),
     ("dpi", {"trials": 1000, "count": 200, "support": 10, "output_support": 2000}, False),
@@ -166,6 +170,37 @@ def test_suite_work_is_bounded(command, options, admitted):
         assert [f["path"] for f in findings] == ["/options"]
         assert findings[0]["message"].startswith("trials x (count + 1) x (support + count + 1) x "
                                                  "(cols + count + 1) must be at most 2000000000")
+
+
+@pytest.mark.parametrize("options, admitted", [
+    # work of exactly 2e9, whose draw of 996 million kernel doubles took 14.5 s
+    ({"trials": 1000, "count": 1, "support": 998, "output_support": 998}, False),
+    ({"trials": 249, "count": 1, "support": 2000, "output_support": 2000}, False),  # 16.8 s
+    ({"trials": 1000, "count": 1, "support": 500, "output_support": 1000}, True),  # exactly 5e8
+    ({"trials": 1000, "count": 1, "support": 501, "output_support": 1000}, False),
+])
+def test_dpi_suite_kernel_draw_is_bounded(options, admitted):
+    # validate only: the admitted suite is never run
+    findings, _ = validate({"command": "dpi", "options": options})
+    if admitted:
+        assert findings == []
+    else:
+        assert [f["path"] for f in findings] == ["/options"]
+        assert findings[0]["message"].startswith(
+            "trials x support x output_support must be at most 500000000")
+
+
+def test_readme_commands_are_the_command_table(capsys):
+    """The README's Commands table lists exactly the commands of ``cli._COMMANDS``, in order,
+    and they are the choices of ``main``'s --command, so no command can go without its row."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\nCommands:\n\n", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    listed = [row.split("|")[1].strip().strip("`") for row in table]
+    assert listed == list(cli._COMMANDS)
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    usage = capsys.readouterr().out
+    assert usage.split("--command {", 1)[1].split("}", 1)[0].split(",") == listed
 
 
 def _poisson(*rates):
@@ -207,7 +242,7 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     def handler(options, inputs, tolerance, seed):
         raise IndexError("list index out of range")
 
-    monkeypatch.setitem(cli._HANDLERS, "codiv", handler)
+    monkeypatch.setitem(cli._COMMANDS, "codiv", (handler, *cli._COMMANDS["codiv"][1:]))
     job = {"command": "codiv", "inputs": [UNIFORM, TILTED, UNIFORM], "options": {"kind": "chi2"}}
     text, status = run(job)
     assert status == EXIT_COMPUTE
@@ -758,7 +793,8 @@ class TestReportContracts:
         def boom(options, inputs, tolerance, seed):
             raise DegeneratePhiError("denominator vanished")
 
-        monkeypatch.setitem(cli_module._HANDLERS, "codiv", boom)
+        monkeypatch.setitem(cli_module._COMMANDS, "codiv",
+                            (boom, *cli_module._COMMANDS["codiv"][1:]))
         text, status = run({"command": "codiv",
                             "inputs": [UNIFORM, UNIFORM, UNIFORM],
                             "options": {"kind": "chi2"}})

@@ -583,13 +583,22 @@ class TestSerialization:
     def test_list_bytes_equal_the_per_item_form(self, values, indent):
         """Whether or not a list, or the 1-D float64 array of a list of floats, takes the
         chunked float join, each item is written as it would be on its own, on its own
-        line."""
+        line, at the pad of the list: here indent / 2 one-key dicts deep."""
+        depth = indent // 2
+
+        def nested(obj):
+            for _ in range(depth):
+                obj = {"x": obj}
+            return obj
+
         pad = " " * (indent + 2)
-        want = "[\n" + ",\n".join(pad + dumps_canonical(v, indent + 2) for v in values)
+        want = "[\n" + ",\n".join(pad + dumps_canonical(v) for v in values)
         want += "\n" + " " * indent + "]"
-        assert dumps_canonical(values, indent) == want
+        for level in reversed(range(depth)):  # the dicts around the list, innermost first
+            want = "{\n" + "  " * (level + 1) + '"x": ' + want + "\n" + "  " * level + "}"
+        assert dumps_canonical(nested(values)) == want
         if all(type(v) is float for v in values):
-            assert dumps_canonical(np.array(values), indent) == want
+            assert dumps_canonical(nested(np.array(values))) == want
 
     def test_matrix_entries_are_a_view(self):
         mat = divergence_matrix(P0, [P1, P2], "chi2")
