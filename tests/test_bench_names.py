@@ -15,11 +15,15 @@ import pytest
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_spans() -> dict:
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SPANS
+    return module
+
+
+def _load_spans() -> dict:
+    return _load_tracer().SPANS
 
 
 def _codiv_imports() -> list:
@@ -51,3 +55,34 @@ def test_bench_imports_resolve():
     missing = [(module_name, name) for module_name, name in IMPORTED
                if not hasattr(importlib.import_module(module_name), name)]
     assert missing == []
+
+
+def test_traced_oracle_check_counts_its_integrand_points():
+    """The tracer counts each refinement's points by their ``size``: 32 per panel."""
+    from codiv import oracles
+    from codiv.cli import run
+
+    job = {"command": "oracle-check", "options": {"kind": "alpha:0.5"},
+           "inputs": [{"kind": "gaussian_iso", "params": {"mean": [m], "sigma": 1.0}}
+                      for m in (0.0, 0.4, -0.3)]}
+    module = _load_tracer()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        traced = run(job)
+    finally:
+        tracer.uninstall()
+    panels = []  # the panel count of every refinement, recorded without the tracer
+    quadrature = oracles.adaptive_gauss_legendre
+
+    def recording(f, lo, hi):
+        return quadrature(lambda xs: panels.append(len(xs) // 32) or f(xs), lo, hi)
+
+    oracles.adaptive_gauss_legendre = recording
+    try:
+        assert run(job) == traced and traced[1] == 0
+    finally:
+        oracles.adaptive_gauss_legendre = quadrature
+    assert len(panels) >= 6 and set(panels) <= {8 * 2 ** k for k in range(14)}
+    assert tracer.calls["oracles.quadrature"] == 3
+    assert tracer.counts[module.INTEGRAND_POINTS] == 32 * sum(panels)

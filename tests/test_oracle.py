@@ -11,25 +11,28 @@ from codiv import (PHI_SQRT, BernoulliProd, DiscreteMeasure, ExponentialProd,
                    adaptive_gauss_legendre, divergence_matrix, oracle_divergence_matrix,
                    oracle_r_alpha, phi_alpha, r_alpha_closed, r_alpha_product, r_phi)
 from codiv.families import FAMILIES
-from codiv.oracles import (_GL_NODES, _GL_WEIGHTS, _ORACLES, _poisson_log_series,
+from codiv.oracles import (_GL_NODES, _GL_WEIGHTS, _ORACLES, _dot, _poisson_log_series,
                            _ratio_of_integrals)
 from helpers import random_dominated, random_probability
 
 
 class TestAdaptiveQuadrature:
+    """The integrand maps the list of one refinement's points to the list of their values."""
+
     def test_polynomial_is_exact(self):
-        value = adaptive_gauss_legendre(lambda x: 3.0 * x ** 2, 0.0, 2.0)
+        value = adaptive_gauss_legendre(lambda xs: [3.0 * x * x for x in xs], 0.0, 2.0)
         assert value == pytest.approx(8.0, rel=1e-14)
 
     def test_empty_interval_is_rejected(self):
         with pytest.raises(PreconditionError, match="empty integration interval"):
-            adaptive_gauss_legendre(lambda x: x, 1.0, 1.0)
+            adaptive_gauss_legendre(lambda xs: xs, 1.0, 1.0)
 
     def test_failure_is_reported(self):
-        # no panel edge ever falls on the jump at an irrational point, so the panel budget
-        # runs out before two refinements agree
-        with pytest.raises(OracleFailureError):
-            adaptive_gauss_legendre(lambda x: (x > math.pi / 4).astype(float), 0.0, 1.0)
+        # no panel edge ever falls on the jump at an irrational point, so two refinements
+        # never agree: the change between them only halves per doubling, and the stop
+        # rule ends the run long before the panel budget
+        with pytest.raises(OracleFailureError, match="^the quadrature stalled"):
+            adaptive_gauss_legendre(lambda xs: [float(x > math.pi / 4) for x in xs], 0.0, 1.0)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_a_non_finite_estimate_fails_at_once(self, bad):
@@ -37,9 +40,9 @@ class TestAdaptiveQuadrature:
         quadrature; it used to double the panels up to the budget."""
         calls = []
 
-        def f(x):
-            calls.append(x.size)
-            return np.where(x > 0.5, bad, 1.0)
+        def f(xs):
+            calls.append(xs.size)
+            return [bad if x > 0.5 else 1.0 for x in xs]
 
         with pytest.raises(OracleFailureError, match=f"^the quadrature estimate on 8 panels is"
                                                      f" {bad}"):
@@ -49,7 +52,50 @@ class TestAdaptiveQuadrature:
     def test_weighted_values_beyond_the_float_range_fail_at_once(self):
         """Finite values whose weighted sum overflows: "intermediate overflow in fsum" before."""
         with pytest.raises(OracleFailureError, match="^the quadrature estimate on 8 panels is inf"):
-            adaptive_gauss_legendre(lambda x: np.full(x.shape, 1e308), 0.0, 100.0)
+            adaptive_gauss_legendre(lambda xs: [1e308] * len(xs), 0.0, 100.0)
+
+    def test_the_panel_edges_are_numpys_linspace(self):
+        """The points of each refinement have the bits of the array code they replace."""
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            lo, hi = sorted(rng.uniform(-50.0, 50.0, 2) * np.exp(rng.uniform(-30.0, 30.0)))
+            got = []
+            adaptive_gauss_legendre(lambda xs: got.append(list(xs)) or [1.0] * len(xs), lo, hi)
+            for panels, points in zip((8, 16), got):
+                edges = np.linspace(lo, hi, panels + 1)
+                mids, halfs = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+                want = mids[:, None] + halfs[:, None] * np.array(_GL_NODES)[None, :]
+                assert np.array_equal(np.array(points), want.ravel())
+
+    @pytest.mark.parametrize("job", ["gaussian", "gamma"])
+    def test_a_stalled_refinement_ends_early(self, job):
+        """Both integrands are step functions on the scale of the panels: the Gaussian's
+        points all round to 1e154, and the Gamma's e^(S y) decays over 2e4 units of y
+        past a cut-off of width 1.  The change between refinements falls about 2-fold per
+        doubling, so without the stop rule they ran to 65,536 panels (6.6 s and 2.3 s)."""
+        triple = ([GaussianIso([m], 1.0) for m in (0.25, 1e154, 0.25)] if job == "gaussian"
+                  else [GammaProd([v], [v]) for v in (5e-324, 0.25, 1e-154)])
+        start = time.perf_counter()
+        with pytest.raises(OracleFailureError, match="^the quadrature stalled: .* 512 panels$"):
+            oracle_r_alpha(*triple, 1.0 if job == "gaussian" else 0.01)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_dot_has_the_bits_of_numpys_dot():
+    """The float port forms each weighted sum as numpy's dot does, so a window, a Gamma
+    normaliser or a Bernoulli sum keeps its bits; an integral is divergent (S <= 0) at the
+    same parameters, as for shapes (1e154, 3.8, 1e154) at chi2."""
+    rng = np.random.default_rng(11)
+    for i in range(20000):
+        pair = np.exp(rng.uniform(-745.0, 709.0, 6)) * rng.choice([-1.0, 1.0], 6)
+        if i % 3 == 0:
+            pair = rng.uniform(-3.0, 3.0, 6)
+        if i % 5 == 0:
+            pair[rng.integers(0, 6)] = rng.choice([np.inf, -np.inf, 0.0, 5e-324, 1e308])
+        with np.errstate(all="ignore"):
+            want = float(np.dot(pair[:3], pair[3:]))
+        got = _dot(pair[:3].tolist(), pair[3:].tolist())
+        assert got == want or math.isnan(got) and math.isnan(want), (pair, got, want)
 
 
 class TestGaussLegendreRule:
@@ -60,18 +106,20 @@ class TestGaussLegendreRule:
         from numpy.polynomial.legendre import leggauss
 
         nodes, weights = leggauss(32)
-        assert np.array_equal(_GL_NODES.view(np.uint64), nodes.view(np.uint64))
-        assert np.array_equal(_GL_WEIGHTS.view(np.uint64), weights.view(np.uint64))
+        assert np.array_equal(np.array(_GL_NODES).view(np.uint64), nodes.view(np.uint64))
+        assert np.array_equal(np.array(_GL_WEIGHTS).view(np.uint64), weights.view(np.uint64))
+        assert all(type(x) is float for x in _GL_NODES + _GL_WEIGHTS)
 
     def test_nodes_antisymmetric_and_weights_symmetric(self):
-        assert np.array_equal(_GL_NODES.view(np.uint64), (-_GL_NODES[::-1]).view(np.uint64))
-        assert np.array_equal(_GL_WEIGHTS.view(np.uint64), _GL_WEIGHTS[::-1].view(np.uint64))
-        assert np.all(np.diff(_GL_NODES) > 0) and np.all(_GL_WEIGHTS > 0)
+        assert [x.hex() for x in _GL_NODES] == [(-x).hex() for x in reversed(_GL_NODES)]
+        assert [w.hex() for w in _GL_WEIGHTS] == [w.hex() for w in reversed(_GL_WEIGHTS)]
+        assert all(a < b for a, b in zip(_GL_NODES, _GL_NODES[1:])) and min(_GL_WEIGHTS) > 0
 
     def test_read_only(self):
-        for array in (_GL_NODES, _GL_WEIGHTS):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.0
+        for rule in (_GL_NODES, _GL_WEIGHTS):
+            assert type(rule) is tuple and len(rule) == 32
+            with pytest.raises(TypeError, match="does not support item assignment"):
+                rule[0] = 0.0
 
     @pytest.mark.parametrize("k", range(32))
     def test_integrates_monomials(self, k):
@@ -79,8 +127,8 @@ class TestGaussLegendreRule:
         x^(2k) up to the rounding of its nodes and weights: a few units of 2**-53 per
         node, which x^(2k) scales by 2k, so the bound is 8 (2k + 1) 2**-53 (the largest
         measured is 6.0 (2k + 1) 2**-53, at k = 3)."""
-        nodes = [Fraction(x) for x in _GL_NODES.tolist()]
-        weights = [Fraction(w) for w in _GL_WEIGHTS.tolist()]
+        nodes = [Fraction(x) for x in _GL_NODES]
+        weights = [Fraction(w) for w in _GL_WEIGHTS]
         assert sum(w * x ** (2 * k + 1) for w, x in zip(weights, nodes)) == 0
         even = sum(w * x ** (2 * k) for w, x in zip(weights, nodes))
         exact = Fraction(2, 2 * k + 1)
@@ -164,8 +212,16 @@ class TestReferenceTriples:
                                GammaProd([1.0], [1.0]), 1.0)
         assert value == math.inf
 
+    def test_gamma_window_past_the_exp_range(self):
+        """One integrand peaks at y = log(S/R) above 709.8, where e^y overflows: the window
+        search ended in the bare "math range error"; the third integral diverges (S <= 0)."""
+        triple = [GammaProd([a], [b]) for a, b in ((5e-324, 1e154), (5.872147055389001e-306,
+                                                                     5e-324), (7.75, 0.25))]
+        assert oracle_r_alpha(*triple, 1.0) == math.inf == r_alpha_closed(*triple, 1.0)
+
     @pytest.mark.parametrize("make, params", [
         (GaussianIso, [([m], 1.0) for m in (0.5, 1e300, 0.5)]),  # log-integrand NaN at the peak
+        (GaussianIso, [([m], 1e-170) for m in (0.0, 5e-324, 1e-170)]),  # 2 sigma^2 underflows
         (ExponentialProd, [([b],) for b in (0.25, 0.25, 5e-324)]),  # the peak S/R overflows
         (ExponentialProd, [([b],) for b in (0.5, 1e308, 1e308)]),  # R overflows, S/R is 0
     ])
