@@ -46,7 +46,7 @@ def raise_first(problems: list) -> None:
 
 
 def _from_checked(cls, **fields):
-    """The frozen dataclass ``cls`` holding checked ``fields``, without their second check."""
+    """The read-only ``cls`` holding checked ``fields``, built without its checking __init__."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj

@@ -1,11 +1,11 @@
 """Closed-form correlation-type codivergences for common parametric families.
 
-Every formula is evaluated in log space and exponentiated at the very end
-with ``expm1``; the Gamma family goes through log-Gamma differences so that
-ratios of Gamma functions never overflow.  Parameter combinations outside an
-exponential family's natural domain yield +inf rather than an error.  The
-table FAMILIES, keyed by the JSON kind, holds what the closed forms need of each
-family, and the oracles keep their own; a member of any family is a ParamFamily.
+Every formula is scalar arithmetic on Python floats, one coordinate at a time, loading no
+numpy.  It is evaluated in log space and exponentiated at the very end with ``expm1``; the
+Gamma family goes through log-Gamma differences so that ratios of Gamma functions never
+overflow.  Parameter combinations outside an exponential family's natural domain yield +inf
+rather than an error.  The table FAMILIES, keyed by the JSON kind, holds what the closed
+forms need of each family, and the oracles keep their own; a member is a ParamFamily.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import (DimensionMismatchError, KindMismatchError, PreconditionError, _from_checked,
                      check_alpha, exact_fsum, is_number, numbers, raise_first)
+
+_LOG_MAX = math.log(sys.float_info.max)  # the largest x whose exp and expm1 are finite
 
 # rule of a vector parameter -> (test its finite entries pass, message for one that fails)
 _VECTOR_RULES = {
@@ -68,18 +69,23 @@ def _param_problems(spec: FamilySpec, values, path: str) -> tuple[Mapping, list]
     return MappingProxyType(checked), problems
 
 
-@dataclass(frozen=True, eq=False)
 class ParamFamily:
     """A member of the parametric family ``kind``, a key of FAMILIES, with its parameters
-    checked and keyed by their JSON names: a vector is a tuple of floats."""
+    checked and keyed by their JSON names (a vector is a tuple of floats); read-only."""
 
-    kind: str
-    params: Mapping
-
-    def __post_init__(self):
-        _, problems, family = family_problems({"kind": self.kind, "params": self.params})
+    def __init__(self, kind: str, params: Mapping):
+        _, problems, family = family_problems({"kind": kind, "params": params})
         raise_first(problems)
-        object.__setattr__(self, "params", family.params)
+        self.__dict__.update(kind=kind, params=family.params)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(kind={self.kind!r}, params={self.params!r})"
 
     @property
     def dim(self) -> int:
@@ -155,16 +161,20 @@ def _gaussian_log1p(f0, f1, f2, alpha) -> float:
 
 
 def _poisson_log1p(f0, f1, f2, alpha) -> float:
-    """On numpy arrays: the reports keep the bits of numpy's power, expm1 and log1p."""
-    import numpy as np
-    l0, l1, l2 = (np.array(f.params["lambda"]) for f in (f0, f1, f2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        p0, q0, q1, q2 = l0 ** (1.0 - 2.0 * alpha), l0 ** alpha, l1 ** alpha, l2 ** alpha
-        terms = p0 * (q1 - q0) * (q2 - q0)  # not finite where a power overflowed
-        e1, e2 = (np.expm1(alpha * (np.log(lj) - np.log(l0))) for lj in (l1, l2))
-        direct = (np.minimum.reduce([p0, q0, q1, q2]) >= sys.float_info.min) & np.isfinite(terms)
-        relative = np.where((e1 == 0) | (e2 == 0), 0.0, l0 * e1 * e2)  # 0, not 0 * inf = NaN
-    return exact_fsum(np.where(direct, terms, relative).tolist())
+    terms = []
+    for l0, l1, l2 in zip(*(f.params["lambda"] for f in (f0, f1, f2))):
+        try:  # a power beyond the float range takes the relative route
+            p0, q0, q1, q2 = powers = (l0 ** (1.0 - 2.0 * alpha), l0 ** alpha, l1 ** alpha,
+                                       l2 ** alpha)
+            term = p0 * (q1 - q0) * (q2 - q0)
+        except OverflowError:
+            powers, term = (math.inf,), math.inf
+        if not (min(powers) >= sys.float_info.min and math.isfinite(term)):
+            e1, e2 = (math.expm1(x) if x <= _LOG_MAX else math.inf  # as numpy's expm1 gives
+                      for x in (alpha * (math.log(lj) - math.log(l0)) for lj in (l1, l2)))
+            term = 0.0 if e1 == 0 or e2 == 0 else l0 * e1 * e2  # 0, not 0 * inf = NaN
+        terms.append(term)
+    return exact_fsum(terms)
 
 
 def _log_mix(w, a, b) -> float:
@@ -288,12 +298,9 @@ def r_alpha_closed(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
 
 def gamma_first_order(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
                       alpha: float) -> float:
-    """First-order approximation of the Gamma R_alpha for shared shapes.
-
-    Returns expm1 of the weighted rate-shift inner product
-    alpha^2 * sum_l shape_l * (b1l-b0l)*(b2l-b0l)/b0l^2.  Exponential
-    families count as Gamma families with unit shapes.
-    """
+    """First-order approximation of the Gamma R_alpha for shared shapes: expm1 of the weighted
+    rate-shift inner product alpha^2 * sum_l shape_l * (b1l-b0l)*(b2l-b0l)/b0l^2.  Exponential
+    families count as Gamma families with unit shapes."""
     check_family_triple(f0, f1, f2, alpha)
     spec = FAMILIES[f0.kind]
     if spec.log1p is not _gamma_log1p:

@@ -5,21 +5,20 @@ sums for Bernoulli, adaptive Gauss-Legendre quadrature for Gaussian/Exponential/
 anchored log-space series for Poisson) to validate the closed forms in
 :mod:`codiv.families`, with no closed-form shortcut; ``oracle_natural_r_alpha`` checks
 them through the exponential-family identity on natural parameters.  Both read the table
-_ORACLES and work on Python floats, loading no numpy; only the Poisson series, with up to
-2**20 terms, and the discrete routines import it.  Those evaluate codivergences pair by
-pair from their defining finite sums, accumulated with ``math.fsum``, to check the Gram
-cells of :func:`codiv.codivergence.features`.
+_ORACLES and work on Python floats, loading no numpy; only the discrete routines use it.
+Those evaluate codivergences pair by pair from their defining finite sums, accumulated
+with ``math.fsum``, to check the Gram cells of :func:`codiv.codivergence.features`.
 """
 
 from __future__ import annotations
 
 import math
-import sys
+from array import array
 from functools import partial
-from itertools import product
+from itertools import accumulate, chain, product
 
 from .errors import DegeneratePhiError, OracleFailureError, PreconditionError, exact_fsum
-from .families import FAMILIES, ParamFamily, check_family_triple
+from .families import _LOG_MAX, FAMILIES, ParamFamily, check_family_triple
 
 # Drop (in nats) below the integrand's peak that ends the integration window; e^-46 < 1e-19.
 _TAIL_DROP = 46.0
@@ -49,7 +48,6 @@ _GL_NODES, _GL_WEIGHTS = (tuple(s * x for x in h[::-1]) + h for s, h in zip((-1.
 _SERIES_TERMS = 2 ** 20
 _SERIES_TAIL = 2.0 ** -60
 _SERIES_DROP = 60.0
-_LOG_MAX = math.log(sys.float_info.max)  # the largest x whose exp is finite
 
 
 def _exp(x: float) -> float:
@@ -167,13 +165,12 @@ def _gamma_power_integral(params, powers) -> float | None:
 def _poisson_log_series(L: float, m: int) -> float:
     """log of the series sum_k e^((k - m) L) m!/k!, whose terms are log-concave in k with
     their mode at g = e^L and the value 1 at the anchor m.  The log terms are accumulated
-    outward from m by ``np.cumsum`` of L - log j, over a window [lo, hi] that covers m and g.
-    Past hi a term is at most r = g/(hi + 1) times the one before it, and below lo at most
-    r = lo/g, so each tail is at most its edge term times r/(1 - r); the window widens until
-    both bounds are below _SERIES_TAIL of the sum.  Terms more than _SERIES_DROP nats below
-    the peak are not summed.  OracleFailureError when e^L exceeds the float range or the
-    window would hold more than _SERIES_TERMS terms."""
-    import numpy as np
+    outward from m, a running sum of L - log j each way, over a window [lo, hi] that covers m
+    and g, 8 bytes a term.  Past hi a term is at most r = g/(hi + 1) times the one before it,
+    and below lo at most r = lo/g, so each tail is at most its edge term times r/(1 - r); the
+    window widens until both bounds are below _SERIES_TAIL of the sum.  Terms more than
+    _SERIES_DROP nats below the peak are not summed.  OracleFailureError when e^L exceeds
+    the float range, or before a window of more than _SERIES_TERMS terms is summed."""
     g = _exp(L)
     if not (math.isfinite(L) and g < math.inf):
         raise OracleFailureError(f"the Poisson series' term ratio e^{L!r}/(k + 1) exceeds "
@@ -185,34 +182,30 @@ def _poisson_log_series(L: float, m: int) -> float:
         if hi - lo + 1 > _SERIES_TERMS:
             raise OracleFailureError(f"the Poisson series around k = {m} and the mode "
                                      f"{g!r} needs more than {_SERIES_TERMS} terms")
-        up = np.cumsum(L - np.log(np.arange(m + 1, hi + 1, dtype=float)))
-        down = np.cumsum(np.log(np.arange(m, lo, -1, dtype=float)) - L)
-        logs = np.concatenate([down[::-1], [0.0], up])
-        peak = float(logs.max())
-        total = exact_fsum(np.exp(logs[logs >= peak - _SERIES_DROP] - peak).tolist())
-        tails = [math.exp(logs[-1] - peak) * g / (hi + 1 - g)]  # r / (1 - r)
-        if lo > 0:
-            tails.append(math.exp(logs[0] - peak) * lo / (g - lo))
-        if max(tails) <= _SERIES_TAIL * total:
+        up = array("d", accumulate(L - math.log(j) for j in range(m + 1, hi + 1)))
+        down = array("d", accumulate(math.log(j) - L for j in range(m, lo, -1)))
+        peak = max(0.0, max(up), max(down, default=0.0))
+        floor = peak - _SERIES_DROP
+        total = math.fsum(math.exp(x - peak) for x in chain(down, (0.0,), up) if x >= floor)
+        tail = max(math.exp(up[-1] - peak) * g / (hi + 1 - g),  # r / (1 - r)
+                   math.exp(down[-1] - peak) * lo / (g - lo) if lo > 0 else 0.0)
+        if tail <= _SERIES_TAIL * total:
             return peak + math.log(total)
         margin *= 2
 
 
 def _poisson_r_alpha(params, alpha: float) -> float:
-    """R_alpha of one Poisson coordinate from its defining series, in log space, on numpy as
-    the Poisson closed form is.  With powers c summing to 1, the series
-    sum_k prod_j Pois(lam_j)(k)**c_j is e^(-B + mL)/m! times ``_poisson_log_series``(L, m)'s
-    sum, for B = c.lam and L = c.log(lam).  Every series uses the anchor m = floor(lam_0),
-    and the series of Pois(lam_0) itself, whose sum is 1, joins the three of R_alpha: then
-    log(R_alpha + 1) = log S_a + log S_0 - log S_b - log S_c, in which the factors
-    e^(-B + mL)/m! cancel exactly, so they are never computed.  OracleFailureError when
-    R_alpha exceeds the float range."""
-    import numpy as np
-    log_lams, m = np.log([row[0] for row in params]).tolist(), math.floor(params[0][0])
-    log1p = 0.0
-    bar, first, second = _mixture_weights(alpha)
-    for sign, powers in ((1.0, bar), (1.0, (1.0, 0.0, 0.0)), (-1.0, first), (-1.0, second)):
-        log1p += sign * _poisson_log_series(_dot(powers, log_lams), m)
+    """R_alpha of one Poisson coordinate from its defining series, in log space.  With powers
+    c summing to 1, sum_k prod_j Pois(lam_j)(k)**c_j is e^(-B + mL)/m! times the sum of
+    ``_poisson_log_series``(L, m), for B = c.lam and L = c.log(lam).  Every series has the
+    anchor m = floor(lam_0); with the series of Pois(lam_0), whose sum is 1, as a fourth,
+    log(R_alpha + 1) = log S_a + log S_0 - log S_b - log S_c, and the factors e^(-B + mL)/m!
+    cancel exactly, so they are never computed.  OracleFailureError when R_alpha exceeds the
+    float range."""
+    log_lams, m = [math.log(row[0]) for row in params], math.floor(params[0][0])
+    a, b, c = _mixture_weights(alpha)
+    sa, s0, sb, sc = (_poisson_log_series(_dot(w, log_lams), m) for w in (a, (1.0, 0.0, 0.0), b, c))
+    log1p = sa + s0 - sb - sc
     try:
         return math.expm1(log1p)
     except OverflowError:

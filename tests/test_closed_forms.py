@@ -1,4 +1,5 @@
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from codiv import (BernoulliProd, DimensionMismatchError, ExponentialProd, Gamma
                    family_from_json_dict, gamma_first_order, oracle_natural_r_alpha,
                    oracle_r_alpha, phi_alpha, r_alpha_closed, r_alpha_closed_log1p,
                    r_alpha_product)
+from codiv.errors import _from_checked
 
 
 class TestGaussian:
@@ -410,3 +412,47 @@ def test_family_json_round_trip():
         ParamFamily("cauchy", {})
     with pytest.raises(PreconditionError, match="^params object is required$"):
         ParamFamily("poisson_product", [1.5])
+
+
+# The repr of one member of each family, as the frozen dataclass ParamFamily printed it.
+FAMILY_REPRS = [
+    (lambda: GaussianIso([0.0, 1.0], 2.0),
+     "ParamFamily(kind='gaussian_iso', params=mappingproxy({'mean': (0.0, 1.0), 'sigma': 2.0}))"),
+    (lambda: PoissonProd([1.5]),
+     "ParamFamily(kind='poisson_product', params=mappingproxy({'lambda': (1.5,)}))"),
+    (lambda: BernoulliProd([0.25, 0.5]),
+     "ParamFamily(kind='bernoulli_product', params=mappingproxy({'theta': (0.25, 0.5)}))"),
+    (lambda: ExponentialProd([2.0]),
+     "ParamFamily(kind='exponential_product', params=mappingproxy({'beta': (2.0,)}))"),
+    (lambda: GammaProd([1.5], [2]),
+     "ParamFamily(kind='gamma_product', params=mappingproxy({'shape': (1.5,), 'rate': (2.0,)}))"),
+]
+
+
+@pytest.mark.parametrize("make, text", FAMILY_REPRS, ids=[t.split("'")[1] for _, t in FAMILY_REPRS])
+def test_family_repr_is_unchanged(make, text):
+    assert repr(make()) == text
+
+
+@pytest.mark.parametrize("make", [make for make, _ in FAMILY_REPRS])
+def test_family_fields_are_read_only(make):
+    f = make()
+    for name in ("kind", "params", "dim", "extra"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(f, name, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(f, name)
+    assert repr(f) == repr(make())
+
+
+def test_from_checked_builds_a_family_without_a_second_check():
+    """``validate`` hands the checked parameters on: the family is built without checking
+    them again, so even values the checker would refuse are taken as they are."""
+    params = MappingProxyType({"lambda": (-1.0,)})
+    f = _from_checked(ParamFamily, kind="poisson_product", params=params)
+    assert type(f) is ParamFamily and f.kind == "poisson_product" and f.params is params
+    assert f.dim == 1
+    with pytest.raises(AttributeError):
+        f.kind = "gaussian_iso"
+    with pytest.raises(PreconditionError, match="must be strictly positive"):
+        ParamFamily("poisson_product", params)

@@ -84,6 +84,7 @@ def _family_job(kind, params, command="codiv"):
 SCALAR_FAMILY_JOBS = {
     "gaussian_iso": _family_job("gaussian_iso", [{"mean": [m, 1.0], "sigma": 2.0}
                                                  for m in (0.0, 0.4, -0.3)]),
+    "poisson_product": _family_job("poisson_product", [{"lambda": [x]} for x in (1, 2, 3)]),
     "bernoulli_product": _family_job("bernoulli_product",
                                      [{"theta": [t]} for t in (0.2, 0.5, 0.7)]),
     "exponential_product": _family_job("exponential_product", [{"beta": [b]} for b in (1, 2, 3)]),
@@ -95,8 +96,8 @@ SCALAR_FAMILY_JOBS = {
 @pytest.mark.parametrize("command", ["codiv", "oracle-check"])
 @pytest.mark.parametrize("kind", sorted(SCALAR_FAMILY_JOBS))
 def test_family_jobs_load_no_numpy(kind, command):
-    """The closed forms but Poisson's are scalar arithmetic on tuples of floats, and so are
-    their oracles: the quadrature and the two-point sums work on lists of floats."""
+    """The closed forms are scalar arithmetic on tuples of floats, and so are their oracles:
+    the quadrature, the two-point sums and the Poisson series work on Python floats."""
     job = SCALAR_FAMILY_JOBS[kind] | {"command": command}
     assert "numpy" not in _modules(f"from codiv.cli import run\nassert run({job!r})[1] == 0")
 
@@ -131,10 +132,23 @@ def test_a_job_rejected_before_its_inputs_are_built_loads_no_numpy(name):
     assert "numpy" not in _modules(script)
 
 
+@pytest.mark.parametrize("command", ["codiv", "oracle-check"])
+@pytest.mark.parametrize("kind", sorted(SCALAR_FAMILY_JOBS))
+def test_family_jobs_load_no_dataclasses(kind, command):
+    """``ParamFamily`` is a plain class: a family job loads neither ``dataclasses`` nor the
+    ``inspect`` it imports, unless the bare interpreter already has them."""
+    job = SCALAR_FAMILY_JOBS[kind] | {"command": command}
+    loaded = _modules(f"from codiv.cli import run\nassert run({job!r})[1] == 0")
+    assert not (loaded - _modules("pass")) & {"dataclasses", "inspect"}
+
+
+MEASURES = [{"mass": [0.5, 0.5]}, {"mass": [0.25, 0.75]}, {"mass": [0.75, 0.25]}]
+
+
 @pytest.mark.parametrize("job", [
-    _family_job("poisson_product", [{"lambda": [x]} for x in (1.0, 2.0, 3.0)]),
-    _family_job("poisson_product", [{"lambda": [x]} for x in (1.0, 2.0, 3.0)], "oracle-check"),
-], ids=["poisson-codiv", "poisson-oracle-check"])
+    {"command": "codiv", "options": {"kind": "chi2"}, "inputs": MEASURES},
+    {"command": "matrix", "options": {"kind": "chi2"}, "inputs": MEASURES},
+], ids=["measures-codiv", "matrix"])
 def test_jobs_that_compute_with_arrays_still_pass(job):
     assert "numpy" in _modules(f"from codiv.cli import run\nassert run({job!r})[1] == 0")
 

@@ -9,7 +9,8 @@ from codiv import (DiscreteMeasure, DimensionMismatchError, DominationError,
                    PreconditionError, SignedMeasure, divergence_matrix, dominated_by,
                    ess_sup_ratio, features, jordan_decompose, perturb, validity_radius)
 from codiv.errors import numbers
-from codiv.families import GaussianIso
+from codiv.families import (BernoulliProd, ExponentialProd, GammaProd, GaussianIso,
+                           PoissonProd)
 from codiv.matrices import DivMatrix, MarkovKernel
 from codiv.measures import measure_problems
 from helpers import perturbs_to_probability, random_direction, random_probability
@@ -183,9 +184,12 @@ def test_json_round_trip():
 @pytest.mark.parametrize("make", [
     lambda: DiscreteMeasure([0.5, 0.5]), lambda: SignedMeasure([0.5, -0.5]),
     lambda: MarkovKernel(np.eye(2)), lambda: DivMatrix("chi2", np.eye(2)),
-    lambda: GaussianIso([0.0, 1.0], 1.0)])
+    lambda: GaussianIso([0.0, 1.0], 1.0), lambda: PoissonProd([1.5, 2.0]),
+    lambda: BernoulliProd([0.25]), lambda: ExponentialProd([2.0]),
+    lambda: GammaProd([1.5], [2.0])])
 def test_frozen_types_with_arrays_compare_by_identity(make):
     """A frozen type that holds arrays is equal only to itself and hashes, as an element-wise
     array comparison has no one truth value."""
     a, copy = make(), make()
-    assert a == a and a != copy and hash(a) == hash(a)
+    assert a == a and a != copy and hash(a) == hash(a) == object.__hash__(a)
+    assert len({a, copy, a}) == 2

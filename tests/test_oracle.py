@@ -269,6 +269,17 @@ class TestSelfConsistency:
                                 + _poisson_log_series(L, anchor))
             assert anchored == pytest.approx(fixed, rel=1e-14)
 
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, 50.0, 1e5, 1e6])
+    def test_poisson_log_series_matches_mpmath(self, lam):
+        """The series sums to m! e^(-mL) e^(e^L): its log at 50 digits, with the anchor m
+        three standard deviations below the mode (or at 0) and above it."""
+        mpmath = pytest.importorskip("mpmath")
+        L, spread = math.log(lam), math.ceil(math.sqrt(lam))
+        for m in (max(0, math.floor(lam) - 3 * spread), math.ceil(lam) + 3 * spread):
+            with mpmath.workdps(50):
+                exact = float(mpmath.loggamma(m + 1) - m * mpmath.mpf(L) + mpmath.exp(L))
+            assert _poisson_log_series(L, m) == pytest.approx(exact, rel=0, abs=1e-13)
+
     @pytest.mark.parametrize("rate", [5.2, 5.22])
     def test_poisson_overflow_is_named(self, rate):
         # at alpha 2, R is finite (about 3e294 at 5.2) though the first defining series is
@@ -285,12 +296,15 @@ class TestSelfConsistency:
             oracle_r_alpha(*f, 1.1)
 
     def test_poisson_term_budget_is_named(self):
-        # the window of about 2e7 terms is refused before anything is allocated
-        f = PoissonProd([1e12])
-        start = time.perf_counter()
-        with pytest.raises(OracleFailureError, match="needs more than 1048576 terms"):
-            oracle_r_alpha(f, f, f, 1.0)
-        assert time.perf_counter() - start < 1.0
+        # the window is refused before anything is allocated or summed: about 2e7 terms at
+        # 1e12, and 1,095,481 at 3e9, just past the budget, where summing one window of
+        # that size on floats takes longer than the bound
+        for lam in (1e12, 3e9):
+            f = PoissonProd([lam])
+            start = time.perf_counter()
+            with pytest.raises(OracleFailureError, match="needs more than 1048576 terms"):
+                oracle_r_alpha(f, f, f, 1.0)
+            assert time.perf_counter() - start < 0.25
 
     def test_poisson_r_alpha_beyond_the_float_range_is_named(self):
         # log(R + 1) = 35 * 35 = 1225: every series is finite in log space, R is not
