@@ -23,7 +23,7 @@ _EXPORTS = {  # module -> the names it exports through the package
                 "family_from_json_dict gamma_first_order r_alpha_closed r_alpha_closed_log1p",
     "local": "ExpansionReport OffSupportReport PerturbationPair expansion_check fisher_gram "
              "fisher_inner geometric_decay_ok hellinger_off_support_check",
-    "matrices": "DiagnosticStatus DivMatrix DpiReport EigenSummary MarkovKernel RankReport "
+    "matrices": "DivMatrix DpiReport EigenSummary MarkovKernel RankReport "
                 "chi2_signed chi2_signed_decomposition_check divergence_matrix dpi_check "
                 "eigen_summary jacobi_eigenvalues link_identity_check phi_normalizers "
                 "push_forward quadratic_form_check rank_with_identity",

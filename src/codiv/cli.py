@@ -25,22 +25,20 @@ EXIT_VALIDATION = 2
 EXIT_COMPUTE = 3
 EXIT_PROPERTY = 4
 
-# Upper bounds of the count options, which keep a job's work bounded; a suite kernel of
-# support x output_support floats stays within 32 MB.  A suite's work, the push-forward, Gram
-# matrices and eigenvalues of count + 1 measures, stays within _SUITE_WORK, and the doubles
-# of its kernels, at about 15 ns each to draw, within _KERNEL_DRAW (see validate).
-_COUNT_BOUNDS = {"trials": 1000, "support": 2000, "count": 200, "output_support": 2000,
-                 "levels": 50, "grid_n": 20}
+# Each option with a default or a rule: name -> (default, test, what the value must be, upper
+# bound), None where there is none; output_support defaults to support.  The count bounds keep
+# a job's work bounded: a suite kernel of support x output_support floats stays within 32 MB,
+# a suite's work (the push-forward, Gram matrices and eigenvalues of count + 1 measures) within
+# _SUITE_WORK and the doubles of its kernels, about 15 ns each to draw, within _KERNEL_DRAW.
+_COUNT = (lambda x: type(x) is int and x > 0, "a positive integer")
+_OPTIONS = {"trials": (None, *_COUNT, 1000), "support": (6, *_COUNT, 2000),
+            "count": (3, *_COUNT, 200), "output_support": (None, *_COUNT, 2000),
+            "levels": (5, *_COUNT, 50), "grid_n": (4, *_COUNT, 20),
+            "grid_scale": (1e-3, lambda x: is_number(x) and 0 < x < math.inf,
+                           "a positive finite number", math.inf),
+            "mode": ("local", None, None, None)}
 _SUITE_WORK = 2 * 10 ** 9
 _KERNEL_DRAW = 5 * 10 ** 8
-# The value of each option a job leaves out; output_support defaults to support.
-_DEFAULTS = {"mode": "local", "count": 3, "support": 6, "levels": 5, "grid_n": 4,
-             "grid_scale": 1e-3}
-# Options whose values are counts or scales: name -> (test, what the value must be).
-_OPTION_SCHEMA = {name: (lambda x: type(x) is int and x > 0, "a positive integer")
-                  for name in _COUNT_BOUNDS}
-_OPTION_SCHEMA["grid_scale"] = (lambda x: is_number(x) and 0 < x < math.inf,
-                                "a positive finite number")
 
 
 def parse_kind(text: str) -> tuple[str, float | None]:
@@ -62,7 +60,8 @@ def parse_kind(text: str) -> tuple[str, float | None]:
 
 def _with_defaults(options: dict) -> dict:
     """The job's options, with the default of each one it leaves out (defaults go unchecked)."""
-    return {**_DEFAULTS, "output_support": options.get("support", _DEFAULTS["support"]), **options}
+    defaults = {name: row[0] for name, row in _OPTIONS.items() if row[0] is not None}
+    return {**defaults, "output_support": options.get("support", defaults["support"]), **options}
 
 
 def validate(job: dict) -> tuple[list, list | None]:
@@ -128,11 +127,11 @@ def validate(job: dict) -> tuple[list, list | None]:
                                  "parametric families; use alpha:<value>", "/options/kind")
         except CodivError as exc:
             problems.append(exc)
-    for name, (test, what) in _OPTION_SCHEMA.items():
-        if name in given and not test(given[name]):
+    for name, (_, test, what, bound) in _OPTIONS.items():
+        if test and name in given and not test(given[name]):
             problems.append(CodivError(f"{name} must be {what}", f"/options/{name}"))
-        elif given.get(name, 0) > _COUNT_BOUNDS.get(name, math.inf):
-            problems.append(CodivError(f"{name} must be {what} at most {_COUNT_BOUNDS[name]}",
+        elif test and given.get(name, 0) > bound:
+            problems.append(CodivError(f"{name} must be {what} at most {bound}",
                                        f"/options/{name}"))
     if shape == "suite" and not problems:  # a suite of the command that takes a kernel draws one
         n, cols = options["count"] + 1, options["output_support"] if "kernel" in takes else 0
@@ -186,7 +185,7 @@ def _run_matrix(options, inputs, tolerance, seed):
 
 
 def _run_rank(options, inputs, tolerance, seed):
-    from .matrices import RANK_TOL_FACTOR, DiagnosticStatus, rank_with_identity
+    from .matrices import RANK_TOL_FACTOR, rank_with_identity
     base, _, phi = _kind_and_link(options)
     tol_factor = tolerance if tolerance is not None else RANK_TOL_FACTOR
     if "trials" in options:
@@ -196,7 +195,7 @@ def _run_rank(options, inputs, tolerance, seed):
         return {"kind": options["kind"], "trials": options["trials"], "seed": seed,
                 "agreements": agree, "passed": agree == options["trials"]}
     report = rank_with_identity(inputs[0], inputs[1:], base, phi=phi, tol_factor=tol_factor)
-    if report.status is DiagnosticStatus.NOT_APPLICABLE:
+    if report.matrix_rank is None:
         return {"kind": options["kind"], "status": "not-applicable"}
     return {"kind": options["kind"], "status": "ok", "matrix_rank": report.matrix_rank,
             "function_rank": report.function_rank,

@@ -21,6 +21,12 @@ from .errors import (DimensionMismatchError, KindMismatchError, PreconditionErro
 
 _LOG_MAX = math.log(sys.float_info.max)  # the largest x whose exp and expm1 are finite
 
+
+def _exp(x: float) -> float:
+    """math.exp, but +inf beyond the float range, as numpy's exp gives."""
+    return math.inf if x > _LOG_MAX else math.exp(x)
+
+
 # rule of a vector parameter -> (test its finite entries pass, message for one that fails)
 _VECTOR_RULES = {
     "finite": (math.isfinite, ""),
@@ -32,8 +38,8 @@ _VECTOR_RULES = {
 class FamilySpec(NamedTuple):
     params: tuple  # (JSON name, rule) per parameter; the first gives the dimension
     shared: str  # the parameter all members of a triple share, or ""
-    log1p: Callable  # (f0, f1, f2, alpha) -> log(R_alpha + 1) of a checked triple, or None
-    # outside the natural domain: only the Gamma formula has a boundary
+    log1p: Callable  # (rows, alpha) -> log(R_alpha + 1) from a checked triple's ``_coordinates``,
+    # or None outside the natural domain: only the Gamma formula has a boundary
     coords: Callable  # family -> columns of the parameters of its coordinates
 
 
@@ -137,12 +143,20 @@ def check_family_triple(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha
                                      for f in (f0, f1, f2)]))
 
 
-def _gaussian_log1p(f0, f1, f2, alpha) -> float:
+def _coordinates(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: float) -> list:
+    """Each coordinate of a checked triple as its three rows of parameters, one per family, in
+    the columns of FAMILIES' ``coords``: (mean, sigma), (lambda,), (theta,) or (shape, rate)."""
+    check_family_triple(f0, f1, f2, alpha)
+    return list(zip(*(zip(*FAMILIES[f.kind].coords(f)) for f in (f0, f1, f2))))
+
+
+def _gaussian_log1p(rows, alpha) -> float:
     """alpha^2 <m1 - m0, m2 - m0> / sigma^2, with the shifts and sigma scaled by the power
     of two that brings sigma into [0.5, 1): exact, so the value keeps its bits, and sigma^2
-    cannot underflow.  OverflowError when the value is above the float range."""
-    _, exponent = math.frexp(f0.params["sigma"])
-    sigma = math.ldexp(f0.params["sigma"], -exponent)
+    cannot underflow.  A zero shift adds 0, not 0 * inf.  OverflowError when the value is
+    above the float range."""
+    _, exponent = math.frexp(rows[0][0][1])
+    sigma = math.ldexp(rows[0][0][1], -exponent)
 
     def scaled(x):  # math.ldexp, but +-inf where that is beyond the float range
         try:
@@ -150,8 +164,8 @@ def _gaussian_log1p(f0, f1, f2, alpha) -> float:
         except OverflowError:
             return math.copysign(math.inf, x)
 
-    means = zip(*(f.params["mean"] for f in (f0, f1, f2)))
-    inner = exact_fsum([scaled(m1 - m0) * scaled(m2 - m0) for m0, m1, m2 in means])
+    inner = exact_fsum([0.0 if m1 == m0 or m2 == m0 else scaled(m1 - m0) * scaled(m2 - m0)
+                        for (m0, _), (m1, _), (m2, _) in rows])
     if inner == 0:  # orthogonal shifts give 0 even when alpha^2 overflows
         return 0.0
     value = alpha * alpha * inner / (sigma * sigma)
@@ -160,9 +174,9 @@ def _gaussian_log1p(f0, f1, f2, alpha) -> float:
     return value
 
 
-def _poisson_log1p(f0, f1, f2, alpha) -> float:
+def _poisson_log1p(rows, alpha) -> float:
     terms = []
-    for l0, l1, l2 in zip(*(f.params["lambda"] for f in (f0, f1, f2))):
+    for (l0,), (l1,), (l2,) in rows:
         try:  # a power beyond the float range takes the relative route
             p0, q0, q1, q2 = powers = (l0 ** (1.0 - 2.0 * alpha), l0 ** alpha, l1 ** alpha,
                                        l2 ** alpha)
@@ -170,9 +184,15 @@ def _poisson_log1p(f0, f1, f2, alpha) -> float:
         except OverflowError:
             powers, term = (math.inf,), math.inf
         if not (min(powers) >= sys.float_info.min and math.isfinite(term)):
-            e1, e2 = (math.expm1(x) if x <= _LOG_MAX else math.inf  # as numpy's expm1 gives
-                      for x in (alpha * (math.log(lj) - math.log(l0)) for lj in (l1, l2)))
-            term = 0.0 if e1 == 0 or e2 == 0 else l0 * e1 * e2  # 0, not 0 * inf = NaN
+            xs = [alpha * (math.log(lj) - math.log(l0)) for lj in (l1, l2)]
+            e1, e2 = es = [math.expm1(x) if x <= _LOG_MAX else math.inf for x in xs]
+            if e1 == 0 or e2 == 0:  # 0, not 0 * inf = NaN
+                term = 0.0
+            elif math.inf in es:  # log|e_j| is x_j where e_j is beyond the float range
+                logs = (x if e == math.inf else math.log(abs(e)) for x, e in zip(xs, es))
+                term = math.copysign(_exp(math.log(l0) + sum(logs)), e1 * e2)
+            else:
+                term = l0 * e1 * e2
         terms.append(term)
     return exact_fsum(terms)
 
@@ -183,9 +203,9 @@ def _log_mix(w, a, b) -> float:
     return m + math.log(w * math.exp(a - m) + (1 - w) * math.exp(b - m))
 
 
-def _bernoulli_log1p(f0, f1, f2, alpha) -> float:
+def _bernoulli_log1p(rows, alpha) -> float:
     total = 0.0
-    for t0, t1, t2 in zip(*(f.params["theta"] for f in (f0, f1, f2))):
+    for (t0,), (t1,), (t2,) in rows:
         try:  # a power beyond the float range takes the relative route
             p0, p1, p2, p, q0, q1, q2, q = powers = (
                 t0 ** (1 - 2 * alpha), t1 ** alpha, t2 ** alpha, t0 ** (1 - alpha),
@@ -212,7 +232,7 @@ def _log_rate_ratio(coeffs, logs, shift: float) -> float | None:
     return top + math.log(total) + shift if total > 0 else None
 
 
-def _gamma_log1p(f0, f1, f2, alpha) -> float | None:
+def _gamma_log1p(rows, alpha) -> float | None:
     """log(R_alpha + 1) over Gamma coordinates, or None on a domain violation.
 
     The rate part is accumulated through log1p of relative rate shifts, which
@@ -225,9 +245,8 @@ def _gamma_log1p(f0, f1, f2, alpha) -> float | None:
     because a01 + a02 - a0 - abar = 0, with xj = alpha*dj/b0.  Where an x is not finite or
     1 + x not normal, each log(b/b0) on the left is a signed log-sum-exp of log b0, b1, b2.
     """
-    (s0, r0), (s1, r1), (s2, r2) = (FAMILIES[f.kind].coords(f) for f in (f0, f1, f2))
     total = 0.0
-    for a0, b0, a1, b1, a2, b2 in zip(s0, r0, s1, r1, s2, r2):
+    for (a0, b0), (a1, b1), (a2, b2) in rows:
         abar = a0 + alpha * (a1 + a2 - 2.0 * a0)
         a01 = a0 + alpha * (a1 - a0)
         a02 = a0 + alpha * (a2 - a0)
@@ -274,8 +293,7 @@ def r_alpha_closed_log1p(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
     Bernoulli coordinates use powers such as lambda**alpha where each is normal and the
     result finite, and elsewhere each power taken relative to member 0.  OverflowError when
     the value is NaN or +inf: beyond the float range, or undefined in floating point."""
-    check_family_triple(f0, f1, f2, alpha)
-    value = FAMILIES[f0.kind].log1p(f0, f1, f2, alpha)
+    value = FAMILIES[f0.kind].log1p(_coordinates(f0, f1, f2, alpha), alpha)
     if value is None:
         return math.inf
     if math.isnan(value) or value == math.inf:
@@ -301,15 +319,12 @@ def gamma_first_order(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
     """First-order approximation of the Gamma R_alpha for shared shapes: expm1 of the weighted
     rate-shift inner product alpha^2 * sum_l shape_l * (b1l-b0l)*(b2l-b0l)/b0l^2.  Exponential
     families count as Gamma families with unit shapes."""
-    check_family_triple(f0, f1, f2, alpha)
-    spec = FAMILIES[f0.kind]
-    if spec.log1p is not _gamma_log1p:
+    rows = _coordinates(f0, f1, f2, alpha)
+    if FAMILIES[f0.kind].log1p is not _gamma_log1p:
         raise KindMismatchError("gamma_first_order requires Gamma families")
-    (a0, b0), (a1, b1), (a2, b2) = (spec.coords(f) for f in (f0, f1, f2))
-    if not a0 == a1 == a2:
+    if not all(a0 == a1 == a2 for (a0, _), (a1, _), (a2, _) in rows):
         raise DimensionMismatchError("the three families must share their shape vector")
-    quad = exact_fsum([a * (c1 - c0) * (c2 - c0) / (c0 * c0)
-                       for a, c0, c1, c2 in zip(a0, b0, b1, b2)])
+    quad = exact_fsum([a * (c1 - c0) * (c2 - c0) / (c0 * c0) for (a, c0), (_, c1), (_, c2) in rows])
     return math.expm1(alpha * alpha * quad)
 
 

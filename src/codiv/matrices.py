@@ -20,7 +20,6 @@ the cyclic Jacobi sweep ``jacobi_eigenvalues`` checks ``eigvalsh``.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -110,22 +109,17 @@ class DivMatrix:
         return {"kind": self.kind, "size": self.size, "entries": self.entries.ravel(),
                 "reference": self.reference}
 
-class DiagnosticStatus(enum.Enum):
-    OK = "ok"
-    NOT_APPLICABLE = "not-applicable"  # matrix contains +inf entries
 
-
-class EigenSummary(NamedTuple):
-    status: DiagnosticStatus
+class EigenSummary(NamedTuple):  # None, None: not applicable, the matrix has +inf entries
     min_eigenvalue: float | None
     max_eigenvalue: float | None
 
 
 def eigen_summary(mat: DivMatrix) -> EigenSummary:
     if not mat.finite:
-        return EigenSummary(DiagnosticStatus.NOT_APPLICABLE, None, None)
+        return EigenSummary(None, None)
     eigs = np.linalg.eigvalsh(mat.entries)
-    return EigenSummary(DiagnosticStatus.OK, float(eigs[0]), float(eigs[-1]))
+    return EigenSummary(float(eigs[0]), float(eigs[-1]))
 
 
 def divergence_matrix(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind: str,
@@ -307,8 +301,7 @@ def dpi_check(q0: DiscreteMeasure, qs: Sequence[DiscreteMeasure], k: MarkovKerne
     return DpiReport(before, after, min_eig, scale)
 
 
-class RankReport(NamedTuple):
-    status: DiagnosticStatus
+class RankReport(NamedTuple):  # None, None: not applicable, the matrix has +inf entries
     matrix_rank: int | None
     function_rank: int | None
 
@@ -333,7 +326,7 @@ def rank_with_identity(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind:
         phi = PHI_IDENTITY
     mat = divergence_matrix(p0, ps, kind, phi=phi)
     if not mat.finite:
-        return RankReport(DiagnosticStatus.NOT_APPLICABLE, None, None)
+        return RankReport(None, None)
     matrix_rank = _threshold_count(np.linalg.eigvalsh(mat.entries), tol_factor)
 
     if kind == "hellinger":
@@ -345,4 +338,4 @@ def rank_with_identity(p0: DiscreteMeasure, ps: Sequence[DiscreteMeasure], kind:
         rows = [sqrt_w] + [phi.apply(p.mass[pos] / w) * sqrt_w for p in ps]
     svals = np.linalg.svd(np.stack(rows), compute_uv=False)
     span_dim = _threshold_count(svals, tol_factor)
-    return RankReport(DiagnosticStatus.OK, matrix_rank, span_dim - 1)
+    return RankReport(matrix_rank, span_dim - 1)

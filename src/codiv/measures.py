@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -70,8 +69,9 @@ def exact_sum(values: np.ndarray) -> float:
 def measure_problems(doc, signed: bool = False, normalized: bool = False,
                      path: str = "") -> tuple[np.ndarray | None, list, float | None]:
     """The frozen mass array of a measure document {"support", "mass"} (None unless a list),
-    its problems, with paths under ``path``, and its exact total if ``normalized`` (else None):
-    that measure sums to 1, or to 0 if ``signed``.  An unsigned one is nonnegative."""
+    its problems, with paths under ``path``, and its exact total (None unless the masses are
+    finite).  An unsigned measure is nonnegative; a ``normalized`` one sums to 1, or to 0 if
+    ``signed``."""
     values = numbers(doc.get("mass") if isinstance(doc, dict) else None)
     if values is None:
         return None, [PreconditionError("mass must be a non-empty list", f"{path}/mass")], None
@@ -84,8 +84,8 @@ def measure_problems(doc, signed: bool = False, normalized: bool = False,
     problems = [] if signed else [
         PreconditionError("mass entry must be nonnegative", f"{path}/mass/{i}")
         for i in np.flatnonzero(mass < 0)]
-    total = exact_sum(mass) if normalized else None
-    problems += [] if total is None else total_problems(total, signed, path)
+    total = exact_sum(mass)
+    problems += total_problems(total, signed, path) if normalized else []
     if not (is_number(declared := doc.get("support", mass.size)) and declared == mass.size):
         problems.append(PreconditionError("declared support size does not match mass length",
                                           f"{path}/support"))
@@ -128,15 +128,12 @@ def support_problems(masses, kernel_rows: int | None = None) -> list:
 
 
 class _Measure:
-    """What probability and signed measures share: a frozen mass vector."""
+    """What probability and signed measures share: a frozen mass vector and its exact total,
+    ``total``, which construction stores."""
 
     @property
     def support_size(self) -> int:
         return self.mass.size
-
-    @cached_property
-    def total(self) -> float:
-        return exact_sum(self.mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,9 +143,9 @@ class DiscreteMeasure(_Measure):
     mass: np.ndarray
 
     def __post_init__(self):
-        mass, problems, _ = measure_problems({"mass": self.mass})
+        mass, problems, total = measure_problems({"mass": self.mass})
         raise_first(problems)
-        object.__setattr__(self, "mass", mass)
+        self.__dict__.update(mass=mass, total=total)
 
     @property
     def is_probability(self) -> bool:
@@ -166,9 +163,9 @@ class SignedMeasure(_Measure):
     mass: np.ndarray
 
     def __post_init__(self):
-        mass, problems, _ = measure_problems({"mass": self.mass}, signed=True)
+        mass, problems, total = measure_problems({"mass": self.mass}, signed=True)
         raise_first(problems)
-        object.__setattr__(self, "mass", mass)
+        self.__dict__.update(mass=mass, total=total)
 
 
 class JordanDecomposition(NamedTuple):

@@ -18,7 +18,7 @@ from functools import partial
 from itertools import accumulate, chain, product
 
 from .errors import DegeneratePhiError, OracleFailureError, PreconditionError, exact_fsum
-from .families import _LOG_MAX, FAMILIES, ParamFamily, check_family_triple
+from .families import ParamFamily, _coordinates, _exp
 
 # Drop (in nats) below the integrand's peak that ends the integration window; e^-46 < 1e-19.
 _TAIL_DROP = 46.0
@@ -48,11 +48,6 @@ _GL_NODES, _GL_WEIGHTS = (tuple(s * x for x in h[::-1]) + h for s, h in zip((-1.
 _SERIES_TERMS = 2 ** 20
 _SERIES_TAIL = 2.0 ** -60
 _SERIES_DROP = 60.0
-
-
-def _exp(x: float) -> float:
-    """math.exp, but +inf beyond the float range, as numpy's exp gives."""
-    return math.inf if x > _LOG_MAX else math.exp(x)
 
 
 def _dot(weights, values) -> float:
@@ -165,33 +160,33 @@ def _gamma_power_integral(params, powers) -> float | None:
 def _poisson_log_series(L: float, m: int) -> float:
     """log of the series sum_k e^((k - m) L) m!/k!, whose terms are log-concave in k with
     their mode at g = e^L and the value 1 at the anchor m.  The log terms are accumulated
-    outward from m, a running sum of L - log j each way, over a window [lo, hi] that covers m
-    and g, 8 bytes a term.  Past hi a term is at most r = g/(hi + 1) times the one before it,
-    and below lo at most r = lo/g, so each tail is at most its edge term times r/(1 - r); the
-    window widens until both bounds are below _SERIES_TAIL of the sum.  Terms more than
-    _SERIES_DROP nats below the peak are not summed.  OracleFailureError when e^L exceeds
-    the float range, or before a window of more than _SERIES_TERMS terms is summed."""
+    outward from m, a running sum of L - log j each way, over a window [lo, hi] 10 sqrt(g) + 10
+    terms past m and g, 8 bytes a term.  Past hi a term is at most r = g/(hi + 1) times the
+    one before it, and below lo at most r = lo/g, so each tail is at most its edge term times
+    r/(1 - r).  Terms more than _SERIES_DROP nats below the peak are not summed.
+    OracleFailureError when e^L exceeds the float range, before a window of more than
+    _SERIES_TERMS terms is summed, and unless both tail bounds are below _SERIES_TAIL of the sum."""
     g = _exp(L)
     if not (math.isfinite(L) and g < math.inf):
         raise OracleFailureError(f"the Poisson series' term ratio e^{L!r}/(k + 1) exceeds "
                                  "the float range")
     margin = 10 * math.ceil(math.sqrt(g)) + 10
-    while True:
-        lo = max(0, math.floor(min(m, g)) - margin)
-        hi = math.ceil(max(m, g)) + margin
-        if hi - lo + 1 > _SERIES_TERMS:
-            raise OracleFailureError(f"the Poisson series around k = {m} and the mode "
-                                     f"{g!r} needs more than {_SERIES_TERMS} terms")
-        up = array("d", accumulate(L - math.log(j) for j in range(m + 1, hi + 1)))
-        down = array("d", accumulate(math.log(j) - L for j in range(m, lo, -1)))
-        peak = max(0.0, max(up), max(down, default=0.0))
-        floor = peak - _SERIES_DROP
-        total = math.fsum(math.exp(x - peak) for x in chain(down, (0.0,), up) if x >= floor)
-        tail = max(math.exp(up[-1] - peak) * g / (hi + 1 - g),  # r / (1 - r)
-                   math.exp(down[-1] - peak) * lo / (g - lo) if lo > 0 else 0.0)
-        if tail <= _SERIES_TAIL * total:
-            return peak + math.log(total)
-        margin *= 2
+    lo = max(0, math.floor(min(m, g)) - margin)
+    hi = math.ceil(max(m, g)) + margin
+    if hi - lo + 1 > _SERIES_TERMS:
+        raise OracleFailureError(f"the Poisson series around k = {m} and the mode "
+                                 f"{g!r} needs more than {_SERIES_TERMS} terms")
+    up = array("d", accumulate(L - math.log(j) for j in range(m + 1, hi + 1)))
+    down = array("d", accumulate(math.log(j) - L for j in range(m, lo, -1)))
+    peak = max(0.0, max(up), max(down, default=0.0))
+    floor = peak - _SERIES_DROP
+    total = math.fsum(math.exp(x - peak) for x in chain(down, (0.0,), up) if x >= floor)
+    tail = max(math.exp(up[-1] - peak) * g / (hi + 1 - g),  # r / (1 - r)
+               math.exp(down[-1] - peak) * lo / (g - lo) if lo > 0 else 0.0)
+    if tail > _SERIES_TAIL * total:
+        raise OracleFailureError(f"the Poisson series around k = {m} and the mode {g!r} "
+                                 f"has a tail bound of {tail / total!r} of its sum")
+    return peak + math.log(total)
 
 
 def _poisson_r_alpha(params, alpha: float) -> float:
@@ -267,7 +262,7 @@ def r_alpha_product(componentwise: list[float]) -> float:
 
 
 # (route, natural, A) of one coordinate, for each JSON kind; row j of ``params`` holds the
-# coordinate's parameters in family j, in the columns of FAMILIES' ``coords``.  route(params,
+# coordinate's parameters in family j, as ``families._coordinates`` gives them.  route(params,
 # alpha) is R_alpha from integrals or series, natural(row) a row's natural parameters (mean /
 # sigma, or (shape - 1, -rate)), and A their log-partition, None outside the natural domain.
 _ORACLES = {
@@ -283,12 +278,6 @@ _ORACLES = {
                       if t[0] > -1.0 and t[1] < 0.0 else None),
 }
 _ORACLES["exponential_product"] = _ORACLES["gamma_product"]
-
-
-def _coordinates(f0, f1, f2, alpha: float) -> list:
-    """Each coordinate of a checked triple as its three rows of parameters, one per family."""
-    check_family_triple(f0, f1, f2, alpha)
-    return list(zip(*(zip(*FAMILIES[f.kind].coords(f)) for f in (f0, f1, f2))))
 
 
 def oracle_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: float) -> float:

@@ -521,9 +521,9 @@ def _check_suite_inputs(seed, options):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(st.integers(0, 2 ** 64 - 1), st.integers(1, cli._COUNT_BOUNDS["count"]),
-       st.integers(1, cli._COUNT_BOUNDS["support"]),
-       st.integers(1, cli._COUNT_BOUNDS["output_support"]))
+@given(st.integers(0, 2 ** 64 - 1), st.integers(1, cli._OPTIONS["count"][3]),
+       st.integers(1, cli._OPTIONS["support"][3]),
+       st.integers(1, cli._OPTIONS["output_support"][3]))
 def test_suite_kernels_and_measures_pass_their_checks(seed, count, support, output_support):
     """The oracle for the row check the suite kernels skip: rows u + 0.02 over their float
     sum total 1 within 2.3e-13 for up to 2000 columns, below the 1e-12 rule."""
@@ -531,8 +531,8 @@ def test_suite_kernels_and_measures_pass_their_checks(seed, count, support, outp
 
 
 def test_the_largest_suite_kernel_passes_its_check():
-    largest = cli._COUNT_BOUNDS
-    _check_suite_inputs(3, _suite_options(2, largest["support"], largest["output_support"]))
+    bound = {name: row[3] for name, row in cli._OPTIONS.items()}
+    _check_suite_inputs(3, _suite_options(2, bound["support"], bound["output_support"]))
 
 
 class TestParseKind:

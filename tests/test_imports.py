@@ -33,7 +33,7 @@ EXPORTED = {
     "local": ["ExpansionReport", "OffSupportReport", "PerturbationPair", "expansion_check",
               "fisher_gram", "fisher_inner", "geometric_decay_ok",
               "hellinger_off_support_check"],
-    "matrices": ["DiagnosticStatus", "DivMatrix", "DpiReport", "EigenSummary", "MarkovKernel",
+    "matrices": ["DivMatrix", "DpiReport", "EigenSummary", "MarkovKernel",
                  "RankReport", "chi2_signed", "chi2_signed_decomposition_check",
                  "divergence_matrix", "dpi_check", "eigen_summary", "jacobi_eigenvalues",
                  "link_identity_check", "phi_normalizers", "push_forward",

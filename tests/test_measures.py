@@ -178,7 +178,7 @@ def test_json_round_trip():
     assert mass.tolist() == [0.1, -0.1, 0.0] and problems == [] and total == 0.0
     _, problems, total = measure_problems({"support": 2, "mass": [1.0]}, path="/inputs/0")
     assert [(type(p), p.path) for p in problems] == [(PreconditionError, "/inputs/0/support")]
-    assert total is None  # not normalized
+    assert total == 1.0  # the exact total, though not normalized
 
 
 @pytest.mark.parametrize("make", [

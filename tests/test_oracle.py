@@ -10,6 +10,7 @@ from codiv import (PHI_SQRT, BernoulliProd, DiscreteMeasure, ExponentialProd,
                    GammaProd, GaussianIso, OracleFailureError, PoissonProd, PreconditionError,
                    adaptive_gauss_legendre, divergence_matrix, oracle_divergence_matrix,
                    oracle_r_alpha, phi_alpha, r_alpha_closed, r_alpha_product, r_phi)
+from codiv import oracles
 from codiv.families import FAMILIES
 from codiv.oracles import (_GL_NODES, _GL_WEIGHTS, _ORACLES, _dot, _poisson_log_series,
                            _ratio_of_integrals)
@@ -79,6 +80,15 @@ class TestAdaptiveQuadrature:
         with pytest.raises(OracleFailureError, match="^the quadrature stalled: .* 512 panels$"):
             oracle_r_alpha(*triple, 1.0 if job == "gaussian" else 0.01)
         assert time.perf_counter() - start < 0.5
+
+    def test_the_panel_budget_ends_a_slow_refinement(self):
+        """sqrt|x - 0.3| has a kink inside a panel at every refinement, where Gauss-Legendre
+        converges at order 1.5: the change between refinements falls 2^1.5-fold per doubling on
+        average, fast enough that the stall rule never fires, too slowly to reach the
+        tolerance."""
+        with pytest.raises(OracleFailureError, match="^quadrature did not converge within "
+                                                     "65536 panels$"):
+            adaptive_gauss_legendre(lambda xs: [math.sqrt(abs(x - 0.3)) for x in xs], 0.0, 1.0)
 
 
 def test_dot_has_the_bits_of_numpys_dot():
@@ -305,6 +315,13 @@ class TestSelfConsistency:
             with pytest.raises(OracleFailureError, match="needs more than 1048576 terms"):
                 oracle_r_alpha(f, f, f, 1.0)
             assert time.perf_counter() - start < 0.25
+
+    def test_poisson_tail_above_its_bound_is_named(self, monkeypatch):
+        # one window 10 sqrt(g) + 10 terms past the anchor and the mode meets the 2**-60
+        # bound on every input tried; a stricter bound shows the check that stays
+        monkeypatch.setattr(oracles, "_SERIES_TAIL", 1e-300)
+        with pytest.raises(OracleFailureError, match="has a tail bound of .* of its sum$"):
+            _poisson_log_series(math.log(100.0), 100)
 
     def test_poisson_r_alpha_beyond_the_float_range_is_named(self):
         # log(R + 1) = 35 * 35 = 1225: every series is finite in log space, R is not
