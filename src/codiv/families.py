@@ -1,9 +1,9 @@
 """Closed-form correlation-type codivergences for common parametric families.
 
-Every formula is scalar arithmetic on Python floats, one coordinate at a time, loading no
-numpy.  It is evaluated in log space and exponentiated at the very end with ``expm1``; the
-Gamma family goes through log-Gamma differences so that ratios of Gamma functions never
-overflow.  Parameter combinations outside an exponential family's natural domain yield +inf
+Every family is an exponential family, so log(R_alpha + 1) is the second difference of the
+log-partition, summed over coordinates; each family computes it as one product of small
+factors, in scalar arithmetic on Python floats that loads no numpy, and R_alpha is its
+``expm1``.  Parameter combinations outside an exponential family's natural domain yield +inf
 rather than an error.  The table FAMILIES, keyed by the JSON kind, holds what the closed
 forms need of each family, and the oracles keep their own; a member is a ParamFamily.
 """
@@ -38,9 +38,10 @@ _VECTOR_RULES = {
 class FamilySpec(NamedTuple):
     params: tuple  # (JSON name, rule) per parameter; the first gives the dimension
     shared: str  # the parameter all members of a triple share, or ""
-    log1p: Callable  # (rows, alpha) -> log(R_alpha + 1) from a checked triple's ``_coordinates``,
-    # or None outside the natural domain: only the Gamma formula has a boundary
+    log1p: Callable  # (rows, alpha) -> log(R_alpha + 1) from ``_coordinates`` rows in the domain
     coords: Callable  # family -> columns of the parameters of its coordinates
+    domain: Callable = lambda row, alpha: True  # (row, alpha) -> whether the mixed parameters
+    # are in the natural domain: only the Gamma formula has a boundary
 
 
 def _param_problems(spec: FamilySpec, values, path: str) -> tuple[Mapping, list]:
@@ -153,8 +154,7 @@ def _coordinates(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: float
 def _gaussian_log1p(rows, alpha) -> float:
     """alpha^2 <m1 - m0, m2 - m0> / sigma^2, with the shifts and sigma scaled by the power
     of two that brings sigma into [0.5, 1): exact, so the value keeps its bits, and sigma^2
-    cannot underflow.  A zero shift adds 0, not 0 * inf.  OverflowError when the value is
-    above the float range."""
+    cannot underflow.  OverflowError when the value is above the float range."""
     _, exponent = math.frexp(rows[0][0][1])
     sigma = math.ldexp(rows[0][0][1], -exponent)
 
@@ -164,8 +164,7 @@ def _gaussian_log1p(rows, alpha) -> float:
         except OverflowError:
             return math.copysign(math.inf, x)
 
-    inner = exact_fsum([0.0 if m1 == m0 or m2 == m0 else scaled(m1 - m0) * scaled(m2 - m0)
-                        for (m0, _), (m1, _), (m2, _) in rows])
+    inner = exact_fsum([scaled(m1 - m0) * scaled(m2 - m0) for (m0, _), (m1, _), (m2, _) in rows])
     if inner == 0:  # orthogonal shifts give 0 even when alpha^2 overflows
         return 0.0
     value = alpha * alpha * inner / (sigma * sigma)
@@ -174,100 +173,94 @@ def _gaussian_log1p(rows, alpha) -> float:
     return value
 
 
+def _log_ratio(x: float, y: float, r: float) -> float:
+    """log(x / y) given r = x / y - 1 from differences: log1p(r), or log x - log y where r is
+    beyond the float range or below -1/2 (1 + r keeps too few digits of x / y there)."""
+    return math.log1p(r) if -0.5 <= r < math.inf else math.log(x) - math.log(y)
+
+
+def _exact_dot(coeffs, values) -> float:
+    """sum_i c_i v_i, exact in units of 2**-2148 and rounded once; +-inf beyond the range."""
+    units = sum(a * b << 2149 - (c * d).bit_length() for (a, c), (b, d) in
+                ((x.as_integer_ratio(), y.as_integer_ratio()) for x, y in zip(coeffs, values)))
+    if abs(units) >> 2148 < (1 << 1024) - (1 << 970):  # rounds to at most the largest float
+        return units / (1 << 2148)
+    return math.inf if units > 0 else -math.inf
+
+
 def _poisson_log1p(rows, alpha) -> float:
+    """The sum of lambda_0 e_1 e_2, e_j = expm1(alpha log(lambda_j/lambda_0)) (at alpha = 1,
+    (lambda_j - lambda_0)/lambda_0), joined in logs where it is beyond the float range."""
     terms = []
     for (l0,), (l1,), (l2,) in rows:
-        try:  # a power beyond the float range takes the relative route
-            p0, q0, q1, q2 = powers = (l0 ** (1.0 - 2.0 * alpha), l0 ** alpha, l1 ** alpha,
-                                       l2 ** alpha)
-            term = p0 * (q1 - q0) * (q2 - q0)
-        except OverflowError:
-            powers, term = (math.inf,), math.inf
-        if not (min(powers) >= sys.float_info.min and math.isfinite(term)):
-            xs = [alpha * (math.log(lj) - math.log(l0)) for lj in (l1, l2)]
-            e1, e2 = es = [math.expm1(x) if x <= _LOG_MAX else math.inf for x in xs]
-            if e1 == 0 or e2 == 0:  # 0, not 0 * inf = NaN
-                term = 0.0
-            elif math.inf in es:  # log|e_j| is x_j where e_j is beyond the float range
-                logs = (x if e == math.inf else math.log(abs(e)) for x, e in zip(xs, es))
-                term = math.copysign(_exp(math.log(l0) + sum(logs)), e1 * e2)
-            else:
-                term = l0 * e1 * e2
+        xs = [alpha * _log_ratio(lj, l0, (lj - l0) / l0) for lj in (l1, l2)]
+        e1, e2 = es = [(lj - l0) / l0 if alpha == 1 else
+                       math.expm1(x) if x <= _LOG_MAX else math.inf for lj, x in zip((l1, l2), xs)]
+        term = l0 * e1 * e2
+        if not math.isfinite(term):
+            logs = (x if e == math.inf else math.log(abs(e)) for x, e in zip(xs, es))
+            term = math.copysign(_exp(math.log(l0) + sum(logs)), e1 * e2)
         terms.append(term)
     return exact_fsum(terms)
 
 
-def _log_mix(w, a, b) -> float:
-    """log(w e^a + (1 - w) e^b), which is exactly 0 at a = b = 0."""
-    m = max(a, b)
-    return m + math.log(w * math.exp(a - m) + (1 - w) * math.exp(b - m))
-
-
 def _bernoulli_log1p(rows, alpha) -> float:
+    """The sum of log1p(c f(u) f(v)) over the natural-parameter steps u and v, c = e^t0 =
+    theta_0/(1 - theta_0), f(u) = expm1(u)/(1 + c e^u) = -expm1(-u)/(e^-u + c).  Where
+    c f(u) f(v) is beyond the float range (theta_0 below 1e-308) or below -1/2, the second
+    difference of A(t) = log(1 + e^t) itself."""
     total = 0.0
     for (t0,), (t1,), (t2,) in rows:
-        try:  # a power beyond the float range takes the relative route
-            p0, p1, p2, p, q0, q1, q2, q = powers = (
-                t0 ** (1 - 2 * alpha), t1 ** alpha, t2 ** alpha, t0 ** (1 - alpha),
-                (1 - t0) ** (1 - 2 * alpha), (1 - t1) ** alpha, (1 - t2) ** alpha,
-                (1 - t0) ** (1 - alpha))
-            sums = (p0 * p1 * p2 + q0 * q1 * q2, p * p1 + q * q1, p * p2 + q * q2)
-        except OverflowError:
-            powers = sums = (math.inf,)
-        if min(powers + sums) >= sys.float_info.min and max(powers + sums) < math.inf:
-            total += math.log(sums[0]) - math.log(sums[1]) - math.log(sums[2])
-            continue
-        a1, a2 = (alpha * (math.log(t) - math.log(t0)) for t in (t1, t2))
-        b1, b2 = (alpha * (math.log1p(-t) - math.log1p(-t0)) for t in (t1, t2))
-        total += _log_mix(t0, a1 + a2, b1 + b2) - _log_mix(t0, a1, b1) - _log_mix(t0, a2, b2)
+        u, v = (alpha * (_log_ratio(t, t0, (t - t0) / t0)
+                         - _log_ratio(1.0 - t, 1.0 - t0, (t0 - t) / (1.0 - t0))) for t in (t1, t2))
+        c = t0 / (1.0 - t0)
+        f1, f2 = (math.expm1(w) / (1.0 + c * math.exp(w)) if w <= 0
+                  else -math.expm1(-w) / (math.exp(-w) + c) for w in (u, v))
+        x = c * f1 * f2
+        if -0.5 <= x < math.inf:
+            total += math.log1p(x)
+        else:
+            t = math.log(t0) - math.log1p(-t0)
+            a = [max(z, 0.0) + math.log1p(math.exp(-abs(z))) for z in (t + u + v, t + u, t + v, t)]
+            total += a[0] - a[1] - a[2] + a[3]
     return total
 
 
-def _log_rate_ratio(coeffs, logs, shift: float) -> float | None:
-    """shift + log(sum_i c_i e^(l_i - l_0)), or None unless the sum is positive: a signed
-    log-sum-exp."""
-    terms = [(c, math.log(abs(c)) + l - logs[0]) for c, l in zip(coeffs, logs) if c]
-    top = max(l for _, l in terms)
-    total = math.fsum(math.copysign(math.exp(l - top), c) for c, l in terms)
-    return top + math.log(total) + shift if total > 0 else None
+def _gamma_mixed(row, alpha) -> tuple:
+    """A Gamma coordinate's mixed shapes a01, a02, abar and rates b01, b02, bbar, these exact sums
+    of their terms ((1 - 2 alpha) b0, alpha b1, alpha b2 for bbar), over alpha above 1."""
+    (a0, b0), (a1, b1), (a2, b2) = row
+    p, q = min(1.0, 1.0 / alpha), min(alpha, 1.0)
+    return (a0 + alpha * (a1 - a0), a0 + alpha * (a2 - a0), a0 + alpha * (a1 + a2 - 2.0 * a0),
+            _exact_dot((p - q, q), (b0, b1)), _exact_dot((p - q, q), (b0, b2)),
+            _exact_dot((p - 2.0 * q, q, q), (b0, b1, b2)))
 
 
-def _gamma_log1p(rows, alpha) -> float | None:
-    """log(R_alpha + 1) over Gamma coordinates, or None on a domain violation.
-
-    The rate part is accumulated through log1p of relative rate shifts, which
-    is exact up to rounding when the three rates are close (the regime the
-    first-order approximation cares about).  Writing d = beta_j - beta_0:
-
-        a01*log(b01) + a02*log(b02) - a0*log(b0) - abar*log(bbar)
-          = a01*log1p(x1) + a02*log1p(x2) - abar*log1p(x12)
-
-    because a01 + a02 - a0 - abar = 0, with xj = alpha*dj/b0.  Where an x is not finite or
-    1 + x not normal, each log(b/b0) on the left is a signed log-sum-exp of log b0, b1, b2.
-    """
-    total = 0.0
-    for (a0, b0), (a1, b1), (a2, b2) in rows:
-        abar = a0 + alpha * (a1 + a2 - 2.0 * a0)
-        a01 = a0 + alpha * (a1 - a0)
-        a02 = a0 + alpha * (a2 - a0)
-        xs = (alpha * (b1 - b0) / b0, alpha * (b2 - b0) / b0, alpha * (b1 + b2 - 2.0 * b0) / b0)
-        if all(sys.float_info.min <= abs(1.0 + x) < math.inf for x in xs):
-            logs = [math.log1p(x) if 1.0 + x > 0 else None for x in xs]
-        else:  # the mixed rates' coefficients, divided by alpha above 1 so that none overflows
-            p, q = (1.0, alpha) if alpha <= 1 else (1.0 / alpha, 1.0)
-            rates = [math.log(b) for b in (b0, b1, b2)]
-            logs = [_log_rate_ratio(c, rates, math.log(alpha / q))
-                    for c in ((p - q, q, 0.0), (p - q, 0.0, q), (p - 2.0 * q, q, q))]
-        if min(abar, a01, a02) <= 0 or None in logs:
-            return None
+def _gamma_log1p(rows, alpha) -> float:
+    """The sum of lgamma(a0) + lgamma(abar) - lgamma(a01) - lgamma(a02) and the rate part
+    a0 log1p(x) - alpha (a1 - a0) log(bbar/b01) - alpha (a2 - a0) log(bbar/b02), where
+    x = (alpha d1/b0)(alpha d2/bbar) = b01 b02/(b0 bbar) - 1 and dj = bj - b0.  Where x is
+    beyond the float range or below -1/2, or bbar is beyond it, the rate part is
+    a01 log(b01/b0) + a02 log(b02/b0) - abar log(bbar/b0), bbar then a quarter of its sum."""
+    p, q, total = min(1.0, 1.0 / alpha), min(alpha, 1.0), 0.0
+    for row in rows:
+        (a0, b0), (a1, b1), (a2, b2) = row
+        a01, a02, abar, b01, b02, bbar = _gamma_mixed(row, alpha)
         try:
-            log_gamma_part = (math.lgamma(a0) + math.lgamma(abar)
-                              - math.lgamma(a01) - math.lgamma(a02))
+            total += math.lgamma(a0) + math.lgamma(abar) - math.lgamma(a01) - math.lgamma(a02)
         except OverflowError:  # a shape near 1e308
             raise OverflowError(f"the Gamma closed form's lgamma of a shape among {a0!r}, "
                                 f"{abar!r}, {a01!r} and {a02!r} exceeds the float range") from None
-        log_rate_part = a01 * logs[0] + a02 * logs[1] - abar * logs[2]
-        total += log_gamma_part + log_rate_part
+        d1, d2 = b1 - b0, b2 - b0
+        x = alpha * (d1 / b0) * (q * (d2 / bbar))
+        if -0.5 <= x < math.inf and bbar < math.inf:
+            total += (a0 * math.log1p(x) - alpha * (a1 - a0) * _log_ratio(bbar, b01, q * (d2 / b01))
+                      - alpha * (a2 - a0) * _log_ratio(bbar, b02, q * (d1 / b02)))
+            continue
+        log_bbar = math.log(bbar) if bbar < math.inf else math.log(4.0) + math.log(
+            _exact_dot(((p - 2.0 * q) / 4, q / 4, q / 4), (b0, b1, b2)))
+        total += (a01 * math.log(b01) + a02 * math.log(b02) - abar * log_bbar
+                  + a0 * (math.log(alpha / q) - math.log(b0)))
     return total
 
 
@@ -280,22 +273,27 @@ FAMILIES = {
     "bernoulli_product": FamilySpec(
         (("theta", "open-unit"),), "", _bernoulli_log1p, lambda f: (f.params["theta"],)),
     "exponential_product": FamilySpec(  # Gamma coordinates with unit shapes
-        (("beta", "positive"),), "", _gamma_log1p, lambda f: ((1.0,) * f.dim, f.params["beta"])),
+        (("beta", "positive"),), "", _gamma_log1p, lambda f: ((1.0,) * f.dim, f.params["beta"]),
+        lambda row, alpha: min(_gamma_mixed(row, alpha)) > 0),
     "gamma_product": FamilySpec(
         (("shape", "positive"), ("rate", "positive")), "", _gamma_log1p,
-        lambda f: (f.params["shape"], f.params["rate"])),
+        lambda f: (f.params["shape"], f.params["rate"]),
+        lambda row, alpha: min(_gamma_mixed(row, alpha)) > 0),
 }
 
 
 def r_alpha_closed_log1p(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
                          alpha: float) -> float:
-    """log(R_alpha + 1) in closed form; +inf when a domain constraint fails.  The Poisson and
-    Bernoulli coordinates use powers such as lambda**alpha where each is normal and the
-    result finite, and elsewhere each power taken relative to member 0.  OverflowError when
-    the value is NaN or +inf: beyond the float range, or undefined in floating point."""
-    value = FAMILIES[f0.kind].log1p(_coordinates(f0, f1, f2, alpha), alpha)
-    if value is None:
+    """log(R_alpha + 1), the second difference of the log-partition summed over coordinates;
+    +inf when a mixed parameter leaves the natural domain, checked on every coordinate first.
+    Then a coordinate where member 1 or 2 equals member 0 adds exactly 0.  OverflowError
+    when the value is NaN or +inf: beyond the float range, or undefined in floating point."""
+    spec = FAMILIES[f0.kind]
+    rows = _coordinates(f0, f1, f2, alpha)
+    if not all(spec.domain(row, alpha) for row in rows):
         return math.inf
+    rows = [(p0, p1, p2) for p0, p1, p2 in rows if p0 != p1 and p0 != p2]
+    value = spec.log1p(rows, alpha) if rows else 0.0
     if math.isnan(value) or value == math.inf:
         raise OverflowError("log(R_alpha + 1) is undefined in floating point: an "
                             "intermediate power exceeds the float range")

@@ -3,9 +3,9 @@
 The family routines integrate the defining ratio of integrals directly (exact two-point
 sums for Bernoulli, adaptive Gauss-Legendre quadrature for Gaussian/Exponential/Gamma,
 anchored log-space series for Poisson) to validate the closed forms in
-:mod:`codiv.families`, with no closed-form shortcut; ``oracle_natural_r_alpha`` checks
-them through the exponential-family identity on natural parameters.  Both read the table
-_ORACLES and work on Python floats, loading no numpy; only the discrete routines use it.
+:mod:`codiv.families`, with no closed-form shortcut.  Each coordinate gives log(R_alpha + 1),
+and the coordinates are summed in logs.  They read the table _ORACLES and work on Python
+floats, loading no numpy; only the discrete routines use it.
 Those evaluate codivergences pair by pair from their defining finite sums, accumulated
 with ``math.fsum``, to check the Gram cells of :func:`codiv.codivergence.features`.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from array import array
 from functools import partial
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, islice, product
 
 from .errors import DegeneratePhiError, OracleFailureError, PreconditionError, exact_fsum
 from .families import ParamFamily, _coordinates, _exp
@@ -119,17 +119,19 @@ def _log_window(log_g, y_star: float, first_step: float = 1.0) -> tuple[float, f
 
 def _gaussian_power_integral(params, powers) -> float:
     """Integral of prod_j N(mean_j, sigma^2)(x)**power_j dx over rows (mean_j, sigma); powers
-    sum to 1.  The integrand is a bump of width sigma centred at sum_j power_j * mean_j,
-    outside the means when a power is negative, so the window is bracketed around it."""
-    means, sigma = [row[0] for row in params], params[0][1]
-    log_norm = -math.log(sigma * math.sqrt(2.0 * math.pi))  # total, since sum(powers) == 1
-    inv2s2 = 1.0 / (2.0 * sigma * sigma) if sigma * sigma else math.inf
+    sum to 1, so sigma cancels in z = (x - mean_0)/sigma: the integrand is a bump of width 1 at
+    c = sum_j power_j mu_j, mu_j = (mean_j - mean_0)/sigma (outside the mu_j when a power is
+    negative).  It is integrated in y = z - c, where a bump far from 0 is no step."""
+    mus = [(row[0] - params[0][0]) / row[1] for row in params]
+    centre = _dot(powers, mus)
+    shifts, log_norm = [mu - centre for mu in mus], -0.5 * math.log(2.0 * math.pi)
 
-    def log_f(x):
-        return log_norm - inv2s2 * sum(c * ((x - m) * (x - m)) for m, c in zip(means, powers) if c)
+    def log_f(y):
+        return log_norm - 0.5 * exact_fsum([c * ((y - s) * (y - s))
+                                            for s, c in zip(shifts, powers) if c])
 
-    lo, hi = _log_window(log_f, _dot(powers, means), sigma)
-    return adaptive_gauss_legendre(lambda xs: [_exp(log_f(x)) for x in xs], lo, hi)
+    lo, hi = _log_window(log_f, 0.0)
+    return adaptive_gauss_legendre(lambda ys: [_exp(log_f(y)) for y in ys], lo, hi)
 
 
 def _gamma_power_integral(params, powers) -> float | None:
@@ -157,15 +159,16 @@ def _gamma_power_integral(params, powers) -> float | None:
     return adaptive_gauss_legendre(lambda ys: [_exp(log_g(y)) for y in ys], y_lo, y_hi)
 
 
-def _poisson_log_series(L: float, m: int) -> float:
+def _poisson_log_series(L: float, m: int, logs=None) -> float:
     """log of the series sum_k e^((k - m) L) m!/k!, whose terms are log-concave in k with
     their mode at g = e^L and the value 1 at the anchor m.  The log terms are accumulated
     outward from m, a running sum of L - log j each way, over a window [lo, hi] 10 sqrt(g) + 10
-    terms past m and g, 8 bytes a term.  Past hi a term is at most r = g/(hi + 1) times the
-    one before it, and below lo at most r = lo/g, so each tail is at most its edge term times
-    r/(1 - r).  Terms more than _SERIES_DROP nats below the peak are not summed.
-    OracleFailureError when e^L exceeds the float range, before a window of more than
-    _SERIES_TERMS terms is summed, and unless both tail bounds are below _SERIES_TAIL of the sum."""
+    terms past m and g, 8 bytes a term; ``logs``, the log j above m and from m down, grows as a
+    window needs and is shared by the series of one anchor.  Past hi a term is at most
+    r = g/(hi + 1) times the one before it, and below lo at most r = lo/g, so each tail is at
+    most its edge term times r/(1 - r).  Terms more than _SERIES_DROP nats below the peak are
+    not summed.  OracleFailureError when e^L exceeds the float range, before a window of more
+    than _SERIES_TERMS terms is summed, and unless both tail bounds are below _SERIES_TAIL."""
     g = _exp(L)
     if not (math.isfinite(L) and g < math.inf):
         raise OracleFailureError(f"the Poisson series' term ratio e^{L!r}/(k + 1) exceeds "
@@ -176,8 +179,11 @@ def _poisson_log_series(L: float, m: int) -> float:
     if hi - lo + 1 > _SERIES_TERMS:
         raise OracleFailureError(f"the Poisson series around k = {m} and the mode "
                                  f"{g!r} needs more than {_SERIES_TERMS} terms")
-    up = array("d", accumulate(L - math.log(j) for j in range(m + 1, hi + 1)))
-    down = array("d", accumulate(math.log(j) - L for j in range(m, lo, -1)))
+    above, below = logs or (array("d"), array("d"))
+    above.extend(map(math.log, range(m + 1 + len(above), hi + 1)))
+    below.extend(map(math.log, range(m - len(below), lo, -1)))
+    up = array("d", accumulate(L - x for x in islice(above, hi - m)))
+    down = array("d", accumulate(x - L for x in islice(below, m - lo)))
     peak = max(0.0, max(up), max(down, default=0.0))
     floor = peak - _SERIES_DROP
     total = math.fsum(math.exp(x - peak) for x in chain(down, (0.0,), up) if x >= floor)
@@ -189,23 +195,19 @@ def _poisson_log_series(L: float, m: int) -> float:
     return peak + math.log(total)
 
 
-def _poisson_r_alpha(params, alpha: float) -> float:
-    """R_alpha of one Poisson coordinate from its defining series, in log space.  With powers
-    c summing to 1, sum_k prod_j Pois(lam_j)(k)**c_j is e^(-B + mL)/m! times the sum of
+def _poisson_log1p(params, alpha: float) -> float:
+    """log(R_alpha + 1) of one Poisson coordinate from its defining series.  With powers c
+    summing to 1, sum_k prod_j Pois(lam_j)(k)**c_j is e^(-B + mL)/m! times the sum of
     ``_poisson_log_series``(L, m), for B = c.lam and L = c.log(lam).  Every series has the
     anchor m = floor(lam_0); with the series of Pois(lam_0), whose sum is 1, as a fourth,
     log(R_alpha + 1) = log S_a + log S_0 - log S_b - log S_c, and the factors e^(-B + mL)/m!
-    cancel exactly, so they are never computed.  OracleFailureError when R_alpha exceeds the
-    float range."""
+    cancel exactly, so they are never computed.  The four series share one table of log j."""
     log_lams, m = [math.log(row[0]) for row in params], math.floor(params[0][0])
     a, b, c = _mixture_weights(alpha)
-    sa, s0, sb, sc = (_poisson_log_series(_dot(w, log_lams), m) for w in (a, (1.0, 0.0, 0.0), b, c))
-    log1p = sa + s0 - sb - sc
-    try:
-        return math.expm1(log1p)
-    except OverflowError:
-        raise OracleFailureError(f"the Poisson series give R_alpha beyond the float range: "
-                                 f"log(R_alpha + 1) = {log1p!r}") from None
+    logs = array("d"), array("d")
+    sa, s0, sb, sc = (_poisson_log_series(_dot(w, log_lams), m, logs)
+                      for w in (a, (1.0, 0.0, 0.0), b, c))
+    return sa + s0 - sb - sc
 
 
 def _bernoulli_power_sum(params, powers) -> float:
@@ -236,72 +238,44 @@ def _ratio_minus_one(v0: float, v1: float, v2: float) -> float:
 
 
 def _ratio_of_integrals(integral, params, alpha: float) -> float:
-    """R_alpha of one scalar coordinate from its three defining integrals, where
+    """log(R_alpha + 1) of one scalar coordinate from its three defining integrals, where
     ``integral(params, powers)`` is the integral of prod_j p_j(x)**powers[j] and None
-    marks a divergent one; +inf when one diverges.  An integral of a positive integrand
-    that comes out <= 0 or non-finite was not resolved (a peak narrower than the panels,
-    say), so it raises OracleFailureError, as does a ratio beyond the float range."""
+    marks a divergent one: log v0 - log v1 - log v2, or +inf when one diverges.  An integral of
+    a positive integrand that comes out <= 0 or non-finite was not resolved (a peak narrower
+    than the panels, say), so it raises OracleFailureError."""
     values = [integral(params, powers) for powers in _mixture_weights(alpha)]
     if None in values:
         return math.inf
     if not all(0 < value < math.inf for value in values):
         raise OracleFailureError(f"the oracle integrals {values} of a coordinate are not all "
                                  "positive and finite: the integrand was not resolved")
-    return _ratio_minus_one(*values)
+    return math.log(values[0]) - math.log(values[1]) - math.log(values[2])
 
 
-def r_alpha_product(componentwise: list[float]) -> float:
-    """Combine per-coordinate R_alpha values: product of (value + 1) minus 1; +inf absorbs.
-    OracleFailureError when finite values multiply beyond the float range."""
-    if any(math.isinf(v) for v in componentwise):
-        return math.inf
-    product = math.prod(1.0 + v for v in componentwise)
-    if not math.isfinite(product):
-        raise OracleFailureError("the coordinates' R_alpha + 1 multiply beyond the float range")
-    return product - 1.0
-
-
-# (route, natural, A) of one coordinate, for each JSON kind; row j of ``params`` holds the
-# coordinate's parameters in family j, as ``families._coordinates`` gives them.  route(params,
-# alpha) is R_alpha from integrals or series, natural(row) a row's natural parameters (mean /
-# sigma, or (shape - 1, -rate)), and A their log-partition, None outside the natural domain.
+# route(params, alpha) -> log(R_alpha + 1) of one coordinate, for each JSON kind; row j of
+# ``params`` holds the coordinate's parameters in family j, as ``families._coordinates`` does.
 _ORACLES = {
-    "gaussian_iso": (partial(_ratio_of_integrals, _gaussian_power_integral),
-                     lambda p: (p[0] / p[1],), lambda t: t[0] * t[0] / 2.0),
-    "poisson_product": (_poisson_r_alpha, lambda p: (math.log(p[0]),), lambda t: math.exp(t[0])),
-    "bernoulli_product": (partial(_ratio_of_integrals, _bernoulli_power_sum),
-                          lambda p: (math.log(p[0] / (1.0 - p[0])),),
-                          lambda t: max(t[0], 0.0) + math.log1p(math.exp(-abs(t[0])))),
-    "gamma_product": (partial(_ratio_of_integrals, _gamma_power_integral),
-                      lambda p: (p[0] - 1.0, -p[1]),
-                      lambda t: math.lgamma(t[0] + 1.0) - (t[0] + 1.0) * math.log(-t[1])
-                      if t[0] > -1.0 and t[1] < 0.0 else None),
+    "gaussian_iso": partial(_ratio_of_integrals, _gaussian_power_integral),
+    "poisson_product": _poisson_log1p,
+    "bernoulli_product": partial(_ratio_of_integrals, _bernoulli_power_sum),
+    "gamma_product": partial(_ratio_of_integrals, _gamma_power_integral),
 }
 _ORACLES["exponential_product"] = _ORACLES["gamma_product"]
 
 
 def oracle_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: float) -> float:
-    """Numerical R_alpha for a same-kind family triple, one coordinate at a time, composed with
-    the product rule: integrals to _REL_TOL, Poisson series to tails below _SERIES_TAIL."""
-    route = _ORACLES[f0.kind][0]
-    return r_alpha_product([route(params, alpha) for params in _coordinates(f0, f1, f2, alpha)])
-
-
-def oracle_natural_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
-                           alpha: float) -> float:
-    """R_alpha from the exponential-family identity, one coordinate at a time, on its natural
-    parameters tj and log-partition A: log(R_alpha + 1) = A(tbar) - A(t01) - A(t02) + A(t0),
-    where tbar, t01 and t02 mix t0, t1 and t2 with the weights of ``_mixture_weights``;
-    +inf when a mixed parameter leaves the natural domain."""
-    _, natural, log_partition = _ORACLES[f0.kind]
-    weights, log1p = _mixture_weights(alpha), 0.0
-    for params in _coordinates(f0, f1, f2, alpha):
-        theta = [natural(row) for row in params]
-        mixed = [log_partition([_dot(w, column) for column in zip(*theta)]) for w in weights]
-        if None in mixed:
-            return math.inf
-        log1p += mixed[0] - mixed[1] - mixed[2] + log_partition(theta[0])
-    return math.expm1(log1p)
+    """Numerical R_alpha for a same-kind family triple: expm1 of the sum of its coordinates'
+    log(R_alpha + 1), integrals to _REL_TOL and Poisson series to tails below _SERIES_TAIL;
+    +inf when an integral diverges.  OracleFailureError when R_alpha exceeds the float range."""
+    logs = [_ORACLES[f0.kind](params, alpha) for params in _coordinates(f0, f1, f2, alpha)]
+    if math.inf in logs:
+        return math.inf
+    log1p = math.fsum(logs)
+    try:
+        return math.expm1(log1p)
+    except OverflowError:
+        raise OracleFailureError(f"the oracle gives R_alpha beyond the float range: "
+                                 f"log(R_alpha + 1) = {log1p!r}") from None
 
 
 def _pairwise_codiv(p0, p1, p2, kind: str, phi) -> float:

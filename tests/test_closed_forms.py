@@ -1,15 +1,20 @@
+import itertools
 import math
+import sys
 from types import MappingProxyType
 
 import numpy as np
 import pytest
 
-from codiv import (BernoulliProd, DimensionMismatchError, ExponentialProd, GammaProd,
-                   GaussianIso, KindMismatchError, ParamFamily, PoissonProd, PreconditionError,
-                   family_from_json_dict, gamma_first_order, oracle_natural_r_alpha,
-                   oracle_r_alpha, phi_alpha, r_alpha_closed, r_alpha_closed_log1p,
-                   r_alpha_product)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from codiv import (BernoulliProd, DimensionMismatchError, DiscreteMeasure, ExponentialProd,
+                   GammaProd, GaussianIso, KindMismatchError, ParamFamily, PoissonProd,
+                   PreconditionError, family_from_json_dict, gamma_first_order, oracle_r_alpha,
+                   phi_alpha, r_alpha_closed, r_alpha_closed_log1p, r_phi)
 from codiv.errors import _from_checked
+from codiv.families import _coordinates
 
 
 class TestGaussian:
@@ -140,10 +145,16 @@ class TestExponentialAndGamma:
 
 class TestProductRule:
     def test_basics(self):
-        assert r_alpha_product([0.0, 0.0, 0.0]) == 0.0
-        e = math.e - 1.0
-        assert r_alpha_product([e, e]) == pytest.approx(math.e ** 2 - 1.0, rel=1e-15)
-        assert r_alpha_product([0.5, math.inf]) == math.inf
+        """log(R_alpha + 1) of a product family is the sum over its coordinates: coordinates
+        equal to the reference add 0, two with log(R_alpha + 1) = 1 give e^2 - 1, and one
+        outside the natural domain makes the whole triple +inf."""
+        f = GaussianIso([0.0, 0.0, 0.0], 1.0)
+        assert r_alpha_closed(f, f, f, 0.5) == 0.0
+        shifted = GaussianIso([1.0, 1.0], 0.5)
+        value = r_alpha_closed(GaussianIso([0.0, 0.0], 0.5), shifted, shifted, 0.5)
+        assert value == pytest.approx(math.expm1(math.fsum([1.0, 1.0])), rel=1e-15)
+        assert r_alpha_closed(*(GammaProd([1.0, 1.0], [b, 2.0]) for b in (5.0, 1.0, 1.0)),
+                              1.0) == math.inf
 
     def test_matches_multivariate_closed_forms(self):
         rng = np.random.default_rng(14)
@@ -179,47 +190,169 @@ class TestProductRule:
                 comps = [r_alpha_closed(GammaProd([a0[l]], [b0[l]]), GammaProd([a1[l]], [b1[l]]),
                                         GammaProd([a2[l]], [b2[l]]), alpha) for l in range(d)]
             whole = r_alpha_closed(*fams, alpha)
-            combined = r_alpha_product(comps)
             if math.isinf(whole):
-                assert math.isinf(combined)
+                assert math.inf in comps
             else:
+                combined = math.expm1(math.fsum(math.log1p(c) for c in comps))
                 assert whole == pytest.approx(combined, rel=1e-10, abs=1e-13)
 
 
+def _delta2_log_partition(kind, rows, alpha):
+    """log(R_alpha + 1) = A(t_bar) - A(t_01) - A(t_02) + A(t_0) over the coordinates' natural
+    parameters t at 200 digits, or None outside the natural domain.  Each family's difference
+    is written so that it cancels none of those digits: alpha^2 <d_1, d_2>/sigma^2 (Gaussian),
+    lambda_0^(1 - 2 alpha)(lambda_1^alpha - lambda_0^alpha)(lambda_2^alpha - lambda_0^alpha)
+    (Poisson), and log(N/(D_1 D_2)) = log1p((N - D_1 D_2)/(D_1 D_2)) of the defining sums or
+    integrals (Bernoulli; Gamma with shared shapes, times the shape), with N - D_1 D_2 formed
+    as a product of differences, and the log of the ratio itself where that is below 1/2."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(200):
+        a, total = mpmath.mpf(alpha), mpmath.mpf(0)
+        for row in rows:
+            p0, p1, p2 = ([mpmath.mpf(x) for x in p] for p in row)
+            if kind in ("exponential_product", "gamma_product"):
+                (shape, b0), (_, b1), (_, b2) = p0, p1, p2
+                with mpmath.workdps(700):  # the mixed rates of floats, exactly
+                    b01, b02 = ((1 - a) * b0 + a * b for b in (b1, b2))
+                    bbar = (1 - 2 * a) * b0 + a * (b1 + b2)
+                if min(b01, b02, bbar) <= 0:
+                    return None
+                ratio, excess = b01 * b02 / (b0 * bbar), a * a * (b1 - b0) * (b2 - b0) / (b0 * bbar)
+            if p1 == p0 or p2 == p0:  # exactly 0, which the digits' rounding would blur
+                continue
+            if kind == "gaussian_iso":
+                (m0, s), (m1, _), (m2, _) = p0, p1, p2
+                total += a * a * (m1 - m0) * (m2 - m0) / (s * s)
+                continue
+            if kind == "poisson_product":
+                (l0,), (l1,), (l2,) = p0, p1, p2
+                total += l0 ** (1 - 2 * a) * (l1 ** a - l0 ** a) * (l2 ** a - l0 ** a)
+                continue
+            if kind == "bernoulli_product":  # rho_j = (theta_j/theta_0)^a, sigma_j likewise
+                (t0,), (t1,), (t2,) = p0, p1, p2
+                (r1, s1), (r2, s2) = (((t / t0) ** a, ((1 - t) / (1 - t0)) ** a) for t in (t1, t2))
+                d1, d2 = (t0 * r + (1 - t0) * s for r, s in ((r1, s1), (r2, s2)))
+                excess = t0 * (1 - t0) * (r1 - s1) * (r2 - s2) / (d1 * d2)
+                ratio, shape = 1 + excess, 1
+            total += shape * (mpmath.log(ratio) if ratio < 0.5 else mpmath.log1p(excess))
+        return total
+
+
+KINDS = ["gaussian_iso", "poisson_product", "bernoulli_product", "exponential_product",
+         "gamma_product"]
+FAMILY_PARAM = {"poisson_product": "lambda", "bernoulli_product": "theta",
+                "exponential_product": "beta"}
+
+
+@st.composite
+def family_triples(draw, regime):
+    """(kind, alpha, three members) in one of three regimes.  "local": members 1 and 2 within a
+    relative step h in [1e-8, 1e-3] of member 0, and alpha 1 (chi2), 1/2 (hellinger) or in
+    [1e-2, 10]; "small-alpha": steps h up to 1e-1 and alpha in [1e-12, 1e-2]; "float-range":
+    every positive parameter log-uniform over the float range (a Bernoulli theta or 1 - theta
+    over (0, 1)), and alpha 1, 1/2 or in [1e-12, 100].  Gamma members share their shapes."""
+    kind, d = draw(st.sampled_from(KINDS)), draw(st.integers(1, 3))
+    log_uniform = lambda lo, hi: 10.0 ** draw(st.floats(lo, hi))  # noqa: E731
+    if regime == "float-range":
+        alpha = draw(st.sampled_from([1.0, 0.5, log_uniform(-12.0, 2.0)]))
+
+        def member(_):
+            positive = [max(log_uniform(-323.5, 308.2), 5e-324) for _ in range(d)]
+            signs = [draw(st.sampled_from([-1.0, 1.0])) for _ in range(d)]
+            halves = [min(x, 0.5) for x in positive]  # theta, or 1 - theta at least 2**-53
+            return {"gaussian_iso": [s * x for s, x in zip(signs, positive)],
+                    "bernoulli_product": [x if s > 0 else 1.0 - max(x, 2.0 ** -53)
+                                          for s, x in zip(signs, halves)]}.get(kind, positive)
+    else:
+        h_hi, alpha = ((-3.0, draw(st.sampled_from([1.0, 0.5, log_uniform(-2.0, 1.0)])))
+                       if regime == "local" else (-1.0, log_uniform(-12.0, -2.0)))
+        lo, hi = {"gaussian_iso": (-10.0, 10.0), "bernoulli_product": (0.05, 0.95)}.get(
+            kind, (0.01, 100.0))
+        reference = [draw(st.floats(lo, hi)) for _ in range(d)]
+
+        def member(j):
+            return reference if j == 0 else [
+                x * (1.0 + log_uniform(-8.0, h_hi) * draw(st.floats(-1.0, 1.0)))
+                for x in reference]
+    scale = log_uniform(-323.0, 308.0) if regime == "float-range" else draw(st.floats(0.1, 10.0))
+    shapes = [draw(st.floats(0.1, 10.0)) for _ in range(d)]
+    members = [member(j) for j in range(3)]
+    if kind == "gaussian_iso":
+        return kind, alpha, [GaussianIso(m, scale) for m in members]
+    if kind == "gamma_product":
+        return kind, alpha, [GammaProd(shapes, m) for m in members]
+    return kind, alpha, [ParamFamily(kind, {FAMILY_PARAM[kind]: m}) for m in members]
+
+
+def _relative_error(got, exact):
+    """|got - exact| / |exact|, the denominator at least the smallest normal float."""
+    return float(abs(got - exact) / max(abs(exact), 2.0 ** -1022))
+
+
 class TestGenericSpecialization:
-    def test_all_families_match_their_natural_parameterization(self):
-        rng = np.random.default_rng(16)
-        triples = []
-        for _ in range(10):
-            d = int(rng.integers(1, 4))
-            sigma = rng.uniform(0.5, 2.0)
-            triples.append([GaussianIso(rng.uniform(-2, 2, d), sigma) for _ in range(3)])
-            triples.append([PoissonProd(rng.uniform(0.3, 5.0, d)) for _ in range(3)])
-            triples.append([BernoulliProd(rng.uniform(0.05, 0.95, d)) for _ in range(3)])
-            triples.append([ExponentialProd(rng.uniform(0.5, 4.0, d)) for _ in range(3)])
-            triples.append([GammaProd(rng.uniform(0.5, 3.0, d), rng.uniform(0.5, 4.0, d))
-                            for _ in range(3)])
-        for f0, f1, f2 in triples:
-            # at alpha 2 and 5 some Gamma and exponential triples leave the natural domain,
-            # and some Poisson ones put R_alpha beyond the float range
-            for alpha in (0.25, 0.5, 1.0, 2.0, 5.0):
-                try:
-                    direct = r_alpha_closed(f0, f1, f2, alpha)
-                except OverflowError:
-                    with pytest.raises(OverflowError):
-                        oracle_natural_r_alpha(f0, f1, f2, alpha)
-                    continue
-                generic = oracle_natural_r_alpha(f0, f1, f2, alpha)
-                if math.isinf(direct):
-                    assert math.isinf(generic)
-                else:
-                    assert direct == pytest.approx(generic, rel=1e-10, abs=1e-12)
+    """The closed forms against the second difference of each family's log-partition in
+    200-digit mpmath: within 1e-12 relative in R_alpha in the local and small-alpha regimes,
+    and over the whole float range a value, the documented inf or OverflowError, never NaN,
+    another exception, a wrong inf or a wrong -1."""
+
+    @pytest.mark.parametrize("regime", ["local", "small-alpha"])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_all_families_match_their_natural_parameterization(self, regime, data):
+        kind, alpha, triple = data.draw(family_triples(regime))
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(200):
+            exact = mpmath.expm1(_delta2_log_partition(kind, _coordinates(*triple, alpha), alpha))
+            assert _relative_error(r_alpha_closed(*triple, alpha), exact) <= 1e-12
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_the_float_range_gives_no_wrong_value(self, data):
+        """The error of log(R_alpha + 1) is taken relative to the sum of its coordinates'
+        magnitudes, which no sum over the coordinates in floats can beat."""
+        kind, alpha, triple = data.draw(family_triples("float-range"))
+        mpmath = pytest.importorskip("mpmath")
+        terms = [_delta2_log_partition(kind, [row], alpha) for row in _coordinates(*triple, alpha)]
+        try:
+            got = r_alpha_closed(*triple, alpha)
+        except OverflowError:  # R_alpha beyond the float range, or log(R_alpha + 1) itself
+            assert None not in terms
+            assert sum(terms) > math.log(sys.float_info.max) or abs(sum(terms)) > sys.float_info.max
+            return
+        if None in terms:
+            assert got == math.inf
+            return
+        with mpmath.workdps(200):
+            assert -1.0 <= got < math.inf
+            if got == -1.0:  # R_alpha + 1 below 2**-53
+                assert sum(terms) < -53 * math.log(2.0)
+                return
+            scale = max(sum(abs(t) for t in terms), 2.0 ** -1022)
+            assert abs(r_alpha_closed_log1p(*triple, alpha) - sum(terms)) < 1e-6 * scale
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_bernoulli_matches_the_discrete_route(self, data):
+        """The Bernoulli closed form against R_phi of the product measures on {0, 1}^d, which
+        uses no family code."""
+        alpha = data.draw(st.sampled_from([1.0, 0.5, 10.0 ** data.draw(st.floats(-2.0, 1.0))]))
+        d = data.draw(st.integers(1, 3))
+        thetas = [[data.draw(st.floats(0.05, 0.95)) for _ in range(d)] for _ in range(3)]
+        masses = [[math.prod(t if bit else 1.0 - t for t, bit in zip(theta, bits))
+                   for bits in itertools.product((0, 1), repeat=d)] for theta in thetas]
+        measures = [DiscreteMeasure(np.array(m) / math.fsum(m)) for m in masses]
+        discrete = r_phi(*measures, phi_alpha(alpha))
+        closed = r_alpha_closed(*(BernoulliProd(t) for t in thetas), alpha)
+        assert closed == pytest.approx(discrete, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("rates", [(1e300, 1e-300, 1.0), (1e308, 1e-308, 1.0)])
     def test_far_apart_rates_stay_in_the_natural_domain(self, rates):
         triple = [ExponentialProd([b]) for b in rates]
-        assert oracle_natural_r_alpha(*triple, 0.5) == pytest.approx(
-            r_alpha_closed(*triple, 0.5), rel=1e-12)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(200):
+            exact = mpmath.expm1(_delta2_log_partition("exponential_product",
+                                                       _coordinates(*triple, 0.5), 0.5))
+        assert r_alpha_closed(*triple, 0.5) == pytest.approx(float(exact), rel=1e-12)
 
 
 class TestGammaFirstOrder:
@@ -332,9 +465,11 @@ def test_overflow_names_the_log_value(triple, alpha, log1p_value):
 
 
 def test_lgamma_overflow_is_named():
-    """lgamma of a shape near 1e308 overflows; before, the message was "math range error"."""
+    """lgamma of a shape near 1e308 overflows; before, the message was "math range error".
+    Where member 1 equals member 0, as for (0.25, 0.25, 1e308), no lgamma is taken: R is 0."""
     with pytest.raises(OverflowError, match="^the Gamma closed form's lgamma of a shape among"):
-        r_alpha_closed(*(GammaProd([a], [a]) for a in (0.25, 0.25, 1e308)), 1.0)
+        r_alpha_closed(*(GammaProd([a], [a]) for a in (0.25, 1e308, 1.0)), 1.0)
+    assert r_alpha_closed(*(GammaProd([a], [a]) for a in (0.25, 0.25, 1e308)), 1.0) == 0.0
 
 
 @pytest.mark.parametrize("triple, alpha", [
@@ -369,7 +504,7 @@ def test_kind_and_dimension_mismatch():
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0])
 @pytest.mark.parametrize("route", [r_alpha_closed_log1p, r_alpha_closed, oracle_r_alpha,
-                                   oracle_natural_r_alpha, gamma_first_order],
+                                   gamma_first_order],
                          ids=lambda f: f.__name__)
 def test_alpha_must_be_positive(route, alpha):
     f = GammaProd([1.5], [2.0])
@@ -378,7 +513,7 @@ def test_alpha_must_be_positive(route, alpha):
 
 
 @pytest.mark.parametrize("route", [phi_alpha, r_alpha_closed_log1p, r_alpha_closed,
-                                   oracle_r_alpha, oracle_natural_r_alpha, gamma_first_order],
+                                   oracle_r_alpha, gamma_first_order],
                          ids=lambda f: f.__name__)
 def test_alpha_must_be_finite(route):
     """An infinite power is no link; without the rule the routes gave nan, inf or an

@@ -40,8 +40,7 @@ EXPORTED = {
                  "quadratic_form_check", "rank_with_identity"],
     "measures": ["DiscreteMeasure", "JordanDecomposition", "SignedMeasure", "dominated_by",
                  "ess_sup_ratio", "jordan_decompose", "perturb", "validity_radius"],
-    "oracles": ["adaptive_gauss_legendre", "oracle_divergence_matrix", "oracle_natural_r_alpha",
-                "oracle_r_alpha", "r_alpha_product"],
+    "oracles": ["adaptive_gauss_legendre", "oracle_divergence_matrix", "oracle_r_alpha"],
 }
 
 

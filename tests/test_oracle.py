@@ -9,7 +9,7 @@ import pytest
 from codiv import (PHI_SQRT, BernoulliProd, DiscreteMeasure, ExponentialProd,
                    GammaProd, GaussianIso, OracleFailureError, PoissonProd, PreconditionError,
                    adaptive_gauss_legendre, divergence_matrix, oracle_divergence_matrix,
-                   oracle_r_alpha, phi_alpha, r_alpha_closed, r_alpha_product, r_phi)
+                   oracle_r_alpha, phi_alpha, r_alpha_closed, r_phi)
 from codiv import oracles
 from codiv.families import FAMILIES
 from codiv.oracles import (_GL_NODES, _GL_WEIGHTS, _ORACLES, _dot, _poisson_log_series,
@@ -70,16 +70,24 @@ class TestAdaptiveQuadrature:
 
     @pytest.mark.parametrize("job", ["gaussian", "gamma"])
     def test_a_stalled_refinement_ends_early(self, job):
-        """Both integrands are step functions on the scale of the panels: the Gaussian's
-        points all round to 1e154, and the Gamma's e^(S y) decays over 2e4 units of y
-        past a cut-off of width 1.  The change between refinements falls about 2-fold per
-        doubling, so without the stop rule they ran to 65,536 panels (6.6 s and 2.3 s)."""
-        triple = ([GaussianIso([m], 1.0) for m in (0.25, 1e154, 0.25)] if job == "gaussian"
+        """Neither integrand is resolved by refining: the Gaussian's log integrand sums terms
+        of about 1e8 y^2 that cancel to y^2/2, so its values carry rounding noise, and the
+        Gamma's e^(S y) decays over 2e4 units of y past a cut-off of width 1, a step on the
+        scale of the panels.  The change between refinements stops falling, so without the
+        stop rule they ran to 65,536 panels (2.3 s for the Gamma)."""
+        triple = ([GaussianIso([m], 1.0) for m in (0.0, 1e-8, 1e-8)] if job == "gaussian"
                   else [GammaProd([v], [v]) for v in (5e-324, 0.25, 1e-154)])
         start = time.perf_counter()
         with pytest.raises(OracleFailureError, match="^the quadrature stalled: .* 512 panels$"):
-            oracle_r_alpha(*triple, 1.0 if job == "gaussian" else 0.01)
+            oracle_r_alpha(*triple, 1e8 if job == "gaussian" else 0.01)
         assert time.perf_counter() - start < 0.5
+
+    def test_a_gaussian_bump_far_from_the_reference_is_resolved(self):
+        """In x, every point of the window around the mean 1e154 rounded to 1e154, so the
+        quadrature sampled a step and stalled at 512 panels; in the centred variable the bump
+        has width 1 wherever it lies.  Member 2 equals member 0, so R is 0."""
+        triple = [GaussianIso([m], 1.0) for m in (0.25, 1e154, 0.25)]
+        assert abs(oracle_r_alpha(*triple, 1.0)) <= 1e-9
 
     def test_the_panel_budget_ends_a_slow_refinement(self):
         """sqrt|x - 0.3| has a kink inside a panel at every refinement, where Gauss-Legendre
@@ -152,8 +160,8 @@ class TestRatioOfIntegrals:
         return _ratio_of_integrals(lambda params, powers: next(values), None, 0.5)
 
     def test_bits_of_the_direct_quotient(self):
-        """Where v1 * v2 is normal and v0 / (v1 * v2) finite, the mantissa route gives the
-        bits of the direct quotient."""
+        """Where v1 * v2 is normal and v0 / (v1 * v2) finite, the mantissa route of the pairwise
+        sums gives the bits of the direct quotient."""
         rng = np.random.default_rng(2024)
         checked = 0
         for _ in range(20000):
@@ -161,9 +169,18 @@ class TestRatioOfIntegrals:
                           zip(rng.uniform(0.5, 1.0, 3), rng.integers(-1021, 1025, 3)))
             product = v1 * v2
             if sys.float_info.min <= product < math.inf and v0 / product < math.inf:
-                assert self.ratio([v0, v1, v2]) == v0 / product - 1.0
+                assert oracles._ratio_minus_one(v0, v1, v2) == v0 / product - 1.0
                 checked += 1
         assert checked > 5000
+
+    def test_log_ratio_at_every_scale(self):
+        """A coordinate gives log(R_alpha + 1) = log v0 - log v1 - log v2, finite wherever the
+        integrals are, also where v1 * v2 is below the float range or v0 / (v1 * v2) above it."""
+        rng = np.random.default_rng(2024)
+        for _ in range(20000):
+            v0, v1, v2 = (math.ldexp(m, int(e)) for m, e in
+                          zip(rng.uniform(0.5, 1.0, 3), rng.integers(-1021, 1025, 3)))
+            assert self.ratio([v0, v1, v2]) == math.log(v0) - math.log(v1) - math.log(v2)
 
     @pytest.mark.parametrize("triple, alpha, expected", [
         ([ExponentialProd([b]) for b in (1e308, 1e-308, 1.0)], 0.5, 5e307),
@@ -175,10 +192,19 @@ class TestRatioOfIntegrals:
         assert oracle_r_alpha(*triple, alpha) == pytest.approx(expected, rel=1e-9)
 
     def test_ratio_beyond_the_float_range_is_named(self):
-        # the integrals are finite and positive; a ratio of 1e400 is not +inf, which
+        # the sums are finite and positive; a ratio of 1e400 is not +inf, which
         # would claim a divergent integral
         with pytest.raises(OracleFailureError, match="exceeds the float range"):
-            self.ratio([1.0, 1e-200, 1e-200])
+            oracles._ratio_minus_one(1.0, 1e-200, 1e-200)
+
+    def test_log_ratio_beyond_the_float_range_is_named(self, monkeypatch):
+        """A coordinate's log(R_alpha + 1) of 921 is finite; the oracle names R_alpha beyond
+        the float range."""
+        assert self.ratio([1.0, 1e-200, 1e-200]) == pytest.approx(400 * math.log(10.0))
+        monkeypatch.setitem(oracles._ORACLES, "exponential_product",
+                            lambda params, alpha: self.ratio([1.0, 1e-200, 1e-200]))
+        with pytest.raises(OracleFailureError, match="R_alpha beyond the float range"):
+            oracle_r_alpha(*(ExponentialProd([b]) for b in (1.0, 2.0, 3.0)), 0.5)
 
 
 class TestReferenceTriples:
@@ -231,7 +257,7 @@ class TestReferenceTriples:
 
     @pytest.mark.parametrize("make, params", [
         (GaussianIso, [([m], 1.0) for m in (0.5, 1e300, 0.5)]),  # log-integrand NaN at the peak
-        (GaussianIso, [([m], 1e-170) for m in (0.0, 5e-324, 1e-170)]),  # 2 sigma^2 underflows
+        (GaussianIso, [([m], 1e-300) for m in (0.0, 1e10, 1e10)]),  # (m_j - m_0)/sigma overflows
         (ExponentialProd, [([b],) for b in (0.25, 0.25, 5e-324)]),  # the peak S/R overflows
         (ExponentialProd, [([b],) for b in (0.5, 1e308, 1e308)]),  # R overflows, S/R is 0
     ])
@@ -335,8 +361,6 @@ class TestSelfConsistency:
         f = [PoissonProd([lam, lam]) for lam in (1.0, 5.0, 5.0)]
         with pytest.raises(OracleFailureError, match="float range"):
             oracle_r_alpha(*f, 2.0)
-        with pytest.raises(OracleFailureError, match="float range"):
-            r_alpha_product([1e200, 1e200])
 
     @pytest.mark.parametrize("lam, rel", [(1e3, 1e-11), (1e4, 1e-11), (1e5, 1e-11),
                                           (1e6, 1e-10)])
