@@ -29,7 +29,7 @@ _EXPORTS = {  # module -> the names it exports through the package
                 "push_forward quadratic_form_check rank_with_identity",
     "measures": "DiscreteMeasure JordanDecomposition SignedMeasure dominated_by ess_sup_ratio "
                 "jordan_decompose perturb validity_radius",
-    "oracles": "adaptive_gauss_legendre oracle_divergence_matrix oracle_r_alpha",
+    "oracles": "adaptive_gauss_legendre oracle_divergence_matrix oracle_r_alpha trapezoid",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)

@@ -73,6 +73,20 @@ def exact_fsum(values: list) -> float:
     return ulps / (1 << 1074)
 
 
+def exact_dot(coeffs, values) -> float:
+    """sum_i c_i v_i, exact in units of 2**-2148 and rounded once; +-inf beyond the range.
+    A non-finite entry gives what float arithmetic gives: an infinity propagates, and
+    inf - inf and 0 * inf are NaN."""
+    special = [a * b for a, b in zip(coeffs, values) if not (math.isfinite(a) and math.isfinite(b))]
+    if special:  # the finite products add a finite exact sum, which no infinity notices
+        return special[0] if all(v == special[0] for v in special) else math.nan
+    units = sum(a * b << 2149 - (c * d).bit_length() for (a, c), (b, d) in
+                ((x.as_integer_ratio(), y.as_integer_ratio()) for x, y in zip(coeffs, values)))
+    if abs(units) >> 2148 < _INT_LIMIT:  # rounds to at most the largest float
+        return units / (1 << 2148)
+    return math.inf if units > 0 else -math.inf
+
+
 def is_number(x) -> bool:
     """True for an int or float, numpy ones included; booleans are not numbers, and
     neither is an int beyond the float range."""

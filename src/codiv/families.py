@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import (DimensionMismatchError, KindMismatchError, PreconditionError, _from_checked,
-                     check_alpha, exact_fsum, is_number, numbers, raise_first)
+                     check_alpha, exact_dot, exact_fsum, is_number, numbers, raise_first)
 
 _LOG_MAX = math.log(sys.float_info.max)  # the largest x whose exp and expm1 are finite
 
@@ -154,7 +154,8 @@ def _coordinates(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: float
 def _gaussian_log1p(rows, alpha) -> float:
     """alpha^2 <m1 - m0, m2 - m0> / sigma^2, with the shifts and sigma scaled by the power
     of two that brings sigma into [0.5, 1): exact, so the value keeps its bits, and sigma^2
-    cannot underflow.  OverflowError when the value is above the float range."""
+    cannot underflow.  The inner product is exact, so products of scaled shifts beyond the
+    float range give its sign.  OverflowError when the value is above the float range."""
     _, exponent = math.frexp(rows[0][0][1])
     sigma = math.ldexp(rows[0][0][1], -exponent)
 
@@ -164,7 +165,8 @@ def _gaussian_log1p(rows, alpha) -> float:
         except OverflowError:
             return math.copysign(math.inf, x)
 
-    inner = exact_fsum([scaled(m1 - m0) * scaled(m2 - m0) for (m0, _), (m1, _), (m2, _) in rows])
+    inner = exact_dot(*zip(*((scaled(m1 - m0), scaled(m2 - m0))
+                             for (m0, _), (m1, _), (m2, _) in rows)))
     if inner == 0:  # orthogonal shifts give 0 even when alpha^2 overflows
         return 0.0
     value = alpha * alpha * inner / (sigma * sigma)
@@ -177,15 +179,6 @@ def _log_ratio(x: float, y: float, r: float) -> float:
     """log(x / y) given r = x / y - 1 from differences: log1p(r), or log x - log y where r is
     beyond the float range or below -1/2 (1 + r keeps too few digits of x / y there)."""
     return math.log1p(r) if -0.5 <= r < math.inf else math.log(x) - math.log(y)
-
-
-def _exact_dot(coeffs, values) -> float:
-    """sum_i c_i v_i, exact in units of 2**-2148 and rounded once; +-inf beyond the range."""
-    units = sum(a * b << 2149 - (c * d).bit_length() for (a, c), (b, d) in
-                ((x.as_integer_ratio(), y.as_integer_ratio()) for x, y in zip(coeffs, values)))
-    if abs(units) >> 2148 < (1 << 1024) - (1 << 970):  # rounds to at most the largest float
-        return units / (1 << 2148)
-    return math.inf if units > 0 else -math.inf
 
 
 def _poisson_log1p(rows, alpha) -> float:
@@ -232,8 +225,8 @@ def _gamma_mixed(row, alpha) -> tuple:
     (a0, b0), (a1, b1), (a2, b2) = row
     p, q = min(1.0, 1.0 / alpha), min(alpha, 1.0)
     return (a0 + alpha * (a1 - a0), a0 + alpha * (a2 - a0), a0 + alpha * (a1 + a2 - 2.0 * a0),
-            _exact_dot((p - q, q), (b0, b1)), _exact_dot((p - q, q), (b0, b2)),
-            _exact_dot((p - 2.0 * q, q, q), (b0, b1, b2)))
+            exact_dot((p - q, q), (b0, b1)), exact_dot((p - q, q), (b0, b2)),
+            exact_dot((p - 2.0 * q, q, q), (b0, b1, b2)))
 
 
 def _gamma_log1p(rows, alpha) -> float:
@@ -258,7 +251,7 @@ def _gamma_log1p(rows, alpha) -> float:
                       - alpha * (a2 - a0) * _log_ratio(bbar, b02, q * (d1 / b02)))
             continue
         log_bbar = math.log(bbar) if bbar < math.inf else math.log(4.0) + math.log(
-            _exact_dot(((p - 2.0 * q) / 4, q / 4, q / 4), (b0, b1, b2)))
+            exact_dot(((p - 2.0 * q) / 4, q / 4, q / 4), (b0, b1, b2)))
         total += (a01 * math.log(b01) + a02 * math.log(b02) - abar * log_bbar
                   + a0 * (math.log(alpha / q) - math.log(b0)))
     return total
@@ -295,8 +288,8 @@ def r_alpha_closed_log1p(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily,
     rows = [(p0, p1, p2) for p0, p1, p2 in rows if p0 != p1 and p0 != p2]
     value = spec.log1p(rows, alpha) if rows else 0.0
     if math.isnan(value) or value == math.inf:
-        raise OverflowError("log(R_alpha + 1) is undefined in floating point: an "
-                            "intermediate power exceeds the float range")
+        raise OverflowError(f"log(R_alpha + 1) is {value!r} in floating point: a term of its "
+                            "second difference exceeds the float range")
     return value
 
 

@@ -1,7 +1,7 @@
 """Independent numerical evaluation of R_alpha and of divergence matrices.
 
 The family routines integrate the defining ratio of integrals directly (exact two-point
-sums for Bernoulli, adaptive Gauss-Legendre quadrature for Gaussian/Exponential/Gamma,
+sums for Bernoulli, the trapezoidal rule halved to convergence for Gaussian/Exponential/Gamma,
 anchored log-space series for Poisson) to validate the closed forms in
 :mod:`codiv.families`, with no closed-form shortcut.  Each coordinate gives log(R_alpha + 1),
 and the coordinates are summed in logs.  They read the table _ORACLES and work on Python
@@ -15,33 +15,19 @@ from __future__ import annotations
 import math
 from array import array
 from functools import partial
-from itertools import accumulate, chain, islice, product
+from itertools import accumulate, chain, islice
 
-from .errors import DegeneratePhiError, OracleFailureError, PreconditionError, exact_fsum
+from .errors import (DegeneratePhiError, OracleFailureError, PreconditionError, exact_dot,
+                     exact_fsum)
 from .families import ParamFamily, _coordinates, _exp
 
 # Drop (in nats) below the integrand's peak that ends the integration window; e^-46 < 1e-19.
 _TAIL_DROP = 46.0
 
-# adaptive_gauss_legendre: tolerance, first panel count, most panels, and the doublings
-# over which the change between refinements must fall at least 2**_STALL-fold.
+# trapezoid: tolerance, first interval count, and most intervals.
 _REL_TOL = 1e-9
-_QUAD_PANELS = 8
-_MAX_PANELS = 2 ** 16
-_STALL = 5
-
-# Its rule: the bits of numpy's leggauss(32) (Golub & Welsch, Math. Comp. 23, 1969), whose
-# nodes are antisymmetric and weights symmetric, so the nonnegative half of each is written.
-_GL_HALF = ((
-    0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
-    0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
-    0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
-    0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816), (
-    0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
-    0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
-    0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
-    0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506))
-_GL_NODES, _GL_WEIGHTS = (tuple(s * x for x in h[::-1]) + h for s, h in zip((-1.0, 1.0), _GL_HALF))
+_FIRST_INTERVALS = 16
+_MAX_INTERVALS = 2 ** 16
 
 # _poisson_log_series: most terms in a window, tail bound relative to the sum, and the
 # drop (in nats) below the peak past which terms are not summed.
@@ -50,56 +36,36 @@ _SERIES_TAIL = 2.0 ** -60
 _SERIES_DROP = 60.0
 
 
-def _dot(weights, values) -> float:
-    """numpy's dot of short vectors: its BLAS's chain of fused multiply-adds from 0, each
-    a * b + c rounded once (int division rounds the exact quotient), +-inf beyond the range."""
-    total = 0.0
-    for a, b in zip(weights, values):
-        if not (math.isfinite(a) and math.isfinite(b)):
-            total = a * b + total
-        elif math.isfinite(total):  # else the exact product is finite, and total stays
-            (na, da), (nb, db), (nc, dc) = (x.as_integer_ratio() for x in (a, b, total))
-            exact = na * nb * dc + nc * da * db
-            try:
-                total = exact / (da * db * dc)
-            except OverflowError:
-                total = math.inf if exact > 0 else -math.inf
-    return total
-
-
 class _Points(list):  # a refinement's points, whose ``size`` bench/tracer.py counts
     size = property(len)
 
 
-def adaptive_gauss_legendre(f, lo: float, hi: float) -> float:
-    """Integrate f, which maps a list of points to the list of their values, by panel
-    bisection until two successive uniform refinements agree to _REL_TOL/4; OracleFailureError
-    at the first non-finite estimate, and once the relative change between refinements falls
-    less than 2**_STALL-fold over _STALL doublings, as where the points sample a step."""
+def trapezoid(f, lo: float, hi: float) -> float:
+    """Integrate f, which maps a list of points to the list of their values, by the
+    trapezoidal rule on _FIRST_INTERVALS intervals, halving the step, and evaluating only the
+    new midpoints, until two successive estimates agree to _REL_TOL/4.  On the oracles' windowed
+    analytic integrands, which decay exponentially, the rule converges geometrically (Trefethen
+    & Weideman, SIAM Review 56, 2014), so the last change bounds the error.  OracleFailureError
+    at the first non-finite estimate and past _MAX_INTERVALS intervals."""
     if not hi > lo:
         raise PreconditionError("empty integration interval")
-    panels, prev, changes = _QUAD_PANELS, None, []
-    while panels <= _MAX_PANELS:
-        step = (hi - lo) / panels  # numpy's linspace: i * step + lo, and hi itself
-        edges = [i * step + lo for i in range(panels)] + [hi]
-        halfs = [0.5 * (b - a) for a, b in zip(edges, edges[1:])]
-        mids = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
-        vals = f(_Points([m + h * x for m, h in zip(mids, halfs) for x in _GL_NODES]))
-        est = exact_fsum([h * (w * v) for (h, w), v in zip(product(halfs, _GL_WEIGHTS), vals)])
+    n, width = _FIRST_INTERVALS, hi - lo
+    values = f(_Points([lo + width * (i / n) for i in range(n + 1)]))
+    values[0], values[-1], prev = 0.5 * values[0], 0.5 * values[-1], None
+    while True:
+        est = width / n * exact_fsum(values)
         if not math.isfinite(est):
-            raise OracleFailureError(f"the quadrature estimate on {panels} panels is {est!r}")
-        if prev is not None:
-            scale = max(abs(est), abs(prev), 1e-300)
-            if abs(est - prev) <= 0.25 * _REL_TOL * scale:
-                return est
-            changes.append(abs(est - prev) / scale)
-            if len(changes) > _STALL and changes[-1] * 2 ** _STALL > changes[-1 - _STALL]:
-                raise OracleFailureError(f"the quadrature stalled: its relative change fell only "
-                                         f"from {changes[-1 - _STALL]:.3g} to {changes[-1]:.3g} "
-                                         f"over the {_STALL} doublings up to {panels} panels")
-        prev = est
-        panels *= 2
-    raise OracleFailureError(f"quadrature did not converge within {_MAX_PANELS} panels")
+            raise OracleFailureError(f"the quadrature estimate on {n} intervals is {est!r}")
+        if prev is not None and abs(est - prev) <= 0.25 * _REL_TOL * max(abs(est), abs(prev)):
+            return est
+        if n == _MAX_INTERVALS:
+            raise OracleFailureError(f"quadrature did not converge within {n} intervals")
+        prev, n = est, 2 * n
+        values += f(_Points([lo + width * (i / n) for i in range(1, n, 2)]))
+
+
+# The former name, which bench/tracer.py wraps and the package still exports (ROADMAP item 6).
+adaptive_gauss_legendre = trapezoid
 
 
 def _log_window(log_g, y_star: float, first_step: float = 1.0) -> tuple[float, float]:
@@ -123,7 +89,7 @@ def _gaussian_power_integral(params, powers) -> float:
     c = sum_j power_j mu_j, mu_j = (mean_j - mean_0)/sigma (outside the mu_j when a power is
     negative).  It is integrated in y = z - c, where a bump far from 0 is no step."""
     mus = [(row[0] - params[0][0]) / row[1] for row in params]
-    centre = _dot(powers, mus)
+    centre = exact_dot(powers, mus)
     shifts, log_norm = [mu - centre for mu in mus], -0.5 * math.log(2.0 * math.pi)
 
     def log_f(y):
@@ -131,21 +97,24 @@ def _gaussian_power_integral(params, powers) -> float:
                                             for s, c in zip(shifts, powers) if c])
 
     lo, hi = _log_window(log_f, 0.0)
-    return adaptive_gauss_legendre(lambda ys: [_exp(log_f(y)) for y in ys], lo, hi)
+    return trapezoid(lambda ys: [_exp(log_f(y)) for y in ys], lo, hi)
 
 
-def _gamma_power_integral(params, powers) -> float | None:
-    """Integral of prod_j Gamma(shape_j, rate_j)(x)**power_j dx over rows (shape_j, rate_j),
-    or None if divergent.  Substituting x = e^y turns the integrand into
-    exp(S*y - R*e^y + const) with S = sum(power_j * shape_j) and R = sum(power_j * rate_j):
-    smooth on the whole line and exponentially small in both tails, so plain Gauss-Legendre
-    converges fast even for shapes below 1.  The integral exists iff S > 0 and R > 0; it
-    peaks at y = log(S/R), or -inf where S/R underflows."""
+def _gamma_divergent(params, powers) -> bool:
+    """Whether the integral of prod_j Gamma(shape_j, rate_j)(x)**power_j dx over rows
+    (shape_j, rate_j) diverges: unless S = sum(power_j * shape_j) and R = sum(power_j * rate_j)
+    are both positive."""
+    return not all(exact_dot(powers, column) > 0 for column in zip(*params))
+
+
+def _gamma_power_integral(params, powers) -> float:
+    """The integral of ``_gamma_divergent``, where it converges.  Substituting x = e^y turns
+    the integrand into exp(S*y - R*e^y + const): analytic in the strip |Im y| < pi/2 and
+    exponentially small in both tails, so the trapezoidal rule converges fast even for shapes
+    below 1.  It peaks at y = log(S/R), or -inf where S/R underflows."""
     shapes, rates = [row[0] for row in params], [row[1] for row in params]
-    S, R = _dot(powers, shapes), _dot(powers, rates)
-    if S <= 0 or R <= 0:
-        return None
-    const = _dot(powers, [a * math.log(b) for a, b in zip(shapes, rates)])
+    S, R = exact_dot(powers, shapes), exact_dot(powers, rates)
+    const = exact_dot(powers, [a * math.log(b) for a, b in zip(shapes, rates)])
     try:  # lgamma of a shape near 1e308 overflows, and so can the sum
         const -= math.fsum(c * math.lgamma(a) for c, a in zip(powers, shapes) if c != 0.0)
     except (OverflowError, ValueError):  # ValueError: inf - inf
@@ -156,7 +125,7 @@ def _gamma_power_integral(params, powers) -> float | None:
         return const + S * y - R * _exp(y)
 
     y_lo, y_hi = _log_window(log_g, math.log(S / R) if S / R > 0 else -math.inf)
-    return adaptive_gauss_legendre(lambda ys: [_exp(log_g(y)) for y in ys], y_lo, y_hi)
+    return trapezoid(lambda ys: [_exp(log_g(y)) for y in ys], y_lo, y_hi)
 
 
 def _poisson_log_series(L: float, m: int, logs=None) -> float:
@@ -205,7 +174,7 @@ def _poisson_log1p(params, alpha: float) -> float:
     log_lams, m = [math.log(row[0]) for row in params], math.floor(params[0][0])
     a, b, c = _mixture_weights(alpha)
     logs = array("d"), array("d")
-    sa, s0, sb, sc = (_poisson_log_series(_dot(w, log_lams), m, logs)
+    sa, s0, sb, sc = (_poisson_log_series(exact_dot(w, log_lams), m, logs)
                       for w in (a, (1.0, 0.0, 0.0), b, c))
     return sa + s0 - sb - sc
 
@@ -214,15 +183,20 @@ def _bernoulli_power_sum(params, powers) -> float:
     """Exact two-point sum of prod_j Ber(theta_j)(x)**power_j over x in {0, 1}."""
     thetas = [row[0] for row in params]
     try:
-        return (math.exp(_dot(powers, [math.log(t) for t in thetas]))
-                + math.exp(_dot(powers, [math.log1p(-t) for t in thetas])))
+        return (math.exp(exact_dot(powers, [math.log(t) for t in thetas]))
+                + math.exp(exact_dot(powers, [math.log1p(-t) for t in thetas])))
     except OverflowError:
         raise OracleFailureError("a term of the Bernoulli sum exceeds the float range") from None
 
 
 def _mixture_weights(a: float) -> tuple:
     """The weights of members 0, 1 and 2 in the three mixtures of R_alpha, one row each:
-    log(R_alpha + 1) = log I(1 - 2a, a, a) - log I(1 - a, a, 0) - log I(1 - a, 0, a)."""
+    log(R_alpha + 1) = log I(1 - 2a, a, a) - log I(1 - a, a, 0) - log I(1 - a, 0, a).
+    OracleFailureError where 1 - 2a rounds so far that a row does not sum to 1 within _REL_TOL
+    (a above about 1e15): an exact sum of such weights would give a wrong integral."""
+    if abs(exact_fsum([1.0 - 2.0 * a, a, a]) - 1.0) > _REL_TOL:
+        raise OracleFailureError(f"the mixture weights 1 - 2 alpha, alpha and alpha do not sum "
+                                 f"to 1 in floating point at alpha = {a!r}")
     return (1.0 - 2.0 * a, a, a), (1.0 - a, a, 0.0), (1.0 - a, 0.0, a)
 
 
@@ -239,13 +213,11 @@ def _ratio_minus_one(v0: float, v1: float, v2: float) -> float:
 
 def _ratio_of_integrals(integral, params, alpha: float) -> float:
     """log(R_alpha + 1) of one scalar coordinate from its three defining integrals, where
-    ``integral(params, powers)`` is the integral of prod_j p_j(x)**powers[j] and None
-    marks a divergent one: log v0 - log v1 - log v2, or +inf when one diverges.  An integral of
-    a positive integrand that comes out <= 0 or non-finite was not resolved (a peak narrower
-    than the panels, say), so it raises OracleFailureError."""
+    ``integral(params, powers)`` is the integral of prod_j p_j(x)**powers[j], which converges:
+    log v0 - log v1 - log v2.  An integral of a positive integrand that comes out <= 0 or
+    non-finite was not resolved (a peak narrower than the step, say), so it raises
+    OracleFailureError."""
     values = [integral(params, powers) for powers in _mixture_weights(alpha)]
-    if None in values:
-        return math.inf
     if not all(0 < value < math.inf for value in values):
         raise OracleFailureError(f"the oracle integrals {values} of a coordinate are not all "
                                  "positive and finite: the integrand was not resolved")
@@ -261,16 +233,21 @@ _ORACLES = {
     "gamma_product": partial(_ratio_of_integrals, _gamma_power_integral),
 }
 _ORACLES["exponential_product"] = _ORACLES["gamma_product"]
+# divergent(params, powers) for the kinds whose integrals can diverge
+_DIVERGENT = {"gamma_product": _gamma_divergent, "exponential_product": _gamma_divergent}
 
 
 def oracle_r_alpha(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: float) -> float:
     """Numerical R_alpha for a same-kind family triple: expm1 of the sum of its coordinates'
     log(R_alpha + 1), integrals to _REL_TOL and Poisson series to tails below _SERIES_TAIL;
-    +inf when an integral diverges.  OracleFailureError when R_alpha exceeds the float range."""
-    logs = [_ORACLES[f0.kind](params, alpha) for params in _coordinates(f0, f1, f2, alpha)]
-    if math.inf in logs:
+    +inf when an integral diverges, decided for every coordinate before any is integrated.
+    OracleFailureError when R_alpha exceeds the float range."""
+    rows = _coordinates(f0, f1, f2, alpha)
+    divergent = _DIVERGENT.get(f0.kind)
+    if divergent and any(divergent(params, powers)
+                         for params in rows for powers in _mixture_weights(alpha)):
         return math.inf
-    log1p = math.fsum(logs)
+    log1p = math.fsum(_ORACLES[f0.kind](params, alpha) for params in rows)
     try:
         return math.expm1(log1p)
     except OverflowError:

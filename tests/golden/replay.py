@@ -83,12 +83,12 @@ def emit(src: str) -> None:
         print(json.dumps([label, status, text]))
 
 
-def _replay(trees: list) -> list | None:
-    """The emitted lines of each tree, both run at once, each in its own interpreter whose
-    stderr is dropped (the tracebacks of ``internal`` errors, numpy's warnings); None if one
-    fails."""
+def run_under(trees: list, script: str = __file__, *args: str) -> list | None:
+    """The JSON lines that ``script --emit SRC *args`` prints under each of the two trees,
+    both run at once, each in its own interpreter whose stderr is dropped (the tracebacks of
+    ``internal`` errors, numpy's warnings); None if one fails."""
     with tempfile.TemporaryFile() as out_a, tempfile.TemporaryFile() as out_b:
-        procs = [subprocess.Popen([sys.executable, __file__, "--emit", src], stdout=out,
+        procs = [subprocess.Popen([sys.executable, script, "--emit", src, *args], stdout=out,
                                   stderr=subprocess.DEVNULL)
                  for src, out in zip(trees, (out_a, out_b))]
         codes = [proc.wait() for proc in procs]
@@ -111,7 +111,7 @@ def main(argv: list) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     trees = [argv[0], argv[1] if len(argv) == 2 else str(GOLDEN.parents[1] / "src")]
-    results = _replay(trees)
+    results = run_under(trees)
     if results is None:
         return 2
     differ = 0

@@ -58,7 +58,8 @@ def test_bench_imports_resolve():
 
 
 def test_traced_oracle_check_counts_its_integrand_points():
-    """The tracer counts each refinement's points by their ``size``: 32 per panel."""
+    """The tracer counts each refinement's points by their ``size``: the new points of each
+    halving of the trapezoid's step."""
     from codiv import oracles
     from codiv.cli import run
 
@@ -72,17 +73,17 @@ def test_traced_oracle_check_counts_its_integrand_points():
         traced = run(job)
     finally:
         tracer.uninstall()
-    panels = []  # the panel count of every refinement, recorded without the tracer
-    quadrature = oracles.adaptive_gauss_legendre
+    sizes = []  # the length of every refinement's points, recorded without the tracer
+    quadrature = oracles.trapezoid
 
     def recording(f, lo, hi):
-        return quadrature(lambda xs: panels.append(len(xs) // 32) or f(xs), lo, hi)
+        return quadrature(lambda xs: sizes.append(len(xs)) or f(xs), lo, hi)
 
-    oracles.adaptive_gauss_legendre = recording
+    oracles.trapezoid = recording
     try:
         assert run(job) == traced and traced[1] == 0
     finally:
-        oracles.adaptive_gauss_legendre = quadrature
-    assert len(panels) >= 6 and set(panels) <= {8 * 2 ** k for k in range(14)}
+        oracles.trapezoid = quadrature
+    assert sizes.count(17) == 3 and len(sizes) >= 6
     assert tracer.calls["oracles.quadrature"] == 3
-    assert tracer.counts[module.INTEGRAND_POINTS] == 32 * sum(panels)
+    assert tracer.counts[module.INTEGRAND_POINTS] == sum(sizes)

@@ -475,6 +475,8 @@ def test_lgamma_overflow_is_named():
 @pytest.mark.parametrize("triple, alpha", [
     ([PoissonProd([x]) for x in (1.0, 1e300, 0.5)], 1.1),  # log(R_alpha + 1) ~ -5e329
     ([GaussianIso([m], 1.0) for m in (0.0, 1e200, -1e200)], 1.0),
+    # products of scaled shifts overflow with both signs: NaN in floats, -1.62e311 exactly
+    ([GaussianIso(m, 1e-155) for m in ([-1.0, -1.0], [1.0, 1.0], [-10.0, -0.1])], 1.0),
 ])
 def test_log1p_below_the_float_range_gives_minus_one(triple, alpha):
     assert r_alpha_closed_log1p(*triple, alpha) == -math.inf

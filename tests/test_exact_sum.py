@@ -1,6 +1,7 @@
 """``exact_sum`` returns the bits of ``math.fsum``, sign of zero included, where that
 returns; where it raises, the exact sum rounded through ``fractions.Fraction``: +-inf beyond
-the float range and NaN for +inf plus -inf.  It never raises."""
+the float range and NaN for +inf plus -inf.  It never raises.  ``exact_dot`` rounds the exact
+sum of its products once, with the same rules for non-finite entries."""
 
 import math
 import struct
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codiv.errors import _INT_LIMIT
+from codiv.errors import _INT_LIMIT, exact_dot
 from codiv.measures import _EXACT_SUM_MIN_SIZE, exact_sum
 
 SIZES = (1, 2, 255, 256, 257, _EXACT_SUM_MIN_SIZE - 1, _EXACT_SUM_MIN_SIZE,
@@ -108,3 +109,26 @@ def test_raises_and_zeros_like_fsum(n, head, fill, want):
     x[: len(head)] = head
     assert outcome(reference, x) == want
     assert outcome(exact_sum, x) == want
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=4))
+def test_exact_dot_rounds_the_exact_sum_once(pairs):
+    """Finite entries: the sum of the products as a Fraction, rounded once.  Otherwise NaN
+    for a NaN entry, for 0 * inf and for infinite products of both signs, else that
+    infinity, whatever the finite products add."""
+    got = exact_dot(*zip(*pairs))
+    entries = [x for pair in pairs for x in pair]
+    infinite = {math.copysign(1.0, a) * math.copysign(1.0, b) for a, b in pairs
+                if math.isinf(a) or math.isinf(b)}
+    if any(map(math.isnan, entries)) or any(
+            0.0 in (a, b) and (math.isinf(a) or math.isinf(b)) for a, b in pairs):
+        assert math.isnan(got)
+    elif len(infinite) == 2:
+        assert math.isnan(got)
+    elif infinite:
+        assert got == math.inf * infinite.pop()
+    else:
+        total = sum(Fraction(a) * Fraction(b) for a, b in pairs)
+        want = float(total) if abs(total) < _INT_LIMIT else math.inf if total > 0 else -math.inf
+        assert struct.pack("<d", got) == struct.pack("<d", want)

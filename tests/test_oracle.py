@@ -1,39 +1,51 @@
 import math
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codiv import (PHI_SQRT, BernoulliProd, DiscreteMeasure, ExponentialProd,
                    GammaProd, GaussianIso, OracleFailureError, PoissonProd, PreconditionError,
-                   adaptive_gauss_legendre, divergence_matrix, oracle_divergence_matrix,
-                   oracle_r_alpha, phi_alpha, r_alpha_closed, r_phi)
+                   divergence_matrix, oracle_divergence_matrix, oracle_r_alpha, phi_alpha,
+                   r_alpha_closed, r_phi, trapezoid)
 from codiv import oracles
 from codiv.families import FAMILIES
-from codiv.oracles import (_GL_NODES, _GL_WEIGHTS, _ORACLES, _dot, _poisson_log_series,
-                           _ratio_of_integrals)
+from codiv.oracles import _ORACLES, _log_window, _poisson_log_series, _ratio_of_integrals
 from helpers import random_dominated, random_probability
 
 
 class TestAdaptiveQuadrature:
     """The integrand maps the list of one refinement's points to the list of their values."""
 
-    def test_polynomial_is_exact(self):
-        value = adaptive_gauss_legendre(lambda xs: [3.0 * x * x for x in xs], 0.0, 2.0)
-        assert value == pytest.approx(8.0, rel=1e-14)
+    def test_decaying_analytic_integrand(self):
+        """The trapezoidal rule converges geometrically on an analytic integrand that decays
+        exponentially: sech^2 over [-23, 23], whose integral is 2 tanh(23)."""
+        value = trapezoid(lambda xs: [1.0 / math.cosh(x) ** 2 for x in xs], -23.0, 23.0)
+        assert value == pytest.approx(2.0 * math.tanh(23.0), rel=1e-14)
 
     def test_empty_interval_is_rejected(self):
         with pytest.raises(PreconditionError, match="empty integration interval"):
-            adaptive_gauss_legendre(lambda xs: xs, 1.0, 1.0)
+            trapezoid(lambda xs: xs, 1.0, 1.0)
+
+    def test_each_halving_evaluates_only_the_new_points(self):
+        """The first refinement is the 17 points of 16 intervals, each later one the midpoints
+        of the last: together every point of the finest grid, each once."""
+        got = []
+        trapezoid(lambda xs: got.append(list(xs)) or [math.exp(-x * x) for x in xs], -6.0, 6.0)
+        assert [len(xs) for xs in got] == [17] + [16 * 2 ** k for k in range(len(got) - 1)]
+        points = sorted(x for xs in got for x in xs)
+        n = len(points) - 1
+        assert points == [-6.0 + 12.0 * (i / n) for i in range(n + 1)]
 
     def test_failure_is_reported(self):
-        # no panel edge ever falls on the jump at an irrational point, so two refinements
-        # never agree: the change between them only halves per doubling, and the stop
-        # rule ends the run long before the panel budget
-        with pytest.raises(OracleFailureError, match="^the quadrature stalled"):
-            adaptive_gauss_legendre(lambda xs: [float(x > math.pi / 4) for x in xs], 0.0, 1.0)
+        # the grid never falls on the jump at an irrational point, so two estimates never
+        # agree: the change between them only halves per halving of the step
+        with pytest.raises(OracleFailureError, match="^quadrature did not converge within "
+                                                     "65536 intervals$"):
+            trapezoid(lambda xs: [float(x > math.pi / 4) for x in xs], 0.0, 1.0)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_a_non_finite_estimate_fails_at_once(self, bad):
@@ -45,41 +57,32 @@ class TestAdaptiveQuadrature:
             calls.append(xs.size)
             return [bad if x > 0.5 else 1.0 for x in xs]
 
-        with pytest.raises(OracleFailureError, match=f"^the quadrature estimate on 8 panels is"
-                                                     f" {bad}"):
-            adaptive_gauss_legendre(f, 0.0, 1.0)
-        assert calls == [8 * 32]
+        with pytest.raises(OracleFailureError, match=f"^the quadrature estimate on 16 intervals "
+                                                     f"is {bad}"):
+            trapezoid(f, 0.0, 1.0)
+        assert calls == [17]
 
     def test_weighted_values_beyond_the_float_range_fail_at_once(self):
         """Finite values whose weighted sum overflows: "intermediate overflow in fsum" before."""
-        with pytest.raises(OracleFailureError, match="^the quadrature estimate on 8 panels is inf"):
-            adaptive_gauss_legendre(lambda xs: [1e308] * len(xs), 0.0, 100.0)
-
-    def test_the_panel_edges_are_numpys_linspace(self):
-        """The points of each refinement have the bits of the array code they replace."""
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            lo, hi = sorted(rng.uniform(-50.0, 50.0, 2) * np.exp(rng.uniform(-30.0, 30.0)))
-            got = []
-            adaptive_gauss_legendre(lambda xs: got.append(list(xs)) or [1.0] * len(xs), lo, hi)
-            for panels, points in zip((8, 16), got):
-                edges = np.linspace(lo, hi, panels + 1)
-                mids, halfs = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-                want = mids[:, None] + halfs[:, None] * np.array(_GL_NODES)[None, :]
-                assert np.array_equal(np.array(points), want.ravel())
+        with pytest.raises(OracleFailureError,
+                           match="^the quadrature estimate on 16 intervals is inf"):
+            trapezoid(lambda xs: [1e308] * len(xs), 0.0, 100.0)
 
     @pytest.mark.parametrize("job", ["gaussian", "gamma"])
     def test_a_stalled_refinement_ends_early(self, job):
-        """Neither integrand is resolved by refining: the Gaussian's log integrand sums terms
-        of about 1e8 y^2 that cancel to y^2/2, so its values carry rounding noise, and the
-        Gamma's e^(S y) decays over 2e4 units of y past a cut-off of width 1, a step on the
-        scale of the panels.  The change between refinements stops falling, so without the
-        stop rule they ran to 65,536 panels (2.3 s for the Gamma)."""
-        triple = ([GaussianIso([m], 1.0) for m in (0.0, 1e-8, 1e-8)] if job == "gaussian"
-                  else [GammaProd([v], [v]) for v in (5e-324, 0.25, 1e-154)])
+        """The Gaussian's log integrand sums terms of about 1e8 y^2 that cancel to y^2/2, so
+        its values carry rounding noise of about 1e-8, and the trapezoid resolves it to e - 1
+        within that noise.  The Gamma's values are subnormal, so its estimates change by their
+        rounding at every halving, and it ends at the interval budget.  Under Gauss-Legendre
+        both stalled, and without a stop rule they ran for seconds."""
         start = time.perf_counter()
-        with pytest.raises(OracleFailureError, match="^the quadrature stalled: .* 512 panels$"):
-            oracle_r_alpha(*triple, 1e8 if job == "gaussian" else 0.01)
+        if job == "gaussian":
+            triple = [GaussianIso([m], 1.0) for m in (0.0, 1e-8, 1e-8)]
+            assert oracle_r_alpha(*triple, 1e8) == pytest.approx(math.e - 1.0, rel=1e-7)
+        else:
+            with pytest.raises(OracleFailureError, match="^quadrature did not converge within "
+                                                         "65536 intervals$"):
+                oracle_r_alpha(*(GammaProd([v], [v]) for v in (5e-324, 0.25, 1e-154)), 0.01)
         assert time.perf_counter() - start < 0.5
 
     def test_a_gaussian_bump_far_from_the_reference_is_resolved(self):
@@ -90,67 +93,71 @@ class TestAdaptiveQuadrature:
         assert abs(oracle_r_alpha(*triple, 1.0)) <= 1e-9
 
     def test_the_panel_budget_ends_a_slow_refinement(self):
-        """sqrt|x - 0.3| has a kink inside a panel at every refinement, where Gauss-Legendre
-        converges at order 1.5: the change between refinements falls 2^1.5-fold per doubling on
-        average, fast enough that the stall rule never fires, too slowly to reach the
-        tolerance."""
+        """sqrt|x - 0.3| has a kink between grid points at every refinement, where the rule
+        converges at order 1.5, too slowly to reach the tolerance."""
         with pytest.raises(OracleFailureError, match="^quadrature did not converge within "
-                                                     "65536 panels$"):
-            adaptive_gauss_legendre(lambda xs: [math.sqrt(abs(x - 0.3)) for x in xs], 0.0, 1.0)
+                                                     "65536 intervals$"):
+            trapezoid(lambda xs: [math.sqrt(abs(x - 0.3)) for x in xs], 0.0, 1.0)
 
 
-def test_dot_has_the_bits_of_numpys_dot():
-    """The float port forms each weighted sum as numpy's dot does, so a window, a Gamma
-    normaliser or a Bernoulli sum keeps its bits; an integral is divergent (S <= 0) at the
-    same parameters, as for shapes (1e154, 3.8, 1e154) at chi2."""
-    rng = np.random.default_rng(11)
-    for i in range(20000):
-        pair = np.exp(rng.uniform(-745.0, 709.0, 6)) * rng.choice([-1.0, 1.0], 6)
-        if i % 3 == 0:
-            pair = rng.uniform(-3.0, 3.0, 6)
-        if i % 5 == 0:
-            pair[rng.integers(0, 6)] = rng.choice([np.inf, -np.inf, 0.0, 5e-324, 1e308])
-        with np.errstate(all="ignore"):
-            want = float(np.dot(pair[:3], pair[3:]))
-        got = _dot(pair[:3].tolist(), pair[3:].tolist())
-        assert got == want or math.isnan(got) and math.isnan(want), (pair, got, want)
+class TestTrapezoidAgainstMpmath:
+    """The trapezoid on the ``_log_window`` bracket of the oracles' two integrands, against
+    their 50-digit closed values: within 1e-12 relative, and within the change of its last
+    halving, which is its error estimate, plus the rounding of its values: 4 units of 2**-53
+    times the size of the terms of the log integrand, at most _TAIL_DROP past those at the
+    peak where a value counts."""
 
+    @staticmethod
+    def integrate(log_f, peak):
+        """The trapezoid's estimate, and the estimate one halving before it."""
+        lo, hi = _log_window(log_f, peak)
+        calls = []
 
-class TestGaussLegendreRule:
-    """The 32-point rule is a constant; numpy's leggauss, which computes it from the
-    eigenvalues of the Jacobi matrix (Golub & Welsch 1969), is the reference."""
+        def f(ys):
+            calls.append([math.exp(log_f(y)) for y in ys])
+            return list(calls[-1])
 
-    def test_bits_equal_leggauss(self):
-        from numpy.polynomial.legendre import leggauss
+        estimate = trapezoid(f, lo, hi)
+        coarse = [v for values in calls[:-1] for v in values]
+        coarse[0], coarse[16] = 0.5 * coarse[0], 0.5 * coarse[16]  # the ends, of the first call
+        return estimate, (hi - lo) / (len(coarse) - 1) * math.fsum(coarse)
 
-        nodes, weights = leggauss(32)
-        assert np.array_equal(np.array(_GL_NODES).view(np.uint64), nodes.view(np.uint64))
-        assert np.array_equal(np.array(_GL_WEIGHTS).view(np.uint64), weights.view(np.uint64))
-        assert all(type(x) is float for x in _GL_NODES + _GL_WEIGHTS)
+    def check(self, log_f, peak, exact, size=1.0):
+        estimate, before = self.integrate(log_f, peak)
+        error = abs(estimate - exact)
+        assert error <= 1e-12 * exact
+        assert error <= abs(estimate - before) + 2.0 ** -51 * size * exact
 
-    def test_nodes_antisymmetric_and_weights_symmetric(self):
-        assert [x.hex() for x in _GL_NODES] == [(-x).hex() for x in reversed(_GL_NODES)]
-        assert [w.hex() for w in _GL_WEIGHTS] == [w.hex() for w in reversed(_GL_WEIGHTS)]
-        assert all(a < b for a, b in zip(_GL_NODES, _GL_NODES[1:])) and min(_GL_WEIGHTS) > 0
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    def test_gamma_integrals(self, log10_s, log10_r):
+        """exp(S y - R e^y), over its peak value, integrates to Gamma(S) R^-S over that value."""
+        mpmath = pytest.importorskip("mpmath")
+        S, R = 10.0 ** log10_s, 10.0 ** log10_r
+        peak = math.log(S / R)
+        log_peak = S * peak - S
 
-    def test_read_only(self):
-        for rule in (_GL_NODES, _GL_WEIGHTS):
-            assert type(rule) is tuple and len(rule) == 32
-            with pytest.raises(TypeError, match="does not support item assignment"):
-                rule[0] = 0.0
+        def log_g(y):
+            return S * y - R * math.exp(y) - log_peak
 
-    @pytest.mark.parametrize("k", range(32))
-    def test_integrates_monomials(self, k):
-        """Evaluated exactly in rationals, the rule gives 0 for x^(2k+1) and 2/(2k+1) for
-        x^(2k) up to the rounding of its nodes and weights: a few units of 2**-53 per
-        node, which x^(2k) scales by 2k, so the bound is 8 (2k + 1) 2**-53 (the largest
-        measured is 6.0 (2k + 1) 2**-53, at k = 3)."""
-        nodes = [Fraction(x) for x in _GL_NODES]
-        weights = [Fraction(w) for w in _GL_WEIGHTS]
-        assert sum(w * x ** (2 * k + 1) for w, x in zip(weights, nodes)) == 0
-        even = sum(w * x ** (2 * k) for w, x in zip(weights, nodes))
-        exact = Fraction(2, 2 * k + 1)
-        assert abs(even - exact) <= 8 * (2 * k + 1) * Fraction(2) ** -53 * exact
+        with mpmath.workdps(50):
+            s, r = mpmath.mpf(S), mpmath.mpf(R)
+            exact = float(mpmath.gamma(s) * r ** -s / mpmath.exp(s * mpmath.log(s / r) - s))
+        self.check(log_g, peak, exact, oracles._TAIL_DROP + abs(S * peak) + S + abs(log_peak))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(-1.0, 1.0), st.floats(-0.6, 0.6))
+    def test_gaussian_bumps(self, centre, log10_width):
+        """exp(-(y - c)^2 / (2 w^2)) / w integrates to sqrt(2 pi) wherever the bump lies."""
+        mpmath = pytest.importorskip("mpmath")
+        width = 10.0 ** log10_width
+
+        def log_f(y):
+            return -0.5 * ((y - centre) / width) ** 2 - math.log(width)
+
+        with mpmath.workdps(50):
+            exact = float(mpmath.sqrt(2 * mpmath.pi))
+        self.check(log_f, centre, exact)
 
 
 class TestRatioOfIntegrals:
@@ -248,6 +255,27 @@ class TestReferenceTriples:
                                GammaProd([1.0], [1.0]), 1.0)
         assert value == math.inf
 
+    def test_divergence_is_decided_before_any_integral(self):
+        """The third integral diverges (S < 0).  The first one's log-normaliser sums terms of
+        both infinite signs, which ended the job in exit 3 while it was taken first.  In the
+        two-coordinate triple the second coordinate diverges (S < 0), and the first one's
+        integral does not converge within the budget."""
+        triple = [GammaProd([a], [1e305]) for a in (1e305, 1.5e305, 5e304)]
+        assert oracle_r_alpha(*triple, 100.0) == math.inf
+        triple = [GammaProd(a, b) for a, b in (([2.0, 1e308], [1.7, 0.57]),
+                                               ([7.1e7, 5.8e166], [1e300, 1e-154]),
+                                               ([67.6, 1.9], [1e308, 0.13]))]
+        assert oracle_r_alpha(*triple, 1.0744) == math.inf
+
+    def test_mixture_weights_that_do_not_sum_to_one_are_named(self):
+        """At alpha 1e200, 1 - 2 alpha rounds to -2 alpha, so the weights sum to 0 and the exact
+        Bernoulli exponents are 0: the oracle would give R = -1/2 for an identical triple,
+        whose R is 0."""
+        triple = [BernoulliProd([0.3])] * 3
+        assert oracle_r_alpha(*triple, 4.5e15) == 0.0
+        with pytest.raises(OracleFailureError, match="^the mixture weights .* do not sum to 1"):
+            oracle_r_alpha(*triple, 1e200)
+
     def test_gamma_window_past_the_exp_range(self):
         """One integrand peaks at y = log(S/R) above 709.8, where e^y overflows: the window
         search ended in the bare "math range error"; the third integral diverges (S <= 0)."""
@@ -267,7 +295,7 @@ class TestReferenceTriples:
 
     @pytest.mark.parametrize("shapes, rates, alpha", [
         ((0.25, 0.25, 1e308), (0.25, 0.25, 1e308), 1.0),  # lgamma(1e308) overflows
-        ((1e305, 1.5e305, 5e304), (1e305,) * 3, 100.0),  # terms of both infinite signs
+        ((2e305,) * 3, (1.0, 1.0, 3.0), 2.0),  # terms of both infinite signs
     ])
     def test_gamma_log_normaliser_overflow_is_named(self, shapes, rates, alpha):
         """Before, the first was the bare "math range error" and the second exit 3
