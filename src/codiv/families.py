@@ -165,8 +165,9 @@ def _gaussian_log1p(rows, alpha) -> float:
         except OverflowError:
             return math.copysign(math.inf, x)
 
-    inner = exact_dot(*zip(*((scaled(m1 - m0), scaled(m2 - m0))
-                             for (m0, _), (m1, _), (m2, _) in rows)))
+    d1 = [scaled(m1 - m0) for (m0, _), (m1, _), _ in rows]
+    d2 = [scaled(m2 - m0) for (m0, _), _, (m2, _) in rows]
+    inner = exact_dot(d1, d2)
     if inner == 0:  # orthogonal shifts give 0 even when alpha^2 overflows
         return 0.0
     value = alpha * alpha * inner / (sigma * sigma)

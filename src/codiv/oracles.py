@@ -49,9 +49,9 @@ def trapezoid(f, lo: float, hi: float) -> float:
     at the first non-finite estimate and past _MAX_INTERVALS intervals."""
     if not hi > lo:
         raise PreconditionError("empty integration interval")
-    n, width = _FIRST_INTERVALS, hi - lo
+    n, width, prev = _FIRST_INTERVALS, hi - lo, None
     values = f(_Points([lo + width * (i / n) for i in range(n + 1)]))
-    values[0], values[-1], prev = 0.5 * values[0], 0.5 * values[-1], None
+    values[0], values[-1] = 0.5 * values[0], 0.5 * values[-1]
     while True:
         est = width / n * exact_fsum(values)
         if not math.isfinite(est):
@@ -108,8 +108,9 @@ def _gamma_divergent(params, powers) -> bool:
 
 
 def _gamma_power_integral(params, powers) -> float:
-    """The integral of ``_gamma_divergent``, where it converges.  Substituting x = e^y turns
-    the integrand into exp(S*y - R*e^y + const): analytic in the strip |Im y| < pi/2 and
+    """Integral of prod_j Gamma(shape_j, rate_j)(x)**power_j dx over rows (shape_j, rate_j),
+    where it converges (see ``_gamma_divergent``).  Substituting x = e^y turns the integrand
+    into exp(S*y - R*e^y + const): analytic in the strip |Im y| < pi/2 and
     exponentially small in both tails, so the trapezoidal rule converges fast even for shapes
     below 1.  It peaks at y = log(S/R), or -inf where S/R underflows."""
     shapes, rates = [row[0] for row in params], [row[1] for row in params]
