@@ -1,7 +1,8 @@
-"""Exception hierarchy shared by all codiv modules, and the number and alpha input rules.
+"""Exception hierarchy shared by all codiv modules, the number and alpha input rules, and the
+one exact sum: ``exact_units`` counts a dot product in 2**-2148, ``round_units`` rounds it once.
 
-Each input rule is written once, as a checker returning its problems as errors
-that carry a JSON path; the constructors raise the first, the CLI reports all.
+Each input rule is written once, as a checker returning its problems as errors that carry a
+JSON path; the constructors raise the first, the CLI reports all.
 """
 
 import math
@@ -52,39 +53,42 @@ def _from_checked(cls, **fields):
     return obj
 
 
-# The smallest int that float() rounds to infinity: 2**1024 - 2**970, halfway
-# between the largest finite float and 2**1024.
+# The smallest int that float() rounds to infinity, halfway from the largest float to 2**1024.
 _INT_LIMIT = 2 ** 1024 - 2 ** 970
 
 
 def exact_fsum(values: list) -> float:
-    """``math.fsum`` of a list of floats, and where that raises, the exact sum rounded as
-    ``fractions.Fraction`` rounds it (+-inf from ``_INT_LIMIT`` on, NaN for +inf plus -inf)."""
+    """``math.fsum`` of a list of floats, and where that raises, ``exact_dot`` of the values
+    with unit coefficients: the exact sum rounded once, or NaN for +inf plus -inf."""
     try:
         return math.fsum(values)
     except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
-        special = [v for v in values if not math.isfinite(v)]
-    if special:  # that infinity, or NaN for a NaN (NaN != NaN) or infinities of both signs
-        return special[0] if all(v == special[0] for v in special) else math.nan
-    # the exact sum in units of 2**-1074, the smallest subnormal: int division rounds it
-    ulps = sum(k << 1075 - d.bit_length() for k, d in map(float.as_integer_ratio, values))
-    if abs(ulps) >= _INT_LIMIT << 1074:
-        return math.inf if ulps > 0 else -math.inf
-    return ulps / (1 << 1074)
+        return exact_dot([1.0] * len(values), values)
 
 
-def exact_dot(coeffs, values) -> float:
-    """sum_i c_i v_i, exact in units of 2**-2148 and rounded once; +-inf beyond the range.
-    A non-finite entry gives what float arithmetic gives: an infinity propagates, and
-    inf - inf and 0 * inf are NaN."""
+def exact_units(coeffs, values):
+    """sum_i c_i v_i, exact, as an integer count of 2**-2148; where an entry is not finite, what
+    float arithmetic gives: an infinity propagates, and inf - inf and 0 * inf are NaN."""
     special = [a * b for a, b in zip(coeffs, values) if not (math.isfinite(a) and math.isfinite(b))]
     if special:  # the finite products add a finite exact sum, which no infinity notices
         return special[0] if all(v == special[0] for v in special) else math.nan
-    units = sum(a * b << 2149 - (c * d).bit_length() for (a, c), (b, d) in
-                ((x.as_integer_ratio(), y.as_integer_ratio()) for x, y in zip(coeffs, values)))
-    if abs(units) >> 2148 < _INT_LIMIT:  # rounds to at most the largest float
-        return units / (1 << 2148)
+    return sum(a * b << 2149 - (c * d).bit_length() for (a, c), (b, d) in
+               ((x.as_integer_ratio(), y.as_integer_ratio()) for x, y in zip(coeffs, values)))
+
+
+def round_units(units, scale: int = 0) -> float:
+    """An ``exact_units`` count times 2**scale, rounded once (+-inf from ``_INT_LIMIT`` on)."""
+    if isinstance(units, float):  # exact_units' infinity or NaN, which no scale changes
+        return units
+    units, shift = units << max(scale - 2148, 0), max(2148 - scale, 0)
+    if abs(units) >> shift < _INT_LIMIT:  # rounds to at most the largest float
+        return units / (1 << shift)
     return math.inf if units > 0 else -math.inf
+
+
+def exact_dot(coeffs, values) -> float:
+    """sum_i c_i v_i, exact and rounded once, with ``exact_units``' rule for a non-finite entry."""
+    return round_units(exact_units(coeffs, values))
 
 
 def is_number(x) -> bool:

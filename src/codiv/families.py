@@ -17,7 +17,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import (DimensionMismatchError, KindMismatchError, PreconditionError, _from_checked,
-                     check_alpha, exact_dot, exact_fsum, is_number, numbers, raise_first)
+                     check_alpha, exact_fsum, exact_units, is_number, numbers, raise_first,
+                     round_units)
 
 _LOG_MAX = math.log(sys.float_info.max)  # the largest x whose exp and expm1 are finite
 
@@ -152,25 +153,14 @@ def _coordinates(f0: ParamFamily, f1: ParamFamily, f2: ParamFamily, alpha: float
 
 
 def _gaussian_log1p(rows, alpha) -> float:
-    """alpha^2 <m1 - m0, m2 - m0> / sigma^2, with the shifts and sigma scaled by the power
-    of two that brings sigma into [0.5, 1): exact, so the value keeps its bits, and sigma^2
-    cannot underflow.  The inner product is exact, so products of scaled shifts beyond the
-    float range give its sign.  OverflowError when the value is above the float range."""
-    _, exponent = math.frexp(rows[0][0][1])
-    sigma = math.ldexp(rows[0][0][1], -exponent)
-
-    def scaled(x):  # math.ldexp, but +-inf where that is beyond the float range
-        try:
-            return math.ldexp(x, -exponent)
-        except OverflowError:
-            return math.copysign(math.inf, x)
-
-    d1 = [scaled(m1 - m0) for (m0, _), (m1, _), _ in rows]
-    d2 = [scaled(m2 - m0) for (m0, _), _, (m2, _) in rows]
-    inner = exact_dot(d1, d2)
-    if inner == 0:  # orthogonal shifts give 0 even when alpha^2 overflows
-        return 0.0
-    value = alpha * alpha * inner / (sigma * sigma)
+    """alpha^2 <m1 - m0, m2 - m0> / sigma^2, alpha = a 2**k, sigma = s 2**e, a and s in [0.5, 1):
+    the exact inner product of the shifts rounded once with 2**(2k - 2e) applied, times a^2/s^2,
+    so neither alpha^2 nor sigma^2 is formed and orthogonal shifts give 0.  A shift beyond the
+    float range gives ``exact_units``' inf or NaN; OverflowError above the float range."""
+    (a, k), (s, e) = math.frexp(alpha), math.frexp(rows[0][0][1])
+    units = exact_units([m1 - m0 for (m0, _), (m1, _), _ in rows],
+                        [m2 - m0 for (m0, _), _, (m2, _) in rows])
+    value = a * a * round_units(units, 2 * (k - e)) / (s * s)
     if value == math.inf:
         raise OverflowError("R_alpha exceeds the float range, and so does log(R_alpha + 1)")
     return value
@@ -221,13 +211,13 @@ def _bernoulli_log1p(rows, alpha) -> float:
 
 
 def _gamma_mixed(row, alpha) -> tuple:
-    """A Gamma coordinate's mixed shapes a01, a02, abar and rates b01, b02, bbar, these exact sums
-    of their terms ((1 - 2 alpha) b0, alpha b1, alpha b2 for bbar), over alpha above 1."""
+    """A Gamma coordinate's mixed shapes a01, a02, abar and rates b01, b02, bbar, the rates the
+    ``exact_units`` of their terms (bbar's: (1 - 2 alpha) b0, alpha b1, alpha b2)/max(1, alpha)."""
     (a0, b0), (a1, b1), (a2, b2) = row
     p, q = min(1.0, 1.0 / alpha), min(alpha, 1.0)
     return (a0 + alpha * (a1 - a0), a0 + alpha * (a2 - a0), a0 + alpha * (a1 + a2 - 2.0 * a0),
-            exact_dot((p - q, q), (b0, b1)), exact_dot((p - q, q), (b0, b2)),
-            exact_dot((p - 2.0 * q, q, q), (b0, b1, b2)))
+            exact_units((p - q, q), (b0, b1)), exact_units((p - q, q), (b0, b2)),
+            exact_units((p - 2.0 * q, q, q), (b0, b1, b2)))
 
 
 def _gamma_log1p(rows, alpha) -> float:
@@ -235,11 +225,15 @@ def _gamma_log1p(rows, alpha) -> float:
     a0 log1p(x) - alpha (a1 - a0) log(bbar/b01) - alpha (a2 - a0) log(bbar/b02), where
     x = (alpha d1/b0)(alpha d2/bbar) = b01 b02/(b0 bbar) - 1 and dj = bj - b0.  Where x is
     beyond the float range or below -1/2, or bbar is beyond it, the rate part is
-    a01 log(b01/b0) + a02 log(b02/b0) - abar log(bbar/b0), bbar then a quarter of its sum."""
-    p, q, total = min(1.0, 1.0 / alpha), min(alpha, 1.0), 0.0
+    a01 log(b01/b0) + a02 log(b02/b0) - abar log(bbar/b0), bbar then a quarter of its sum.
+    OverflowError where a positive mixed rate rounds to 0."""
+    q, total = min(alpha, 1.0), 0.0
     for row in rows:
         (a0, b0), (a1, b1), (a2, b2) = row
-        a01, a02, abar, b01, b02, bbar = _gamma_mixed(row, alpha)
+        a01, a02, abar, *units = _gamma_mixed(row, alpha)
+        b01, b02, bbar = map(round_units, units)
+        if not (b01 and b02 and bbar):
+            raise OverflowError(f"rates {b0!r}, {b1!r}, {b2!r} mix to a rate > 0 that rounds to 0")
         try:
             total += math.lgamma(a0) + math.lgamma(abar) - math.lgamma(a01) - math.lgamma(a02)
         except OverflowError:  # a shape near 1e308
@@ -252,7 +246,7 @@ def _gamma_log1p(rows, alpha) -> float:
                       - alpha * (a2 - a0) * _log_ratio(bbar, b02, q * (d1 / b02)))
             continue
         log_bbar = math.log(bbar) if bbar < math.inf else math.log(4.0) + math.log(
-            exact_dot(((p - 2.0 * q) / 4, q / 4, q / 4), (b0, b1, b2)))
+            round_units(units[2], -2))
         total += (a01 * math.log(b01) + a02 * math.log(b02) - abar * log_bbar
                   + a0 * (math.log(alpha / q) - math.log(b0)))
     return total
@@ -268,11 +262,11 @@ FAMILIES = {
         (("theta", "open-unit"),), "", _bernoulli_log1p, lambda f: (f.params["theta"],)),
     "exponential_product": FamilySpec(  # Gamma coordinates with unit shapes
         (("beta", "positive"),), "", _gamma_log1p, lambda f: ((1.0,) * f.dim, f.params["beta"]),
-        lambda row, alpha: min(_gamma_mixed(row, alpha)) > 0),
+        lambda row, alpha: all(x > 0 for x in _gamma_mixed(row, alpha))),
     "gamma_product": FamilySpec(
         (("shape", "positive"), ("rate", "positive")), "", _gamma_log1p,
         lambda f: (f.params["shape"], f.params["rate"]),
-        lambda row, alpha: min(_gamma_mixed(row, alpha)) > 0),
+        lambda row, alpha: all(x > 0 for x in _gamma_mixed(row, alpha))),
 }
 
 

@@ -18,7 +18,7 @@ from functools import partial
 from itertools import accumulate, chain, islice
 
 from .errors import (DegeneratePhiError, OracleFailureError, PreconditionError, exact_dot,
-                     exact_fsum)
+                     exact_fsum, exact_units)
 from .families import ParamFamily, _coordinates, _exp
 
 # Drop (in nats) below the integrand's peak that ends the integration window; e^-46 < 1e-19.
@@ -68,13 +68,13 @@ def trapezoid(f, lo: float, hi: float) -> float:
 adaptive_gauss_legendre = trapezoid
 
 
-def _log_window(log_g, y_star: float, first_step: float = 1.0) -> tuple[float, float]:
+def _log_window(log_g, y_star: float) -> tuple[float, float]:
     """Bracket [y_lo, y_hi] where log_g has dropped _TAIL_DROP below its peak at y_star;
     OracleFailureError unless log_g is finite at the peak and the bracket a finite interval."""
     target = log_g(y_star) - _TAIL_DROP
     ends = []
     for sign in (-1.0, 1.0) if math.isfinite(target) else ():
-        step = first_step
+        step = 1.0
         while log_g(y_star + sign * step) > target:
             step *= 1.5
         ends.append(y_star + sign * step)
@@ -103,18 +103,20 @@ def _gaussian_power_integral(params, powers) -> float:
 def _gamma_divergent(params, powers) -> bool:
     """Whether the integral of prod_j Gamma(shape_j, rate_j)(x)**power_j dx over rows
     (shape_j, rate_j) diverges: unless S = sum(power_j * shape_j) and R = sum(power_j * rate_j)
-    are both positive."""
-    return not all(exact_dot(powers, column) > 0 for column in zip(*params))
+    are both positive, exactly, however small."""
+    return not all(exact_units(powers, column) > 0 for column in zip(*params))
 
 
 def _gamma_power_integral(params, powers) -> float:
     """Integral of prod_j Gamma(shape_j, rate_j)(x)**power_j dx over rows (shape_j, rate_j),
     where it converges (see ``_gamma_divergent``).  Substituting x = e^y turns the integrand
-    into exp(S*y - R*e^y + const): analytic in the strip |Im y| < pi/2 and
-    exponentially small in both tails, so the trapezoidal rule converges fast even for shapes
-    below 1.  It peaks at y = log(S/R), or -inf where S/R underflows."""
+    into exp(S*y - R*e^y + const): analytic in the strip |Im y| < pi/2 and exponentially small
+    in both tails, so the trapezoidal rule converges fast even for shapes below 1.  It peaks at
+    y = log(S/R), or -inf where S/R underflows.  OracleFailureError where R > 0 rounds to 0."""
     shapes, rates = [row[0] for row in params], [row[1] for row in params]
     S, R = exact_dot(powers, shapes), exact_dot(powers, rates)
+    if R == 0:
+        raise OracleFailureError(f"rates {rates} mix to a rate > 0 that rounds to 0")
     const = exact_dot(powers, [a * math.log(b) for a, b in zip(shapes, rates)])
     try:  # lgamma of a shape near 1e308 overflows, and so can the sum
         const -= math.fsum(c * math.lgamma(a) for c, a in zip(powers, shapes) if c != 0.0)

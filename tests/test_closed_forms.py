@@ -475,7 +475,7 @@ def test_lgamma_overflow_is_named():
 @pytest.mark.parametrize("triple, alpha", [
     ([PoissonProd([x]) for x in (1.0, 1e300, 0.5)], 1.1),  # log(R_alpha + 1) ~ -5e329
     ([GaussianIso([m], 1.0) for m in (0.0, 1e200, -1e200)], 1.0),
-    # products of scaled shifts overflow with both signs: NaN in floats, -1.62e311 exactly
+    # products of shifts over sigma overflow with both signs: NaN in floats, -1.62e311 exactly
     ([GaussianIso(m, 1e-155) for m in ([-1.0, -1.0], [1.0, 1.0], [-10.0, -0.1])], 1.0),
 ])
 def test_log1p_below_the_float_range_gives_minus_one(triple, alpha):
@@ -492,9 +492,18 @@ def test_gaussian_sigma_squared_neither_underflows_nor_overflows(sigma):
     if sigma < 1:
         with pytest.raises(OverflowError, match="so does log"):
             r_alpha_closed(*(GaussianIso([m], sigma) for m in (0.0, 1.0, 1.0)), 1.0)
-    # orthogonal shifts give 0 even when alpha^2 is beyond the float range
-    shifts = [GaussianIso(np.array(m) * sigma, sigma) for m in ([0, 0], [1, 0], [0, 1])]
-    assert r_alpha_closed(*shifts, 1e200) == 0.0
+    # orthogonal shifts give 0 even when alpha^2, or a shift over sigma, is beyond the float range
+    for means in (np.array([[0, 0], [1, 0], [0, 1]]) * sigma,
+                  [[0.0, 0.0], [1e300, 1e300], [1e-300, -1e-300]]):
+        assert r_alpha_closed(*(GaussianIso(m, sigma) for m in means), 1e200) == 0.0
+
+
+@pytest.mark.parametrize("shift, alpha, want", [(1e-300, 1e200, 1e-200), (1e300, 1e-200, 1e200)])
+def test_gaussian_alpha_squared_is_not_formed(shift, alpha, want):
+    """alpha^2 beyond the float range, and the shifts' inner product beyond it the other way:
+    their product is in range, so alpha^2 must not be formed on its own."""
+    triple = [GaussianIso([m], 1.0) for m in (0.0, shift, shift)]
+    assert r_alpha_closed_log1p(*triple, alpha) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_kind_and_dimension_mismatch():

@@ -1,7 +1,8 @@
 """``exact_sum`` returns the bits of ``math.fsum``, sign of zero included, where that
 returns; where it raises, the exact sum rounded through ``fractions.Fraction``: +-inf beyond
 the float range and NaN for +inf plus -inf.  It never raises.  ``exact_dot`` rounds the exact
-sum of its products once, with the same rules for non-finite entries."""
+sum of its products once, with the same rules for non-finite entries; ``round_units`` rounds
+that exact sum scaled by a power of two."""
 
 import math
 import struct
@@ -9,10 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from codiv.errors import _INT_LIMIT, exact_dot
+from codiv.errors import _INT_LIMIT, exact_dot, exact_units, round_units
 from codiv.measures import _EXACT_SUM_MIN_SIZE, exact_sum
 
 SIZES = (1, 2, 255, 256, 257, _EXACT_SUM_MIN_SIZE - 1, _EXACT_SUM_MIN_SIZE,
@@ -111,14 +112,28 @@ def test_raises_and_zeros_like_fsum(n, head, fill, want):
     assert outcome(exact_sum, x) == want
 
 
+def rounded(total: Fraction) -> float:
+    """A Fraction rounded to the nearest float, +-inf from ``_INT_LIMIT`` on."""
+    return float(total) if abs(total) < _INT_LIMIT else math.inf if total > 0 else -math.inf
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=4))
-def test_exact_dot_rounds_the_exact_sum_once(pairs):
-    """Finite entries: the sum of the products as a Fraction, rounded once.  Otherwise NaN
-    for a NaN entry, for 0 * inf and for infinite products of both signs, else that
-    infinity, whatever the finite products add."""
+@given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=4),
+       st.integers(-2148, 2148))
+@example([(1.0, 1.0)], -1075)  # half the smallest subnormal: a tie, to 0
+@example([(3.0, -1.0)], -1075)  # a tie between subnormals, to the even -2**-1073
+@example([(5e-324, 5e-324), (5e-324, -3e-323)], 2148)  # products of subnormals, scaled to -5.0
+@example([(1.7976931348623157e308, 2.0)], -1)  # the largest float, exactly
+def test_exact_dot_rounds_the_exact_sum_once(pairs, scale):
+    """Finite entries: the sum of the products as a Fraction, rounded once, and so is that
+    sum times 2**scale, subnormal and infinite results included.  Otherwise NaN for a NaN
+    entry, for 0 * inf and for infinite products of both signs, else that infinity,
+    whatever the finite products add, and 2**scale leaves it as it is."""
     got = exact_dot(*zip(*pairs))
+    scaled = round_units(exact_units(*zip(*pairs)), scale)
     entries = [x for pair in pairs for x in pair]
+    if not all(map(math.isfinite, entries)):
+        assert struct.pack("<d", scaled) == struct.pack("<d", got)
     infinite = {math.copysign(1.0, a) * math.copysign(1.0, b) for a, b in pairs
                 if math.isinf(a) or math.isinf(b)}
     if any(map(math.isnan, entries)) or any(
@@ -130,5 +145,5 @@ def test_exact_dot_rounds_the_exact_sum_once(pairs):
         assert got == math.inf * infinite.pop()
     else:
         total = sum(Fraction(a) * Fraction(b) for a, b in pairs)
-        want = float(total) if abs(total) < _INT_LIMIT else math.inf if total > 0 else -math.inf
-        assert struct.pack("<d", got) == struct.pack("<d", want)
+        assert struct.pack("<d", got) == struct.pack("<d", rounded(total))
+        assert struct.pack("<d", scaled) == struct.pack("<d", rounded(total * Fraction(2) ** scale))

@@ -286,6 +286,13 @@ class TestReferenceTriples:
                                GammaProd([1.0], [1.0]), 1.0)
         assert value == math.inf
 
+    def test_a_positive_mixed_rate_that_rounds_to_zero_is_named(self):
+        # at alpha 1.5 the second mixture's rate is -0.5 * 1e-323 + 1.5 * 5e-324 = 2.5e-324,
+        # which converges but rounds to 0; the domain reads its sign from the exact sum
+        triple = [ExponentialProd([b]) for b in (1e-323, 5e-324, 1.0)]
+        with pytest.raises(OracleFailureError, match="rounds to 0"):
+            oracle_r_alpha(*triple, 1.5)
+
     def test_divergence_is_decided_before_any_integral(self):
         """The third integral diverges (S < 0).  The first one's log-normaliser sums terms of
         both infinite signs, which ended the job in exit 3 while it was taken first.  In the
